@@ -29,6 +29,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.ckks.batch import (
+    is_batched,
+    stack_ciphertexts,
+    unstack_ciphertexts,
+)
 from repro.ckks.encrypt import Ciphertext
 from repro.ckks.noise import NoiseEstimate
 from repro.errors import ParameterError
@@ -223,7 +228,9 @@ class CipherVector:
               noise: Optional[NoiseEstimate] = None) -> "CipherVector":
         if noise is not None:
             noise = self._pin(noise, ct)
-        return CipherVector(self.session, ct, noise)
+        # A single ciphertext combined with a batch broadcasts across it.
+        handle = CipherBatch if is_batched(ct) else CipherVector
+        return handle(self.session, ct, noise)
 
     @staticmethod
     def _pin(noise: NoiseEstimate, ct: Ciphertext) -> NoiseEstimate:
@@ -300,10 +307,9 @@ class CipherBatch(CipherVector):
 
     The cross-ciphertext batch axis surfaced as a fluent handle: the
     wrapped :class:`~repro.ckks.encrypt.Ciphertext` holds ``(B, L, N)``
-    :class:`~repro.rns.poly.PolyBatch` halves, and every operation routes
-    through the session's :class:`~repro.ckks.batch.BatchEvaluator`, so B
-    users' ciphertexts pay one stacked kernel pass per operation instead
-    of B.  The expression surface is inherited from
+    :class:`~repro.rns.poly.RNSPoly` halves, which the session's one
+    :class:`~repro.ckks.evaluator.Evaluator` runs as one stacked kernel
+    pass per operation instead of B.  The expression surface is inherited from
     :class:`CipherVector` unchanged — plaintext operands broadcast across
     the batch, alignment/rescale bookkeeping applies to all members at
     once — and every result is bit-identical to running the same
@@ -316,11 +322,9 @@ class CipherBatch(CipherVector):
 
     def __init__(self, session: "FHESession", ciphertext: Ciphertext,
                  noise: Optional[NoiseEstimate] = None):
-        from repro.ckks.batch import is_batched
-
         if not is_batched(ciphertext):
             raise ParameterError(
-                "CipherBatch wraps a batched ciphertext (PolyBatch "
+                "CipherBatch wraps a batched ciphertext ((B, L, N) "
                 "halves); use CipherVector for a single ciphertext"
             )
         super().__init__(session, ciphertext, noise)
@@ -328,8 +332,6 @@ class CipherBatch(CipherVector):
     @classmethod
     def from_vectors(cls, vectors: "Sequence[CipherVector]") -> "CipherBatch":
         """Stack same-level :class:`CipherVector` handles into a batch."""
-        from repro.ckks.batch import stack_ciphertexts
-
         vectors = list(vectors)
         if not vectors:
             raise ParameterError("cannot batch zero CipherVectors")
@@ -357,8 +359,6 @@ class CipherBatch(CipherVector):
 
     def members(self) -> "List[CipherVector]":
         """Split back into per-user :class:`CipherVector` handles."""
-        from repro.ckks.batch import unstack_ciphertexts
-
         return [
             CipherVector(self.session, ct, self.noise)
             for ct in unstack_ciphertexts(self.ciphertext)
@@ -379,7 +379,7 @@ class CipherBatch(CipherVector):
         """Decrypt all members: a ``(B, num_slots)`` complex array."""
         self.session.check_noise(self.noise)
         raw = self.ciphertext
-        dec = self.session.decryptor.decrypt(raw)  # PolyBatch
+        dec = self.session.decryptor.decrypt(raw)  # (B, L, N)
         return np.stack([
             self.session.decode(poly, scale=raw.scale)
             for poly in dec.unstack()
@@ -401,18 +401,6 @@ class CipherBatch(CipherVector):
             s: CipherBatch(self.session, cv.ciphertext)
             for s, cv in rotated.items()
         }
-
-    # -- dispatch hooks ----------------------------------------------------------
-
-    @property
-    def _ev(self) -> "Evaluator":
-        return self.session.batch_evaluator
-
-    def _wrap(self, ct: Ciphertext,
-              noise: Optional[NoiseEstimate] = None) -> "CipherBatch":
-        if noise is not None:
-            noise = self._pin(noise, ct)
-        return CipherBatch(self.session, ct, noise)
 
 
 def _negated(value: PlainOperand) -> PlainOperand:

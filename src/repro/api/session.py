@@ -34,7 +34,7 @@ from repro.api.backends import (
 from repro.api.cipher import CipherBatch, CipherVector
 from repro.api.plan import Plan, build_plan
 from repro.api.presets import DEFAULT_PRESET, get_preset
-from repro.ckks.batch import BatchEvaluator, is_batched, stack_ciphertexts
+from repro.ckks.batch import is_batched
 from repro.ckks.bootstrap import BootstrapConfig, BootstrapKeys, Bootstrapper
 from repro.ckks.context import CKKSContext, CKKSParams
 from repro.ckks.encoding import Encoder
@@ -73,7 +73,6 @@ class FHESession:
                                    seed=enc_seed)
         self.decryptor = Decryptor(self.context, self.keygen.secret_key)
         self.evaluator = Evaluator(self.context)
-        self._batch_evaluator: Optional[BatchEvaluator] = None
         self._relin_key: Optional[KeySwitchKey] = None
         self._conj_key: Optional[KeySwitchKey] = None
         #: Galois keys cached by Galois element (steps that differ by a
@@ -123,13 +122,6 @@ class FHESession:
             f"levels={self.params.num_levels}, dnum={self.params.dnum}, "
             f"cached_keys={self.key_cache_info()})"
         )
-
-    @property
-    def batch_evaluator(self) -> BatchEvaluator:
-        """Evaluator for :class:`CipherBatch` handles (built on first use)."""
-        if self._batch_evaluator is None:
-            self._batch_evaluator = BatchEvaluator(self.context)
-        return self._batch_evaluator
 
     # -- noise tracking ----------------------------------------------------------
 
@@ -278,13 +270,11 @@ class FHESession:
         """Refresh a ciphertext: same message, level budget restored.
 
         A :class:`CipherBatch` (or raw batched ciphertext) runs the whole
-        pipeline through :attr:`batch_evaluator` — one stacked circuit
-        for all B members, amortizing every hybrid key switch — and comes
-        back as a :class:`CipherBatch`.
+        pipeline as one stacked circuit for all B members, amortizing
+        every hybrid key switch, and comes back as a :class:`CipherBatch`.
         """
         raw = ct.ciphertext if isinstance(ct, CipherVector) else ct
-        evaluator = self.batch_evaluator if is_batched(raw) else self.evaluator
-        out = self.bootstrapper().bootstrap(evaluator, raw,
+        out = self.bootstrapper().bootstrap(self.evaluator, raw,
                                             self.bootstrap_keys())
         # A refreshed ciphertext restarts its noise budget at fresh-
         # encryption levels (pinned to the pipeline's output level).
@@ -357,14 +347,13 @@ class FHESession:
         from step to result, bit-identical to one-at-a-time rotation;
         steps that normalize to 0 need no key switch and map to a copy.
         A batched ciphertext shares one ModUp across *all* B members as
-        well as all steps, via :attr:`batch_evaluator`.
+        well as all steps.
         """
         raw = ct.ciphertext if isinstance(ct, CipherVector) else ct
-        evaluator = self.batch_evaluator if is_batched(raw) else self.evaluator
         normalized: Dict[int, int] = {s: s % self.num_slots for s in steps}
         nonzero = {n for n in normalized.values() if n != 0}
         keys = {n: self.rotation_key(n) for n in nonzero}
-        rotated = evaluator.hoisted_rotations(raw, keys) if keys else {}
+        rotated = self.evaluator.hoisted_rotations(raw, keys) if keys else {}
         wrap = CipherBatch if is_batched(raw) else CipherVector
         base = ct.noise if isinstance(ct, CipherVector) else None
         turned = None

@@ -1,46 +1,31 @@
-"""Cross-ciphertext batching: evaluate B same-level ciphertexts at once.
+"""Cross-ciphertext batching: stack B same-level ciphertexts into one.
 
-PR 4's kernels batch the towers *within* one polynomial; this module adds
-the second axis.  A batched ciphertext is an ordinary
-:class:`~repro.ckks.encrypt.Ciphertext` whose halves are
-:class:`~repro.rns.poly.PolyBatch` stacks of ``(B, L, N)`` residues —
+A batched ciphertext is an ordinary :class:`~repro.ckks.encrypt.Ciphertext`
+whose halves are ``(B, L, N)`` :class:`~repro.rns.poly.RNSPoly` stacks —
 the dataclass's structural invariants (shared basis, ``level + 1``
-towers) hold unchanged, so the generic circuit code (BSGS linear
-transforms, the Chebyshev ladder, the whole bootstrap pipeline) runs on
-a batch without modification.  Only the operations that touch hybrid key
-switching or the rescale kernel need the batch-aware
-:class:`BatchEvaluator` below; everything else is plain broadcast
-arithmetic.
+towers) hold unchanged, and every kernel indexes towers from the right,
+so the one :class:`~repro.ckks.evaluator.Evaluator` and the generic
+circuit code (BSGS linear transforms, the Chebyshev ladder, the whole
+bootstrap pipeline) run on a batch without modification, one kernel pass
+per stage for all B members.
 
-Because every batched kernel is bit-identical to looping its scalar
-counterpart over the members, an entire batched circuit is bit-identical
-to running the circuit B times — which is exactly what
-``tests/test_batch.py`` asserts, end to end through bootstrapping.
+Because every kernel on a stack is bit-identical to looping it over the
+members, an entire batched circuit is bit-identical to running the
+circuit B times — which is exactly what ``tests/test_batch.py`` asserts,
+end to end through bootstrapping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.ckks.encrypt import Ciphertext
 from repro.ckks.evaluator import Evaluator
-from repro.ckks.keys import KeySwitchKey, rotation_galois_element
-from repro.ckks.keyswitch import (
-    apply_evk_batch,
-    key_switch_batch,
-    mod_down_pair_batch,
-    mod_up_all_batch,
-)
 from repro.errors import ParameterError
-from repro.ntt.batch import get_batch_ntt
-from repro.rns import dispatch
-from repro.rns.poly import Domain, PolyBatch, automorphism_stacked_batch
+from repro.rns.poly import RNSPoly
 
 __all__ = [
     "BatchShapeError",
-    "BatchEvaluator",
     "stack_ciphertexts",
     "unstack_ciphertexts",
     "is_batched",
@@ -85,124 +70,34 @@ def stack_ciphertexts(cts: Sequence[Ciphertext]) -> Ciphertext:
                 f"batch[{i}]: ring degree {ct.n} != batch[0] degree {head.n}"
             )
     return Ciphertext(
-        PolyBatch.stack([ct.c0 for ct in cts]),
-        PolyBatch.stack([ct.c1 for ct in cts]),
+        RNSPoly.stack([ct.c0 for ct in cts]),
+        RNSPoly.stack([ct.c1 for ct in cts]),
         head.level,
         head.scale,
     )
 
 
 def unstack_ciphertexts(ct: Ciphertext) -> List[Ciphertext]:
-    """Split a batched ciphertext back into its B members."""
-    if not is_batched(ct):
-        return [ct.copy()]
-    c0s = ct.c0.unstack()
-    c1s = ct.c1.unstack()
+    """Split a batched ciphertext back into its B members (a plain
+    ciphertext comes back as a one-element list holding a copy)."""
     return [
-        Ciphertext(a, b, ct.level, ct.scale) for a, b in zip(c0s, c1s)
+        Ciphertext(a, b, ct.level, ct.scale)
+        for a, b in zip(ct.c0.unstack(), ct.c1.unstack())
     ]
 
 
 def is_batched(ct: Ciphertext) -> bool:
-    return isinstance(ct.c0, PolyBatch)
+    return ct.c0.data.ndim == 3
 
 
 def batch_size(ct: Ciphertext) -> int:
-    return ct.c0.batch_size if is_batched(ct) else 1
+    return ct.c0.batch_size
 
 
 class BatchEvaluator(Evaluator):
-    """Evaluator for ciphertexts whose halves are ``(B, L, N)`` batches.
-
-    Inherits every linear operation from :class:`Evaluator` — broadcast
-    arithmetic on :class:`PolyBatch` halves needs no override — and
-    replaces the four kernels with a per-polynomial shape (HKS, rescale,
-    Galois, hoisting) with their batch-axis counterparts, so B
-    ciphertexts pay one kernel dispatch per stage instead of B.
-
-    Results are bit-identical to running the base evaluator member by
-    member (under either kernel mode).
-    """
-
-    #: Advertises the batched HKS path to the bootstrap pipeline, which
-    #: then stacks EvalMod's real/imag Chebyshev branches into one ladder.
-    supports_batched_hks = True
-
-    # -- key-switched operations ------------------------------------------------
-
-    def multiply(self, x: Ciphertext, y: Ciphertext,
-                 relin_key: KeySwitchKey) -> Ciphertext:
-        self._check_levels(x, y)
-        d0 = x.c0 * y.c0
-        d1 = x.c0 * y.c1 + x.c1 * y.c0
-        d2 = x.c1 * y.c1
-        ks0, ks1 = key_switch_batch(self.context, d2, relin_key, x.level)
-        return Ciphertext(d0 + ks0, d1 + ks1, x.level, x.scale * y.scale)
-
-    def apply_galois(self, x: Ciphertext, galois_element: int,
-                     key: KeySwitchKey) -> Ciphertext:
-        rot0, rot1 = automorphism_stacked_batch([x.c0, x.c1], galois_element)
-        ks0, ks1 = key_switch_batch(self.context, rot1, key, x.level)
-        return Ciphertext(rot0 + ks0, ks1, x.level, x.scale)
-
-    def hoisted_rotations(self, x: Ciphertext,
-                          galois_keys: Dict[int, KeySwitchKey]
-                          ) -> Dict[int, Ciphertext]:
-        """Batched Halevi-Shoup hoisting: one shared ModUp for the whole
-        batch, then one stacked automorphism/ApplyKey/ModDown per step."""
-        level = x.level
-        n = self.context.params.n
-        extended = mod_up_all_batch(self.context, x.c1, level)
-        results: Dict[int, Ciphertext] = {}
-        for steps, key in galois_keys.items():
-            g = rotation_galois_element(steps, n)
-            rot_c0, *rot_digits = automorphism_stacked_batch(
-                [x.c0, *extended], g
-            )
-            acc0, acc1 = apply_evk_batch(self.context, rot_digits, key, level)
-            ks0, ks1 = mod_down_pair_batch(self.context, acc0, acc1, level)
-            results[steps] = Ciphertext(rot_c0 + ks0, ks1, level, x.scale)
-        return results
-
-    # -- rescale ------------------------------------------------------------------
-
+    # bench/tracing.py (frozen for this PR) patches
+    # ``BatchEvaluator.__dict__["rescale"]`` for --trace runs; that is the
+    # only reason this class exists.  The library only ever builds
+    # :class:`Evaluator`, so a rescale still opens one span, not two.
     def rescale(self, x: Ciphertext) -> Ciphertext:
-        level = x.level
-        if level == 0:
-            raise ParameterError("cannot rescale a level-0 ciphertext")
-        q_last = self.context.q_basis.moduli[level]
-        eval_domain = (
-            x.c0.domain is Domain.EVAL and x.c1.domain is Domain.EVAL
-        )
-        if not (dispatch.batched_enabled() and eval_domain):
-            # Looped reference: rescale member by member through the base
-            # evaluator (which itself falls back to the per-tower loop).
-            members = [
-                Evaluator.rescale(self, ct) for ct in unstack_ciphertexts(x)
-            ]
-            return stack_ciphertexts(members)
-        # The stacked EVAL-domain rescale of Evaluator.rescale with both
-        # halves of every member folded onto the batch axis: one 2B-row
-        # INTT of the dropped towers, one broadcast centered correction,
-        # one 2B-stack NTT back.
-        n = x.c0.n
-        bsz = x.c0.batch_size
-        inv = self.context.rescale_inverses(level)
-        basis = self.context.level_basis(level - 1)
-        both = np.concatenate([x.c0.data, x.c1.data])  # (2B, level+1, N)
-        last_coeff = get_batch_ntt(n, (q_last,)).inverse(both[:, level:])
-        half = q_last // 2
-        # Conditional corrections as bool-scaled adds: every difference
-        # below stays in (-q, q), so one add of q*(mask) replaces a full
-        # int64 ``%`` pass (which numpy cannot vectorize).
-        centered = last_coeff - q_last * (last_coeff > half)
-        # broadcast to (2B, level, N); |centered| <= q_last/2 < q_i
-        correction = centered + basis.q_column * (centered < 0)
-        corr_eval = get_batch_ntt(n, basis.moduli).forward(correction)
-        inv_col = np.array(list(inv), dtype=np.int64)[:, None]
-        rows = both[:, :level] - corr_eval
-        rows += basis.q_column * (rows < 0)
-        rows = rows * inv_col % basis.q_column
-        c0 = PolyBatch(basis, rows[:bsz].copy(), Domain.EVAL)
-        c1 = PolyBatch(basis, rows[bsz:].copy(), Domain.EVAL)
-        return Ciphertext(c0, c1, level - 1, x.scale / q_last)
+        return super().rescale(x)

@@ -24,7 +24,9 @@ class CountingEvaluator(Evaluator):
 
     Rotations that normalize to zero steps are not counted (they perform
     no key switch); hoisted batches count one rotation per produced
-    ciphertext, since each still pays ApplyKey + ModDown.
+    ciphertext, since each still pays ApplyKey + ModDown.  Counts are per
+    ciphertext, not per call: an operation on a ``(B, L, N)`` stack
+    counts B times (one ``multiply`` there *is* B key switches).
     """
 
     def __init__(self, context):
@@ -53,45 +55,48 @@ class CountingEvaluator(Evaluator):
         for key in self.counters:
             self.counters[key] = 0
 
+    def _count(self, name: str, x: Ciphertext, times: int = 1) -> None:
+        self.counters[name] += times * x.c0.batch_size
+
     # -- counted operations ---------------------------------------------------
 
     def rotate(self, x: Ciphertext, steps: int, galois_key) -> Ciphertext:
         if steps % (self.context.params.n // 2) != 0:
-            self.counters["rotations"] += 1
+            self._count("rotations", x)
         return super().rotate(x, steps, galois_key)
 
     def hoisted_rotations(self, x: Ciphertext,
                           galois_keys: Dict[int, KeySwitchKey]):
-        self.counters["rotations"] += len(galois_keys)
+        self._count("rotations", x, len(galois_keys))
         return super().hoisted_rotations(x, galois_keys)
 
     def conjugate(self, x: Ciphertext, conj_key: KeySwitchKey) -> Ciphertext:
-        self.counters["conjugations"] += 1
+        self._count("conjugations", x)
         return super().conjugate(x, conj_key)
 
     def multiply(self, x: Ciphertext, y: Ciphertext,
                  relin_key: KeySwitchKey) -> Ciphertext:
-        self.counters["ct_multiplies"] += 1
+        self._count("ct_multiplies", x)
         return super().multiply(x, y, relin_key)
 
     def multiply_plain(self, x: Ciphertext, plaintext: RNSPoly,
                        plain_scale=None) -> Ciphertext:
-        self.counters["pt_multiplies"] += 1
+        self._count("pt_multiplies", x)
         return super().multiply_plain(x, plaintext, plain_scale)
 
     def add(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        self.counters["additions"] += 1
+        self._count("additions", x)
         return super().add(x, y)
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        self.counters["additions"] += 1
+        self._count("additions", x)
         return super().sub(x, y)
 
     def add_plain(self, x: Ciphertext, plaintext: RNSPoly,
                   plain_scale=None) -> Ciphertext:
-        self.counters["additions"] += 1
+        self._count("additions", x)
         return super().add_plain(x, plaintext, plain_scale)
 
     def rescale(self, x: Ciphertext) -> Ciphertext:
-        self.counters["rescales"] += 1
+        self._count("rescales", x)
         return super().rescale(x)

@@ -15,14 +15,12 @@ job — ModRaise itself costs no key switch and no level.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from repro.ckks.context import CKKSContext
 from repro.ckks.encrypt import Ciphertext
 from repro.errors import ParameterError
-from repro.rns.poly import Domain, PolyBatch, RNSPoly
+from repro.rns.poly import Domain, RNSPoly
 
 
 def mod_raise(context: CKKSContext, ct: Ciphertext) -> Ciphertext:
@@ -34,21 +32,20 @@ def mod_raise(context: CKKSContext, ct: Ciphertext) -> Ciphertext:
         )
     target = context.q_basis
 
-    def lift(poly: Union[RNSPoly, PolyBatch]) -> Union[RNSPoly, PolyBatch]:
-        coeff = poly.to_coeff()
-        if isinstance(coeff, PolyBatch):
-            # convert_centered is exact and column-independent, so the
-            # (B, L0, N) batch lifts as one wide (L0, B*N) matrix laid
-            # side by side — same arithmetic per column as per member.
-            bsz, towers, n = coeff.data.shape
-            wide = coeff.data.transpose(1, 0, 2).reshape(towers, bsz * n)
-            raised = coeff.basis.convert_centered(wide, target)
-            stacked = raised.reshape(len(target), bsz, n).transpose(1, 0, 2)
-            return PolyBatch(
-                target, np.ascontiguousarray(stacked), Domain.COEFF
-            ).to_eval()
-        raised = coeff.basis.convert_centered(coeff.data, target)
-        return RNSPoly(target, raised, Domain.COEFF).to_eval()
+    def lift(poly: RNSPoly) -> RNSPoly:
+        # convert_centered is exact and column-independent, so a
+        # (B, L0, N) stack lifts as one wide (L0, B*N) matrix laid side
+        # by side — same arithmetic per column as per member.
+        coeff = poly.to_coeff().data
+        wide = np.moveaxis(coeff, -2, 0).reshape(coeff.shape[-2], -1)
+        raised = poly.basis.convert_centered(wide, target)
+        stacked = np.moveaxis(
+            raised.reshape((len(target),) + poly.data.shape[:-2] + (poly.n,)),
+            0, -2,
+        )
+        return RNSPoly(
+            target, np.ascontiguousarray(stacked), Domain.COEFF
+        ).to_eval()
 
     return Ciphertext(
         lift(ct.c0), lift(ct.c1), context.params.max_level, ct.scale

@@ -30,6 +30,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.ckks.batch import (
+    is_batched,
+    stack_ciphertexts,
+    unstack_ciphertexts,
+)
 from repro.ckks.bootstrap.dft import (
     coeff_to_slot_matrices,
     slot_to_coeff_matrices,
@@ -47,11 +52,7 @@ from repro.ckks.encrypt import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySwitchKey
 from repro.ckks.linear import LinearTransform
-from repro.ckks.polyeval import (
-    _stack_plaintexts,
-    evaluate_chebyshev,
-    evaluate_chebyshev_rows,
-)
+from repro.ckks.polyeval import _stack_plaintexts, evaluate_chebyshev_rows
 from repro.errors import ParameterError
 
 
@@ -205,21 +206,8 @@ class Bootstrapper:
         real_part = evaluator.add(folded, conj)     # slots: Re(v)
         imag_part = evaluator.sub(folded, conj)     # slots: i * Im(v)
 
-        norm = 2.0 / (self.sine_periods * q_tilde)
-        if getattr(evaluator, "supports_batched_hks", False):
-            # Batch-capable evaluator: both branches through one stacked
-            # Chebyshev ladder (half the ladder dispatches per bootstrap).
-            # Instrumented/plain evaluators keep the two-ladder circuit,
-            # whose op counts BootstrapPlan pins.
-            cleaned = self._eval_mod_stacked(
-                evaluator, real_part, imag_part, norm, q_tilde, keys
-            )
-        else:
-            real_mod = self._eval_mod(evaluator, real_part, norm,
-                                      q_tilde * self.sine_coeffs, keys)
-            imag_mod = self._eval_mod(evaluator, imag_part, -1j * norm,
-                                      1j * q_tilde * self.sine_coeffs, keys)
-            cleaned = evaluator.add(real_mod, imag_mod)
+        cleaned = self._eval_mod(evaluator, real_part, imag_part, q_tilde,
+                                 keys)
 
         return self._apply_transforms(evaluator, cleaned,
                                       self.stc_transforms, keys)
@@ -234,41 +222,26 @@ class Bootstrapper:
             ct = transform.evaluate(evaluator, ct, baby, giant)
         return ct
 
-    def _eval_mod(self, evaluator: Evaluator, ct: Ciphertext,
-                  normalize: complex, coeffs: np.ndarray,
+    def _eval_mod(self, evaluator: Evaluator, real_part: Ciphertext,
+                  imag_part: Ciphertext, q_tilde: float,
                   keys: BootstrapKeys) -> Ciphertext:
-        """One EvalMod branch: normalize into [-1, 1] (folding the
-        doubling for the Chebyshev ladder), then the sine series."""
-        q_top = float(self.context.q_basis.moduli[ct.level])
-        pt = self.encoder.encode(
-            [normalize] * self.encoder.num_slots, level=ct.level, scale=q_top
-        )
-        prescaled = evaluator.rescale(
-            evaluator.multiply_plain(ct, pt, plain_scale=q_top)
-        )
-        return evaluate_chebyshev(
-            evaluator, self.encoder, prescaled, coeffs, keys.relin,
-            prescaled=True,
-        )
-
-    def _eval_mod_stacked(self, evaluator: Evaluator, real_part: Ciphertext,
-                          imag_part: Ciphertext, norm: float, q_tilde: float,
-                          keys: BootstrapKeys) -> Ciphertext:
         """Both EvalMod branches through one stacked Chebyshev ladder.
 
-        The branches differ only in their normalization constant and
-        combine coefficients (by the exact factor ``-1j`` / ``1j``), so
-        they batch as a ``2B``-member ciphertext: per-row prescale and
-        combine plaintexts, one shared ladder.  Each member's arithmetic
-        is bit-identical to :meth:`_eval_mod` on that member alone, and
-        the return value is already the recombined ``real + imag`` sum.
+        Each branch normalizes into [-1, 1] (folding the doubling for the
+        Chebyshev ladder) and evaluates the sine series.  The branches
+        differ only in their normalization constant and combine
+        coefficients (by the exact factor ``-1j`` / ``1j``), so the B
+        real members and the B imaginary ones run as one ``2B``-member
+        ciphertext: per-row prescale and combine plaintexts, one shared
+        ladder — half the ladder's kernel calls, each member's arithmetic
+        unchanged.  Returns the recombined ``real + imag`` sum, stacked
+        (or not) like the inputs.
         """
-        from repro.ckks.batch import stack_ciphertexts, unstack_ciphertexts
-
         members = (unstack_ciphertexts(real_part)
                    + unstack_ciphertexts(imag_part))
         bsz = len(members) // 2
         both = stack_ciphertexts(members)
+        norm = 2.0 / (self.sine_periods * q_tilde)
         q_top = float(self.context.q_basis.moduli[both.level])
         slots = self.encoder.num_slots
         pts = [
@@ -286,8 +259,11 @@ class Bootstrapper:
             [bsz, bsz], keys.relin, prescaled=True,
         )
         halves = unstack_ciphertexts(modded)
-        real_mod = stack_ciphertexts(halves[:bsz])
-        imag_mod = stack_ciphertexts(halves[bsz:])
+        if is_batched(real_part):
+            real_mod = stack_ciphertexts(halves[:bsz])
+            imag_mod = stack_ciphertexts(halves[bsz:])
+        else:
+            real_mod, imag_mod = halves
         return evaluator.add(real_mod, imag_mod)
 
 

@@ -17,7 +17,6 @@ from repro.ckks.keys import KeySwitchKey, rotation_galois_element
 from repro.ckks.keyswitch import key_switch
 from repro.errors import KeySwitchError, ParameterError
 from repro.ntt.batch import get_batch_ntt
-from repro.rns import dispatch
 from repro.rns.poly import Domain, RNSPoly, automorphism_stacked
 
 
@@ -84,6 +83,8 @@ class Evaluator:
         ``s^2``; ``relin_key`` switches it back under ``s`` (this is one of
         the two HKS call sites the paper analyses).  Operands must share a
         level; scales need not match (the product's scale is their product).
+        Like every operation here, a ciphertext whose halves are
+        ``(B, L, N)`` stacks runs each kernel stage once for all B members.
         """
         self._check_levels(x, y)
         d0 = x.c0 * y.c0
@@ -102,44 +103,40 @@ class Evaluator:
             raise ParameterError("cannot rescale a level-0 ciphertext")
         q_last = self.context.q_basis.moduli[level]
         inv = self.context.rescale_inverses(level)
-        eval_domain = (
-            x.c0.domain is Domain.EVAL and x.c1.domain is Domain.EVAL
-        )
-        if not (dispatch.batched_enabled() and eval_domain):
-            # Looped reference path; also handles COEFF-domain inputs,
-            # which the stacked EVAL-domain kernel below cannot.
-            c0 = self._rescale_poly(x.c0, level, inv)
-            c1 = self._rescale_poly(x.c1, level, inv)
-            return Ciphertext(c0, c1, level - 1, x.scale / q_last)
-        # Both halves share every constant, and the whole rescale happens
-        # in the EVAL domain: the NTT is a ring homomorphism, so
+        # Both halves (of every stack member) share every constant, and
+        # the whole rescale happens in the EVAL domain: the NTT is a ring
+        # homomorphism, so
         # ``NTT((c_i - centered) * inv) == (NTT(c_i) - NTT(centered)) * inv``
-        # exactly.  Only the dropped top towers round-trip to COEFF (a
-        # 2-row INTT) to produce the centered correction polynomial, whose
+        # exactly.  Only the dropped top towers round-trip to COEFF (one
+        # INTT) to produce the centered correction polynomial, whose
         # per-modulus NTT images are then subtracted from the retained
-        # EVAL rows — bit-identical to rescaling c0 and c1 separately in
-        # the coefficient domain.
+        # EVAL rows — bit-identical to :meth:`_rescale_poly` on each half.
         n = x.c0.n
         basis = self.context.level_basis(level - 1)
-        last = np.stack([x.c0.data[level], x.c1.data[level]])
-        last_coeff = get_batch_ntt(n, (q_last, q_last)).inverse(last)
+        both = np.stack([
+            h.data if h.domain is Domain.EVAL else h.to_eval().data
+            for h in (x.c0, x.c1)
+        ])
+        last_coeff = get_batch_ntt(n, (q_last,)).inverse(both[..., level:, :])
         half = q_last // 2
-        centered = np.where(last_coeff > half, last_coeff - q_last, last_coeff)
-        correction = np.repeat(centered, level, axis=0) % np.concatenate(
-            [basis.q_column, basis.q_column]
-        )
-        q_col2 = np.concatenate([basis.q_column, basis.q_column])
-        corr_eval = get_batch_ntt(n, basis.moduli * 2).forward(correction)
-        kept = np.concatenate([x.c0.data[:level], x.c1.data[:level]])
-        inv_col2 = np.array(list(inv) * 2, dtype=np.int64)[:, None]
-        rows = (kept - corr_eval) % q_col2
-        rows = rows * inv_col2 % q_col2
-        c0 = RNSPoly(basis, rows[:level].copy(), Domain.EVAL)
-        c1 = RNSPoly(basis, rows[level:].copy(), Domain.EVAL)
+        # Conditional corrections as bool-scaled adds: every difference
+        # below stays in (-q, q), so one add of q*(mask) replaces a full
+        # int64 ``%`` pass (which numpy cannot vectorize).
+        centered = last_coeff - q_last * (last_coeff > half)
+        # broadcast to (2, ..., level, N); |centered| <= q_last/2 < q_i
+        correction = centered + basis.q_column * (centered < 0)
+        corr_eval = get_batch_ntt(n, basis.moduli).forward(correction)
+        inv_col = np.array(list(inv), dtype=np.int64)[:, None]
+        rows = both[..., :level, :] - corr_eval
+        rows += basis.q_column * (rows < 0)
+        rows = rows * inv_col % basis.q_column
+        c0 = RNSPoly(basis, rows[0], Domain.EVAL)
+        c1 = RNSPoly(basis, rows[1], Domain.EVAL)
         return Ciphertext(c0, c1, level - 1, x.scale / q_last)
 
     def _rescale_poly(self, poly: RNSPoly, level: int, inv_scalars) -> RNSPoly:
-        """Per-tower rescale loop — the retained looped reference path."""
+        """Per-tower COEFF-domain rescale of one ``(L, N)`` half — the
+        oracle the tests hold :meth:`rescale` bit-identical to."""
         coeff = poly.to_coeff()
         q_last = self.context.q_basis.moduli[level]
         last = coeff.data[level]
@@ -198,9 +195,9 @@ class Evaluator:
                           ) -> Dict[int, Ciphertext]:
         """Rotate ``x`` by every step in ``galois_keys`` sharing one ModUp.
 
-        Thin dispatch to :func:`repro.ckks.hoisting.hoisted_rotations`;
-        routing it through the evaluator lets instrumentation (and
-        subclasses) observe batched rotations the same way as single ones.
+        Forwards to :func:`repro.ckks.hoisting.hoisted_rotations`; routing
+        it through the evaluator lets instrumentation (and subclasses)
+        observe hoisted rotations the same way as single ones.
         """
         from repro.ckks.hoisting import hoisted_rotations
         return hoisted_rotations(self.context, x, galois_keys)

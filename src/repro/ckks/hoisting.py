@@ -42,13 +42,14 @@ def hoisted_rotations(
 
     ``galois_keys`` maps rotation steps to their switching keys.  Returns
     a ciphertext per step, each bit-identical to the unhoisted
-    ``Evaluator.rotate`` result.
+    ``Evaluator.rotate`` result.  A ciphertext whose halves are
+    ``(B, L, N)`` stacks shares the one ModUp across all B members too.
     """
     if not galois_keys:
         raise KeySwitchError("hoisted_rotations needs at least one rotation")
     level = ct.level
     n = context.params.n
-    # The shared, expensive part: ModUp of c1 (all digits, whole-matrix).
+    # The shared, expensive part: ModUp of c1 (all digits, whole-array).
     extended: List[RNSPoly] = mod_up_all(context, ct.c1, level)
     results: Dict[int, Ciphertext] = {}
     for steps, key in galois_keys.items():

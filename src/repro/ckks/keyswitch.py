@@ -27,9 +27,8 @@ from repro.ckks.context import CKKSContext
 from repro.ckks.keys import KeySwitchKey
 from repro.errors import KeySwitchError
 from repro.ntt.batch import get_batch_ntt
-from repro.rns import dispatch
 from repro.rns.bconv import get_converter
-from repro.rns.poly import Domain, PolyBatch, RNSPoly
+from repro.rns.poly import Domain, RNSPoly
 
 
 def mod_up_digit(
@@ -78,46 +77,32 @@ def apply_evk(
     level: int,
 ) -> Tuple[RNSPoly, RNSPoly]:
     """ModUp P4 + P5: multiply each extended digit by its evk pair and sum."""
-    if not dispatch.batched_enabled():
-        pairs = key.restricted(context, level)
-        if len(extended_digits) != len(pairs):
-            raise KeySwitchError(
-                f"{len(extended_digits)} digits but key provides {len(pairs)} pairs"
-            )
-        acc0 = acc1 = None
-        for digit_poly, (b_d, a_d) in zip(extended_digits, pairs):
-            part0 = digit_poly * b_d
-            part1 = digit_poly * a_d
-            acc0 = part0 if acc0 is None else acc0 + part0
-            acc1 = part1 if acc1 is None else acc1 + part1
-        return acc0, acc1
-    # Whole-matrix P4/P5: stack every digit, multiply both key halves in
-    # two passes, then fold the digit axis with one unreduced sum per half
-    # (dnum canonical residues sum far below 2**63, so a single ``% q``
-    # after the fold matches the per-digit running reduction exactly).
-    count, b_tall, a_tall, q_tall = _stacked_evk(context, key, level)
+    extended_digits = list(extended_digits)
+    b_stack, a_stack = _stacked_evk(context, key, level)
+    count = len(b_stack)
     if len(extended_digits) != count:
         raise KeySwitchError(
             f"{len(extended_digits)} digits but key provides {count} pairs"
         )
     basis = extended_digits[0].basis
-    towers = len(basis)
-    n = extended_digits[0].n
-    ext = (
-        extended_digits[0].data
-        if count == 1
-        else np.concatenate([d.data for d in extended_digits])
-    )
+    q_col = basis.q_column
     acc = []
-    for keys_tall in (b_tall, a_tall):
-        prod = ext * keys_tall % q_tall
-        folded = prod.reshape(count, towers, n).sum(axis=0) % basis.q_column
+    for keys in (b_stack, a_stack):
+        # Accumulate digit by digit instead of one tall (count*towers, N)
+        # pass: each term stays cache-resident and the reduced partial
+        # sums (count * q < 2**32) need just one final fold.
+        folded = extended_digits[0].data * keys[0] % q_col
+        for digit in range(1, count):
+            folded += extended_digits[digit].data * keys[digit] % q_col
+        if count > 1:
+            folded %= q_col
         acc.append(RNSPoly(basis, folded, Domain.EVAL))
     return acc[0], acc[1]
 
 
-#: Stacked evk tower matrices per (key, level) — the restriction and row
-#: concatenation allocate the same arrays on every HKS call otherwise.
+#: Stacked ``(dnum, towers, N)`` evk halves per (key, level) — the
+#: restriction and stacking allocate the same arrays on every HKS call
+#: otherwise.
 _EVK_STACK_CACHE: "WeakKeyDictionary[KeySwitchKey, dict]" = WeakKeyDictionary()
 
 
@@ -129,10 +114,10 @@ def _stacked_evk(context: CKKSContext, key: KeySwitchKey, level: int):
     entry = per_key.get(level)
     if entry is None:
         pairs = key.restricted(context, level)
-        b_tall = np.concatenate([b.data for b, _ in pairs])
-        a_tall = np.concatenate([a.data for _, a in pairs])
-        q_tall = np.concatenate([pairs[0][0].basis.q_column] * len(pairs))
-        entry = (len(pairs), b_tall, a_tall, q_tall)
+        entry = (
+            np.stack([b.data for b, _ in pairs]),
+            np.stack([a.data for _, a in pairs]),
+        )
         per_key[level] = entry
     return entry
 
@@ -165,53 +150,57 @@ def mod_down(context: CKKSContext, poly: RNSPoly, level: int) -> RNSPoly:
 
 
 def mod_up_all(context: CKKSContext, poly: RNSPoly, level: int) -> List[RNSPoly]:
-    """ModUp P1-P3 for *every* digit in whole-matrix passes.
+    """ModUp P1-P3 for *every* digit in whole-array passes.
 
     Bit-identical to ``[mod_up_digit(context, poly, level, d) for d in
-    range(dnum)]`` but batched: the digit bases partition the chain
-    towers, so P1 is one INTT of the full ``(l+1, N)`` matrix, P2 runs
-    one blocked BConv per digit, and P3 is a single NTT over the
+    range(dnum)]`` (per stack member): the digit bases partition the
+    chain towers, so P1 is one INTT of the full ``(..., l+1, N)`` array,
+    P2 runs one blocked BConv per digit, and P3 is a single NTT over the
     concatenation of every complement basis (the batched engine keys
     twiddles per row, so duplicated moduli across digits are fine).
     """
     if poly.domain is not Domain.EVAL:
         raise KeySwitchError("ModUp expects an EVAL-domain input")
-    if not dispatch.batched_enabled():
-        return [
-            mod_up_digit(context, poly, level, d)
-            for d in range(context.num_digits(level))
-        ]
     n = poly.n
-    digit_groups = context.digit_indices(level)
+    digit_groups = [
+        np.asarray(indices, dtype=np.intp)
+        for indices in context.digit_indices(level)
+    ]
     # P1: one batched INTT covers every digit's towers at once.
     coeff = get_batch_ntt(n, poly.basis.moduli).inverse(poly.data)
     # P2: blocked BConv per digit into its complement basis.
     converted = []
-    for digit, indices in enumerate(digit_groups):
-        digit_basis = poly.basis.subbasis(indices)
+    for digit, idx in enumerate(digit_groups):
+        digit_basis = poly.basis.subbasis(idx)
         target = context.complement_basis(level, digit)
-        rows = coeff[np.asarray(indices, dtype=np.intp)]
-        converted.append(get_converter(digit_basis, target).convert(rows))
+        converted.append(
+            get_converter(digit_basis, target).convert(coeff[..., idx, :])
+        )
     # P3: one stacked NTT across every digit's complement towers.
     stacked_moduli = tuple(
         m
         for digit in range(len(digit_groups))
         for m in context.complement_basis(level, digit).moduli
     )
-    stacked = get_batch_ntt(n, stacked_moduli).forward(np.concatenate(converted))
-    # Reassemble each digit in extended-basis order (bypass + converted).
+    stacked = get_batch_ntt(n, stacked_moduli).forward(
+        np.concatenate(converted, axis=-2)
+    )
+    # Reassemble each digit in extended-basis order (bypass + converted):
+    # every tower index belongs to exactly one of the two groups, so two
+    # fancy-indexed assignments fill the preallocated array completely.
     extended = context.extended_basis(level)
-    total = level + 1 + len(context.p_basis)
+    shape = poly.data.shape[:-2] + (level + 1 + len(context.p_basis), n)
     out_polys: List[RNSPoly] = []
     row = 0
-    for digit, indices in enumerate(digit_groups):
-        complement = context.complement_indices(level, digit)
-        block = stacked[row : row + len(complement)]
+    for digit, idx in enumerate(digit_groups):
+        complement = np.asarray(
+            context.complement_indices(level, digit), dtype=np.intp
+        )
+        block = stacked[..., row : row + len(complement), :]
         row += len(complement)
-        out = np.empty((total, n), dtype=block.dtype)
-        out[np.asarray(complement, dtype=np.intp)] = block
-        idx = np.asarray(indices, dtype=np.intp)
-        out[idx] = poly.data[idx]
+        out = np.empty(shape, dtype=block.dtype)
+        out[..., complement, :] = block
+        out[..., idx, :] = poly.data[..., idx, :]
         out_polys.append(RNSPoly(extended, out, Domain.EVAL))
     return out_polys
 
@@ -221,227 +210,72 @@ def mod_down_pair(
 ) -> Tuple[RNSPoly, RNSPoly]:
     """ModDown of the ``(c0', c1')`` accumulator pair in shared passes.
 
-    Bit-identical to ``(mod_down(a), mod_down(b))``: the two halves stack
-    into one INTT / one NTT (duplicated moduli tuples), and the single
-    shared converter sees both halves side by side along the coefficient
-    axis — BConv is column-independent, so widening ``N`` is free.
+    Bit-identical to ``(mod_down(a), mod_down(b))``: the two halves (of
+    every stack member) go through one INTT / BConv / NTT as a
+    ``(2, ..., towers, N)`` array.
     """
-    if not dispatch.batched_enabled():
-        return mod_down(context, a, level), mod_down(context, b, level)
-    for poly in (a, b):
-        if poly.domain is not Domain.EVAL:
-            raise KeySwitchError("ModDown expects an EVAL-domain input")
     num_q = level + 1
     num_p = len(context.p_basis)
-    n = a.n
-    for poly in (a, b):
-        if poly.num_towers != num_q + num_p:
+    for half in (a, b):
+        if half.domain is not Domain.EVAL:
+            raise KeySwitchError("ModDown expects an EVAL-domain input")
+        if half.num_towers != num_q + num_p:
             raise KeySwitchError(
-                f"expected {num_q + num_p} towers, got {poly.num_towers}"
+                f"expected {num_q + num_p} towers, got {half.num_towers}"
             )
+    n = a.n
     level_basis = context.level_basis(level)
-    # P1: one INTT of both halves' K auxiliary towers.
-    p_rows = np.concatenate([a.data[num_q:], b.data[num_q:]])
-    p_coeff = get_batch_ntt(n, context.p_basis.moduli * 2).inverse(p_rows)
-    # P2: one BConv P -> Q_l with the halves side by side along N.
-    converter = get_converter(context.p_basis, level_basis)
-    side_by_side = np.concatenate([p_coeff[:num_p], p_coeff[num_p:]], axis=1)
-    conv = converter.convert(side_by_side)
-    # P3: one NTT back over both halves.
-    conv_rows = np.concatenate([conv[:, :n], conv[:, n:]])
-    conv_eval = get_batch_ntt(n, level_basis.moduli * 2).forward(conv_rows)
-    # P4: (q_part - conv) * P^-1 for both halves in one matrix pass.
-    q_rows = np.concatenate([a.data[:num_q], b.data[:num_q]])
-    q_col2 = np.concatenate([level_basis.q_column, level_basis.q_column])
-    inv_col2 = np.array(
-        [context.p_inv_mod_q[i] for i in range(num_q)] * 2, dtype=np.int64
+    rows = np.stack([a.data, b.data])
+    # P1: one INTT of every K auxiliary towers.
+    p_coeff = get_batch_ntt(n, context.p_basis.moduli).inverse(
+        rows[..., num_q:, :]
+    )
+    # P2: one blocked BConv P -> Q_l over both halves.
+    conv = get_converter(context.p_basis, level_basis).convert(p_coeff)
+    # P3: one NTT back.
+    conv_eval = get_batch_ntt(n, level_basis.moduli).forward(conv)
+    # P4: (q_part - conv) * P^-1 in one pass.
+    inv_col = np.array(
+        [context.p_inv_mod_q[i] for i in range(num_q)], dtype=np.int64
     )[:, None]
-    diff = q_rows - conv_eval
-    diff = np.where(diff < 0, diff + q_col2, diff)
-    out = diff * inv_col2 % q_col2
+    diff = rows[..., :num_q, :] - conv_eval
+    diff = np.where(diff < 0, diff + level_basis.q_column, diff)
+    out = diff * inv_col % level_basis.q_column
     return (
-        RNSPoly(level_basis, out[:num_q].copy(), Domain.EVAL),
-        RNSPoly(level_basis, out[num_q:].copy(), Domain.EVAL),
+        RNSPoly(level_basis, out[0], Domain.EVAL),
+        RNSPoly(level_basis, out[1], Domain.EVAL),
     )
 
 
 def key_switch(
     context: CKKSContext, poly: RNSPoly, key: KeySwitchKey, level: int
 ) -> Tuple[RNSPoly, RNSPoly]:
-    """Full HKS of one polynomial: returns the ``(c0', c1')`` correction pair.
+    """Full HKS of one polynomial (or stack): the ``(c0', c1')`` correction pair.
 
     For input ``c`` under source secret ``s_from`` (with ``key`` switching
     ``s_from -> s``), the outputs satisfy
     ``c0' + c1' * s ~= c * s_from (mod Q_l)`` up to key-switching noise.
+    On a ``(B, L, N)`` stack every stage is one pass for all B members,
+    bit-identical to the stack of per-member results.
     """
     digits = mod_up_all(context, poly, level)
     acc0, acc1 = apply_evk(context, digits, key, level)
     return mod_down_pair(context, acc0, acc1, level)
 
 
-# -- cross-ciphertext batch axis -----------------------------------------------
-#
-# The (B, L, N) analogues of the stacked HKS kernels above.  The evk, hat
-# and twiddle tables are all (L, ...)-shaped and broadcast over the batch
-# axis, so B ciphertexts pay one kernel dispatch per stage instead of B.
-# Every function is bit-identical to looping its 2-D counterpart over the
-# batch members (the looped kernel mode literally does), which is what
-# tests/test_kernel_equivalence.py asserts.
+# bench/tracing.py (frozen for this PR) resolves the three names below by
+# attribute for --trace runs; that is the only reason they exist.  No
+# library call path goes through them, so each kernel call still opens
+# one span, not two.
 
 
-def mod_up_all_batch(
-    context: CKKSContext, batch: PolyBatch, level: int
-) -> List[PolyBatch]:
-    """ModUp P1-P3 for every digit of every batch member in shared passes."""
-    if batch.domain is not Domain.EVAL:
-        raise KeySwitchError("ModUp expects an EVAL-domain input")
-    if not dispatch.batched_enabled():
-        per_member = [
-            mod_up_all(context, member, level) for member in batch.unstack()
-        ]
-        return [
-            PolyBatch.stack([digits[d] for digits in per_member])
-            for d in range(context.num_digits(level))
-        ]
-    n = batch.n
-    bsz = batch.batch_size
-    digit_groups = context.digit_indices(level)
-    # P1: one 3-D INTT covers every member's digit towers at once.
-    coeff = get_batch_ntt(n, batch.basis.moduli).inverse(batch.data)
-    # P2: blocked BConv per digit, batch axis leading.
-    converted = []
-    for digit, indices in enumerate(digit_groups):
-        digit_basis = batch.basis.subbasis(indices)
-        target = context.complement_basis(level, digit)
-        rows = coeff[:, np.asarray(indices, dtype=np.intp)]
-        converted.append(get_converter(digit_basis, target).convert(rows))
-    # P3: one stacked NTT across every digit's complement towers.
-    stacked_moduli = tuple(
-        m
-        for digit in range(len(digit_groups))
-        for m in context.complement_basis(level, digit).moduli
-    )
-    stacked = get_batch_ntt(n, stacked_moduli).forward(
-        np.concatenate(converted, axis=1)
-    )
-    # Reassemble each digit in extended-basis order (bypass + converted).
-    extended = context.extended_basis(level)
-    total = level + 1 + len(context.p_basis)
-    out_batches: List[PolyBatch] = []
-    row = 0
-    for digit, indices in enumerate(digit_groups):
-        complement = context.complement_indices(level, digit)
-        block = stacked[:, row : row + len(complement)]
-        row += len(complement)
-        out = np.empty((bsz, total, n), dtype=block.dtype)
-        out[:, np.asarray(complement, dtype=np.intp)] = block
-        idx = np.asarray(indices, dtype=np.intp)
-        out[:, idx] = batch.data[:, idx]
-        out_batches.append(PolyBatch(extended, out, Domain.EVAL))
-    return out_batches
+def mod_up_all_batch(context, batch, level):
+    return mod_up_all(context, batch, level)
 
 
-def apply_evk_batch(
-    context: CKKSContext,
-    extended_digits: Sequence[PolyBatch],
-    key: KeySwitchKey,
-    level: int,
-) -> Tuple[PolyBatch, PolyBatch]:
-    """ModUp P4 + P5 over the batch: two multiply passes, one fold per half."""
-    extended_digits = list(extended_digits)
-    if not dispatch.batched_enabled():
-        bsz = extended_digits[0].batch_size
-        halves: List[List[RNSPoly]] = [[], []]
-        for b in range(bsz):
-            acc0, acc1 = apply_evk(
-                context, [d.member(b) for d in extended_digits], key, level
-            )
-            halves[0].append(acc0)
-            halves[1].append(acc1)
-        return PolyBatch.stack(halves[0]), PolyBatch.stack(halves[1])
-    count, b_tall, a_tall, _ = _stacked_evk(context, key, level)
-    if len(extended_digits) != count:
-        raise KeySwitchError(
-            f"{len(extended_digits)} digits but key provides {count} pairs"
-        )
-    basis = extended_digits[0].basis
-    towers = len(basis)
-    n = extended_digits[0].n
-    q_col = basis.q_column
-    acc = []
-    for keys_tall in (b_tall, a_tall):
-        # Accumulate digit by digit instead of one (B, count*towers, N)
-        # tall pass: each term stays cache-resident and the reduced
-        # partial sums (count * q < 2**32) need just one final fold.
-        k4 = keys_tall.reshape(count, towers, n)
-        folded = extended_digits[0].data * k4[0] % q_col
-        for digit in range(1, count):
-            folded += extended_digits[digit].data * k4[digit] % q_col
-        if count > 1:
-            folded %= q_col
-        acc.append(PolyBatch(basis, folded, Domain.EVAL))
-    return acc[0], acc[1]
+def apply_evk_batch(context, extended_digits, key, level):
+    return apply_evk(context, extended_digits, key, level)
 
 
-def mod_down_pair_batch(
-    context: CKKSContext, a: PolyBatch, b: PolyBatch, level: int
-) -> Tuple[PolyBatch, PolyBatch]:
-    """ModDown of the batched accumulator pair in shared passes.
-
-    Both halves of all B members stack into one ``(2B, ...)`` INTT /
-    BConv / NTT, the batch-axis generalization of :func:`mod_down_pair`'s
-    side-by-side trick.
-    """
-    if not dispatch.batched_enabled():
-        outs = [
-            mod_down(context, member, level)
-            for half in (a, b)
-            for member in half.unstack()
-        ]
-        bsz = a.batch_size
-        return PolyBatch.stack(outs[:bsz]), PolyBatch.stack(outs[bsz:])
-    for half in (a, b):
-        if half.domain is not Domain.EVAL:
-            raise KeySwitchError("ModDown expects an EVAL-domain input")
-    num_q = level + 1
-    num_p = len(context.p_basis)
-    n = a.n
-    bsz = a.batch_size
-    for half in (a, b):
-        if half.num_towers != num_q + num_p:
-            raise KeySwitchError(
-                f"expected {num_q + num_p} towers, got {half.num_towers}"
-            )
-    level_basis = context.level_basis(level)
-    rows = np.concatenate([a.data, b.data])  # (2B, num_q + num_p, N)
-    # P1: one INTT of every member's K auxiliary towers.
-    p_coeff = get_batch_ntt(n, context.p_basis.moduli).inverse(rows[:, num_q:])
-    # P2: one blocked BConv P -> Q_l over the whole stack.
-    converter = get_converter(context.p_basis, level_basis)
-    conv = converter.convert(p_coeff)
-    # P3: one NTT back.
-    conv_eval = get_batch_ntt(n, level_basis.moduli).forward(conv)
-    # P4: (q_part - conv) * P^-1 in one matrix pass.
-    inv_col = np.array(
-        [context.p_inv_mod_q[i] for i in range(num_q)], dtype=np.int64
-    )[:, None]
-    diff = rows[:, :num_q] - conv_eval
-    diff = np.where(diff < 0, diff + level_basis.q_column, diff)
-    out = diff * inv_col % level_basis.q_column
-    return (
-        PolyBatch(level_basis, out[:bsz].copy(), Domain.EVAL),
-        PolyBatch(level_basis, out[bsz:].copy(), Domain.EVAL),
-    )
-
-
-def key_switch_batch(
-    context: CKKSContext, batch: PolyBatch, key: KeySwitchKey, level: int
-) -> Tuple[PolyBatch, PolyBatch]:
-    """Full HKS of a ciphertext batch: one stacked pass per HKS stage.
-
-    Bit-identical to ``[key_switch(context, p, key, level) for p in
-    batch.unstack()]`` — the per-member results, stacked.
-    """
-    digits = mod_up_all_batch(context, batch, level)
-    acc0, acc1 = apply_evk_batch(context, digits, key, level)
-    return mod_down_pair_batch(context, acc0, acc1, level)
+def mod_down_pair_batch(context, a, b, level):
+    return mod_down_pair(context, a, b, level)

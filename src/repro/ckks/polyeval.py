@@ -31,8 +31,7 @@ from repro.ckks.encrypt import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySwitchKey
 from repro.errors import ParameterError
-from repro.rns import dispatch
-from repro.rns.poly import PolyBatch, RNSPoly
+from repro.rns.poly import RNSPoly
 
 #: Per-encoder cache of constant plaintexts keyed by (value, level, scale).
 #: Encoding broadcasts a value into every slot and runs a length-2N FFT —
@@ -227,12 +226,8 @@ def _match_scale(evaluator: Evaluator, encoder: Encoder, ct: Ciphertext,
             f"cannot match scale {ct.scale:g} down to {target_scale:g}"
         )
     # corr is deterministic per circuit position, so the constant cache
-    # serves repeated bootstraps without re-encoding (the looped reference
-    # mode re-encodes every time, as the pre-optimization code did).
-    if dispatch.batched_enabled():
-        pt = _encode_constant(encoder, 1.0, level, corr)
-    else:
-        pt = encoder.encode([1.0] * encoder.num_slots, level=level, scale=corr)
+    # serves repeated bootstraps without re-encoding.
+    pt = _encode_constant(encoder, 1.0, level, corr)
     out = evaluator.multiply_plain(ct, pt, plain_scale=corr)
     # Rebuild with the exact float target: corr was rounded, and additions
     # tolerate at most 0.5 of absolute scale mismatch.
@@ -260,91 +255,27 @@ def evaluate_chebyshev(
     ``2x`` (callers that normalize their input with a plaintext multiply
     anyway — EvalMod — fold the doubling in for free); otherwise one
     level is spent doubling.
+
+    The one-row case of :func:`evaluate_chebyshev_rows`: every member of
+    ``ct`` (one, for a plain ciphertext) uses the same coefficients.
     """
-    coeffs = [complex(c) for c in coefficients]
-    order = chebyshev_ladder_order(coeffs)
-    if not order:
-        zero = evaluator.sub(ct, ct)
-        return _add_constant(evaluator, encoder, zero,
-                             coeffs[0] if coeffs else 0.0)
-
-    if prescaled:
-        s1 = ct
-    else:
-        # S_1 = 2x via a scale-preserving constant multiply (one level).
-        q_top = evaluator.context.q_basis.moduli[ct.level]
-        pt = _encode_constant(encoder, 2.0, ct.level, float(q_top))
-        s1 = evaluator.rescale(
-            evaluator.multiply_plain(ct, pt, plain_scale=float(q_top))
-        )
-    terms: Dict[int, Ciphertext] = {1: s1}
-
-    for k in order:
-        if k == 1:
-            continue
-        hi, lo = (k + 1) // 2, k // 2
-        a, b = terms[hi], terms[lo]
-        level = min(a.level, b.level)
-        if level < 1:
-            raise ParameterError(
-                f"chebyshev degree {order[-1]} exhausts the level budget"
-            )
-        a = _drop_to_level(evaluator, a, level)
-        b = _drop_to_level(evaluator, b, level)
-        prod = evaluator.multiply(a, b, relin_key)
-        if k % 2 == 0:
-            # S_2m = S_m^2 - 2: subtract the constant at the product scale.
-            pt = _encode_constant(encoder, -2.0, level, prod.scale)
-            sub = evaluator.add_plain(prod, pt)
-        else:
-            # S_2m+1 = S_m+1 * S_m - S_1.
-            s1_matched = _match_scale(evaluator, encoder, terms[1], level,
-                                      prod.scale)
-            sub = evaluator.sub(prod, s1_matched)
-        terms[k] = evaluator.rescale(sub)
-
-    # Combine: encode c_k/2 at a corrective scale so every term rescales
-    # to exactly Delta (the power-basis trick), then align and sum.
-    delta = evaluator.context.params.scale
-    parts: List[Ciphertext] = []
-    for k in order:
-        if k >= len(coeffs) or coeffs[k] == 0:
-            continue
-        s_k = terms[k]
-        if s_k.level < 1:
-            raise ParameterError("chebyshev combine ran out of levels")
-        q_next = evaluator.context.q_basis.moduli[s_k.level]
-        plain_scale = delta * q_next / s_k.scale
-        pt = encoder.encode(
-            [coeffs[k] / 2.0] * encoder.num_slots,
-            level=s_k.level, scale=plain_scale,
-        )
-        part = evaluator.rescale(
-            evaluator.multiply_plain(s_k, pt, plain_scale=plain_scale)
-        )
-        parts.append(Ciphertext(part.c0, part.c1, part.level, delta))
-    deepest = min(p.level for p in parts)
-    total = None
-    for part in parts:
-        part = _drop_to_level(evaluator, part, deepest)
-        total = part if total is None else evaluator.add(total, part)
-    c0 = coeffs[0]
-    if c0 != 0:
-        pt = _encode_constant(encoder, c0, total.level, total.scale)
-        total = evaluator.add_plain(total, pt)
-    return total
+    return evaluate_chebyshev_rows(
+        evaluator, encoder, ct, [coefficients], [ct.c0.batch_size],
+        relin_key, prescaled=prescaled,
+    )
 
 
 def _stack_plaintexts(pts: Sequence[RNSPoly],
-                      counts: Sequence[int]) -> PolyBatch:
-    """Tile per-row plaintexts into a ``(sum(counts), L, N)`` batch."""
+                      counts: Sequence[int]) -> RNSPoly:
+    """Tile per-row plaintexts into a ``(sum(counts), L, N)`` stack (a
+    single row stays ``(L, N)`` and broadcasts over any ciphertext)."""
+    if len(pts) == 1:
+        return pts[0]
     data = np.concatenate([
         np.broadcast_to(pt.data, (count,) + pt.data.shape)
         for pt, count in zip(pts, counts)
     ])
-    return PolyBatch(
-        pts[0].basis, np.ascontiguousarray(data), pts[0].domain
-    )
+    return RNSPoly(pts[0].basis, data, pts[0].domain)
 
 
 def evaluate_chebyshev_rows(
@@ -356,16 +287,16 @@ def evaluate_chebyshev_rows(
     relin_key: KeySwitchKey,
     prescaled: bool = False,
 ) -> Ciphertext:
-    """Chebyshev evaluation over a batched ciphertext whose consecutive
-    member groups use *different* coefficient vectors.
+    """Chebyshev evaluation over a ciphertext whose consecutive member
+    groups use *different* coefficient vectors.
 
-    ``ct`` must be batched with ``sum(row_counts)`` members: the first
+    ``ct`` holds ``sum(row_counts)`` members: the first
     ``row_counts[0]`` members are combined with ``coefficient_rows[0]``,
     the next group with row 1, and so on.  The ladder terms ``S_k``
     depend only on the input values, so one stacked ladder (over the
     union of the rows' non-zero indices) serves every row — only the
     final combine and the ``c_0`` addition use per-row plaintexts, tiled
-    into a :class:`PolyBatch` via :func:`_stack_plaintexts`.
+    into a stack via :func:`_stack_plaintexts`.
 
     When the rows share a non-zero coefficient pattern (EvalMod's real
     and imaginary branches do: they differ by the exact factor ``1j``),
@@ -405,11 +336,11 @@ def evaluate_chebyshev_rows(
     if not order:
         return stacked_c0(evaluator.sub(ct, ct))
 
-    # -- ladder: identical to evaluate_chebyshev (shared constants
-    # broadcast over the batch axis) -------------------------------------
+    # -- ladder (shared constants broadcast over the batch axis) ---------
     if prescaled:
         s1 = ct
     else:
+        # S_1 = 2x via a scale-preserving constant multiply (one level).
         q_top = evaluator.context.q_basis.moduli[ct.level]
         pt = _encode_constant(encoder, 2.0, ct.level, float(q_top))
         s1 = evaluator.rescale(
@@ -430,15 +361,19 @@ def evaluate_chebyshev_rows(
         b = _drop_to_level(evaluator, b, level)
         prod = evaluator.multiply(a, b, relin_key)
         if k % 2 == 0:
+            # S_2m = S_m^2 - 2: subtract the constant at the product scale.
             pt = _encode_constant(encoder, -2.0, level, prod.scale)
             sub = evaluator.add_plain(prod, pt)
         else:
+            # S_2m+1 = S_m+1 * S_m - S_1.
             s1_matched = _match_scale(evaluator, encoder, terms[1], level,
                                       prod.scale)
             sub = evaluator.sub(prod, s1_matched)
         terms[k] = evaluator.rescale(sub)
 
-    # -- combine: per-row coefficient plaintexts, tiled over the batch ----
+    # -- combine: encode c_k/2 at a corrective scale so every term
+    # rescales to exactly Delta (the power-basis trick), then align and
+    # sum; per-row coefficient plaintexts are tiled over the batch ------
     delta = evaluator.context.params.scale
     parts: List[Ciphertext] = []
     for k in order:

@@ -23,7 +23,7 @@ from repro.errors import ScheduleError
 from repro.ntt.modmath import add_mod, mul_mod, sub_mod
 from repro.rns.basis import RNSBasis
 from repro.rns.bconv import get_converter
-from repro.rns.poly import Domain, PolyBatch, RNSPoly, get_ntt_context
+from repro.rns.poly import Domain, RNSPoly, get_ntt_context
 
 HALVES = (0, 1)
 
@@ -38,7 +38,11 @@ class FunctionalEmitter:
         partition follows :meth:`CKKSContext.digit_indices`.
     poly:
         The EVAL-domain polynomial being key-switched (e.g. the ``d2``
-        part after a tensor product).
+        part after a tensor product).  For a ``(B, L, N)`` stack every
+        tower-row buffer carries the leading batch axis, so each schedule
+        step is one ``(B, N)`` kernel pass instead of B: the per-tower
+        NTTs transform row stacks, BConv broadcasts its hat-table matmul
+        over the batch and the modular helpers broadcast elementwise.
     key:
         The hybrid switching key whose digit pairs are applied.
     """
@@ -108,15 +112,15 @@ class FunctionalEmitter:
 
     def intt_input(self, t: int, priority: int = 0) -> None:
         q = self._modulus(t)
-        self._icoef[t] = get_ntt_context(self.n, q).inverse(self._in[t])
+        self._icoef[t] = get_ntt_context(self.n, q).inverse(self._in[..., t, :])
 
     def bconv(self, d: int, j: int) -> None:
         towers = self.digit_towers(d)
         source = self.context.q_basis.subbasis(towers)
         target = RNSBasis([self._modulus(j)])
         conv = get_converter(source, target)
-        rows = np.stack([self._icoef[t] for t in towers])
-        self._bc[(d, j)] = conv.convert(rows)[0]
+        rows = np.stack([self._icoef[t] for t in towers], axis=-2)
+        self._bc[(d, j)] = conv.convert(rows)[..., 0, :]
 
     def ntt_ext(self, d: int, j: int) -> None:
         q = self._modulus(j)
@@ -124,7 +128,8 @@ class FunctionalEmitter:
 
     def mulkey(self, d: int, j: int) -> None:
         q = self._modulus(j)
-        src = self._in[j] if self.digit_of[j] == d else self._ext.pop((d, j))
+        src = (self._in[..., j, :] if self.digit_of[j] == d
+               else self._ext.pop((d, j)))
         b_d, a_d = self._pairs[d]
         for h, half in zip(HALVES, (b_d, a_d)):
             prod = mul_mod(src, half.data[j], q)
@@ -146,8 +151,8 @@ class FunctionalEmitter:
     def md_bconv(self, i: int, h: int) -> None:
         target = RNSBasis([self._modulus(i)])
         conv = get_converter(self.context.p_basis, target)
-        rows = np.stack([self._mdc[(h, j)] for j in self.p_region()])
-        self._mdb[(h, i)] = conv.convert(rows)[0]
+        rows = np.stack([self._mdc[(h, j)] for j in self.p_region()], axis=-2)
+        self._mdb[(h, i)] = conv.convert(rows)[..., 0, :]
 
     def md_ntt(self, i: int, h: int) -> None:
         q = self._modulus(i)
@@ -191,7 +196,7 @@ class FunctionalEmitter:
         halves = []
         for h in HALVES:
             rows = [self._out[(h, i)] for i in self.q_region()]
-            halves.append(RNSPoly(basis, np.stack(rows), Domain.EVAL))
+            halves.append(RNSPoly(basis, np.stack(rows, axis=-2), Domain.EVAL))
         return halves[0], halves[1]
 
 
@@ -202,91 +207,12 @@ def execute_dataflow(
     key: KeySwitchKey,
     level: int,
 ) -> Tuple[RNSPoly, RNSPoly]:
-    """Run one dataflow's operation order on real data; returns (c0', c1')."""
+    """Run one dataflow's operation order on real data; returns (c0', c1').
+
+    ``poly`` may be a ``(B, L, N)`` stack: per-member results are
+    bit-identical to running each member alone (and hence to the
+    reference ``key_switch``) — the batch axis only widens each pass.
+    """
     em = FunctionalEmitter(context, poly, key, level)
-    dataflow.schedule(em)
-    return em.result()
-
-
-# -- cross-ciphertext batch axis -------------------------------------------------
-
-
-class BatchFunctionalEmitter(FunctionalEmitter):
-    """Functional HKS over a ``(B, L, N)`` batch of input polynomials.
-
-    Same operation order as :class:`FunctionalEmitter` — the dataflow
-    drives the emitter identically — but every tower-row buffer carries a
-    leading batch axis, so each schedule step is one ``(B, N)`` kernel
-    pass instead of B.  The per-tower NTTs transform row stacks
-    (:meth:`NTTContext.forward` handles ``(rows, N)``), BConv broadcasts
-    its hat-table matmul over the batch, and the modular helpers
-    broadcast elementwise, so each member's output is bit-identical to
-    running :func:`execute_dataflow` on it alone.
-    """
-
-    def __init__(
-        self,
-        context: CKKSContext,
-        batch: PolyBatch,
-        key: KeySwitchKey,
-        level: int,
-    ):
-        super().__init__(context, batch.member(0), key, level)
-        # Replace the member-0 input with the full (B, K, N) stack; the
-        # tower index moves to axis 1.
-        self._in = batch.data
-
-    def intt_input(self, t: int, priority: int = 0) -> None:
-        q = self._modulus(t)
-        self._icoef[t] = get_ntt_context(self.n, q).inverse(self._in[:, t])
-
-    def bconv(self, d: int, j: int) -> None:
-        towers = self.digit_towers(d)
-        source = self.context.q_basis.subbasis(towers)
-        target = RNSBasis([self._modulus(j)])
-        conv = get_converter(source, target)
-        rows = np.stack([self._icoef[t] for t in towers], axis=1)
-        self._bc[(d, j)] = conv.convert(rows)[..., 0, :]
-
-    def mulkey(self, d: int, j: int) -> None:
-        q = self._modulus(j)
-        src = self._in[:, j] if self.digit_of[j] == d else self._ext.pop((d, j))
-        b_d, a_d = self._pairs[d]
-        for h, half in zip(HALVES, (b_d, a_d)):
-            prod = mul_mod(src, half.data[j], q)
-            if (h, j) in self._acc:
-                self._acc[(h, j)] = add_mod(self._acc[(h, j)], prod, q)
-            else:
-                self._acc[(h, j)] = prod
-
-    def md_bconv(self, i: int, h: int) -> None:
-        target = RNSBasis([self._modulus(i)])
-        conv = get_converter(self.context.p_basis, target)
-        rows = np.stack([self._mdc[(h, j)] for j in self.p_region()], axis=1)
-        self._mdb[(h, i)] = conv.convert(rows)[..., 0, :]
-
-    def result(self) -> Tuple[PolyBatch, PolyBatch]:
-        basis = self.context.level_basis(self.level)
-        halves = []
-        for h in HALVES:
-            rows = [self._out[(h, i)] for i in self.q_region()]
-            halves.append(PolyBatch(basis, np.stack(rows, axis=1), Domain.EVAL))
-        return halves[0], halves[1]
-
-
-def execute_dataflow_batch(
-    dataflow: Dataflow,
-    context: CKKSContext,
-    batch: PolyBatch,
-    key: KeySwitchKey,
-    level: int,
-) -> Tuple[PolyBatch, PolyBatch]:
-    """Run one dataflow's operation order over a batch of inputs at once.
-
-    Per-member results are bit-identical to :func:`execute_dataflow`
-    (and hence to the reference ``key_switch``) — the batch axis only
-    widens each kernel pass.
-    """
-    em = BatchFunctionalEmitter(context, batch, key, level)
     dataflow.schedule(em)
     return em.result()

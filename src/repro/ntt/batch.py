@@ -20,13 +20,13 @@ Three further tricks shave numpy passes off each stage:
   intermediates stay congruent mod ``q`` (signed values included), and
   the final canonicalization makes outputs bit-identical to the
   eagerly-reduced scalar network.
-- **lazy signed Barrett** — on cross-ciphertext ``(B, L, N)`` stacks the
-  per-stage twiddle-product reduction replaces int64 division (which
-  never vectorizes) with a float64 multiply-by-inverse, ``rint`` and an
-  exact int64 fixup, leaving a signed remainder in ``(-q, q)``.  The
-  remainder magnitude matches the canonical one, so the lazy growth
-  schedule is unchanged; below :data:`_BARRETT_MIN_ELEMS` elements the
-  extra passes cost more than the division and the engine keeps ``%``.
+- **lazy signed Barrett** — the per-stage twiddle-product reduction
+  replaces int64 division (which never vectorizes) with a float64
+  multiply-by-inverse, ``rint`` and an exact int64 fixup, leaving a
+  signed remainder in ``(-q, q)``.  The remainder magnitude matches the
+  canonical one, so the lazy growth schedule is unchanged; below
+  :data:`_BARRETT_MIN_ELEMS` elements per block the extra passes cost
+  more than the division and the engine keeps ``%``.
 - **preallocated scratch** — each stage writes the difference leg through
   reused buffers instead of allocating per call, and the input is
   canonical by the :class:`repro.rns.poly.RNSPoly` invariant so no
@@ -39,6 +39,7 @@ The twiddle stacks are assembled from the per-``(N, q)``
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -49,7 +50,9 @@ from repro.ntt.transform import get_ntt_context
 
 _INT64 = np.int64
 
-#: Distinct batch sizes whose ping-pong buffers an engine keeps alive.
+_Bundle = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+#: Distinct leading shapes whose ping-pong buffers an engine keeps alive.
 #: Serving batches cluster around a handful of B values; anything rarer
 #: allocates per call instead of pinning memory forever.
 _MAX_CACHED_BATCH_SHAPES = 8
@@ -57,23 +60,25 @@ _MAX_CACHED_BATCH_SHAPES = 8
 #: Smallest twiddle-product block (elements) for which the 5-pass float
 #: Barrett reduction beats one int64 ``%`` pass.  Measured on the
 #: functional ring sizes: division costs ~4.5ns/element while the float
-#: passes cost ~0.7ns each, so the crossover sits near 8k elements —
-#: cross-ciphertext stacks clear it, single-matrix transforms do not.
+#: passes cost ~0.7ns each, so the crossover sits near 8k elements.  The
+#: block size is all that decides: an ``(L, N)`` matrix and a ``(1, L, N)``
+#: stack of it take the same branch.
 _BARRETT_MIN_ELEMS = 8192
 
 
 class BatchNTT:
     """Batched negacyclic NTT for a fixed ordered tuple of moduli.
 
-    Inputs/outputs are ``(L, N)`` int64 matrices of canonical residues,
-    row ``i`` modulo ``moduli[i]`` — or ``(B, L, N)`` stacks of ``B``
-    such matrices, transformed in one pass (the cross-ciphertext batch
-    axis).  The twiddle tables stay ``(L, ...)`` and broadcast over the
-    batch axis, so no per-``B`` table is ever built or cached.  Outputs
-    are bit-identical to looping :meth:`NTTContext.forward` /
-    :meth:`NTTContext.inverse` over the rows (and over the batch) —
-    ``tests/test_kernel_equivalence.py`` holds this as a hypothesis
-    property.
+    Inputs/outputs are ``(..., L, N)`` int64 arrays of canonical
+    residues, row ``i`` of the last two axes modulo ``moduli[i]``: one
+    ``(L, N)`` matrix, a ``(B, L, N)`` stack of them (the
+    cross-ciphertext batch axis), or both halves of such a stack, all
+    transformed in one pass.  The twiddle tables stay ``(L, ...)`` and
+    broadcast over the leading axes, so no per-``B`` table is ever built
+    or cached.  Outputs are bit-identical to looping
+    :meth:`NTTContext.forward` / :meth:`NTTContext.inverse` over the rows
+    (and over the leading axes) — ``tests/test_kernel_equivalence.py``
+    holds this as a hypothesis property.
     """
 
     def __init__(self, n: int, moduli: Tuple[int, ...]) -> None:
@@ -94,13 +99,10 @@ class BatchNTT:
         #: a time, so 26-bit scale towers (cap 1024) never reduce while
         #: the wide q0/special rows (cap 4) reduce on their own beat.
         self._runs = self._build_runs()
-        self._scratch = np.empty((len(self.moduli), max(1, n // 2)), dtype=_INT64)
-        self._work = np.empty((len(self.moduli), n), dtype=_INT64)
-        #: Per-batch-size buffer bundles for (B, L, N) input: ping-pong
-        #: work, twiddle-product scratch, and the Barrett int/float pair.
-        self._batch_bufs: Dict[
-            int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        #: Buffer bundle per leading shape, allocated on first use:
+        #: ping-pong work, twiddle-product scratch, and (only where the
+        #: blocks are large enough to use it) the Barrett int/float pair.
+        self._bufs: Dict[Tuple[int, ...], _Bundle] = {}
         # Per-stage twiddle slices, contiguous and pre-shaped for the
         # (L, m, t) butterfly blocks, so the hot loop does no slicing.
         self._fwd_tw = []
@@ -126,7 +128,7 @@ class BatchNTT:
     # -- public API ---------------------------------------------------------
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """COEFF -> EVAL for an ``(L, N)`` or ``(B, L, N)`` matrix at once.
+        """COEFF -> EVAL for every ``(L, N)`` matrix of the input at once.
 
         Residues must already be canonical (``[0, q_i)`` per row) — the
         callers inside :class:`repro.rns.poly.RNSPoly` maintain that
@@ -173,8 +175,7 @@ class BatchNTT:
         return src
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
-        """EVAL (bit-reversed) -> COEFF for an ``(L, N)`` or ``(B, L, N)``
-        matrix."""
+        """EVAL (bit-reversed) -> COEFF, same shapes as :meth:`forward`."""
         src, dst, spare, tmp, ired, fred = self._buffers(evals)
         if dst is None or spare is None or tmp is None:
             return src
@@ -265,22 +266,21 @@ class BatchNTT:
             return [(slice(0, len(caps)), self._q, min(caps))]
         return runs
 
-    def _batch_buffers(
-        self, b: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(work, scratch, barrett-int, barrett-float) for ``(B, L, N)``."""
-        bufs = self._batch_bufs.get(b)
+    def _bundle(self, lead: Tuple[int, ...]) -> _Bundle:
+        """(work, scratch, barrett-int, barrett-float) for ``lead + (L, N)``."""
+        bufs = self._bufs.get(lead)
         if bufs is None:
             towers = len(self.moduli)
-            half = max(1, self.n // 2)
+            block = lead + (towers, max(1, self.n // 2))
+            barrett = math.prod(block) >= _BARRETT_MIN_ELEMS
             bufs = (
-                np.empty((b, towers, self.n), dtype=_INT64),
-                np.empty((b, towers, half), dtype=_INT64),
-                np.empty((b, towers, half), dtype=_INT64),
-                np.empty((b, towers, half), dtype=np.float64),
+                np.empty(lead + (towers, self.n), dtype=_INT64),
+                np.empty(block, dtype=_INT64),
+                np.empty(block, dtype=_INT64) if barrett else None,
+                np.empty(block, dtype=np.float64) if barrett else None,
             )
-            if len(self._batch_bufs) < _MAX_CACHED_BATCH_SHAPES:
-                self._batch_bufs[b] = bufs
+            if len(self._bufs) < _MAX_CACHED_BATCH_SHAPES:
+                self._bufs[lead] = bufs
         return bufs
 
     def _buffers(
@@ -295,35 +295,19 @@ class BatchNTT:
         lands in a freshly allocated caller-owned array, never in the
         engine's reusable scratch.  The Barrett pair comes back ``None``
         when the twiddle-product blocks are too small for the float
-        reduction to win (single-matrix input, tiny batches).
+        reduction to win.
         """
         arr = np.asarray(arr, dtype=_INT64)
         expected = (len(self.moduli), self.n)
-        ired: Optional[np.ndarray] = None
-        fred: Optional[np.ndarray] = None
-        if arr.ndim == 2:
-            if arr.shape != expected:
-                raise ParameterError(
-                    f"batched NTT expects shape {expected}, got {arr.shape}"
-                )
-            work, scratch = self._work, self._scratch
-        elif arr.ndim == 3:
-            if arr.shape[1:] != expected:
-                raise ParameterError(
-                    f"batched NTT expects shape (B,) + {expected}, "
-                    f"got {arr.shape}"
-                )
-            work, scratch, ired, fred = self._batch_buffers(arr.shape[0])
-            if scratch.size < _BARRETT_MIN_ELEMS:
-                ired = fred = None
-        else:
+        if arr.ndim < 2 or arr.shape[-2:] != expected:
             raise ParameterError(
-                f"batched NTT expects an (L, N) or (B, L, N) array, "
-                f"got shape {arr.shape}"
+                f"batched NTT expects shape (..., {expected[0]}, "
+                f"{expected[1]}), got {arr.shape}"
             )
         stages = self.n.bit_length() - 1
         if stages == 0:
             return arr.copy(), None, None, None, None, None
+        work, scratch, ired, fred = self._bundle(arr.shape[:-2])
         result = np.empty(arr.shape, dtype=_INT64)
         if stages % 2 == 1:
             return arr, result, work, scratch, ired, fred
@@ -339,6 +323,6 @@ def get_batch_ntt(n: int, moduli: Tuple[int, ...]) -> BatchNTT:
 
     Key switching walks a fixed set of level/digit bases, so the number of
     distinct stacks is small; each holds two ``(L, N)`` int64 tables plus
-    an ``(L, N/2)`` scratch buffer.
+    the work buffers of the shapes it has transformed.
     """
     return BatchNTT(n, tuple(int(q) for q in moduli))

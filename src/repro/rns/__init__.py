@@ -3,7 +3,6 @@
 from repro.rns.basis import RNSBasis
 from repro.rns.bconv import BasisConverter, get_converter
 from repro.rns.crt import CRTEngine, get_engine
-from repro.rns.dispatch import kernel_mode, set_kernel_mode, use_kernel_mode
 from repro.rns.poly import Domain, RNSPoly, get_ntt_context
 
 __all__ = [
@@ -15,7 +14,4 @@ __all__ = [
     "get_converter",
     "get_engine",
     "get_ntt_context",
-    "kernel_mode",
-    "set_kernel_mode",
-    "use_kernel_mode",
 ]

@@ -7,10 +7,10 @@ maps between the two representations plus the precomputed constants
 (``Q_hat_i = Q / q_i`` and its inverse) that both CRT and the approximate
 basis conversion of :mod:`repro.rns.bconv` rely on.
 
-The CRT maps run on the vectorized limb engine of :mod:`repro.rns.crt`
-by default; the original per-coefficient python-int implementations are
-retained as ``*_reference`` methods (and selected by the ``"looped"``
-kernel mode) so equivalence is a testable property, not an assumption.
+The CRT maps run on the vectorized limb engine of :mod:`repro.rns.crt`;
+the original per-coefficient python-int implementations are retained as
+``*_reference`` methods so equivalence is a testable property, not an
+assumption.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.ntt.modmath import check_modulus, inv_mod
-from repro.rns import dispatch
 
 _INT64 = np.int64
 
@@ -127,9 +126,7 @@ class RNSBasis:
             # int64-representable plaintexts: no object round-trip.
             # (uint64 is excluded: values >= 2**63 would wrap in the cast.)
             return np.mod(arr.astype(_INT64, copy=False)[None, :], self.q_column)
-        if dispatch.batched_enabled():
-            return self._crt_engine().decompose_ints(arr)
-        return self.decompose_reference(arr)
+        return self._crt_engine().decompose_ints(arr)
 
     def decompose_reference(self, values) -> np.ndarray:
         """Per-coefficient python-int decomposition (scalar reference)."""
@@ -161,10 +158,7 @@ class RNSBasis:
             for row, t in enumerate(target.moduli):
                 out[row] = centered_row % t
             return out
-        if dispatch.batched_enabled():
-            return self._crt_engine().convert_centered(residues, target)
-        ints = self.compose_reference(residues, centered=True)
-        return target.decompose_reference(ints)
+        return self._crt_engine().convert_centered(residues, target)
 
     def compose(self, residues: np.ndarray, centered: bool = True) -> np.ndarray:
         """Residue matrix ``(len(basis), N)`` -> exact integers (object array).
@@ -172,15 +166,13 @@ class RNSBasis:
         With ``centered=True`` the result lies in ``(-Q/2, Q/2]``, which is
         the representative CKKS decoding needs.
         """
-        if dispatch.batched_enabled():
-            residues = np.asarray(residues)
-            if residues.shape[0] != len(self.moduli):
-                raise ParameterError(
-                    f"residue matrix has {residues.shape[0]} rows, "
-                    f"basis has {len(self.moduli)} moduli"
-                )
-            return self._crt_engine().compose_ints(residues, centered=centered)
-        return self.compose_reference(residues, centered=centered)
+        residues = np.asarray(residues)
+        if residues.shape[0] != len(self.moduli):
+            raise ParameterError(
+                f"residue matrix has {residues.shape[0]} rows, "
+                f"basis has {len(self.moduli)} moduli"
+            )
+        return self._crt_engine().compose_ints(residues, centered=centered)
 
     def compose_real(self, residues: np.ndarray) -> np.ndarray:
         """Centered composition straight to ``float64`` (CKKS decode path).
@@ -195,9 +187,6 @@ class RNSBasis:
                 f"residue matrix has {residues.shape[0]} rows, "
                 f"basis has {len(self.moduli)} moduli"
             )
-        if not dispatch.batched_enabled():
-            ints = self.compose_reference(residues, centered=True)
-            return np.array([float(v) for v in ints], dtype=np.float64)
         return self._crt_engine().compose_float(residues)
 
     def compose_reference(self, residues: np.ndarray, centered: bool = True) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 from repro import cache
 from repro.errors import ParameterError
 from repro.ntt.modmath import MAX_MODULUS_BITS
-from repro.rns import dispatch
 from repro.rns.basis import RNSBasis
 
 _INT64 = np.int64
@@ -82,15 +81,13 @@ class BasisConverter:
         passes with a single ``% t`` per chunk — bit-identical to the
         per-tower running reduction of :meth:`convert_reference`.
 
-        A stack of ``(B, |B|, N)`` residue matrices (the cross-ciphertext
-        batch axis) converts in the same number of matmul passes — the
-        hat table broadcasts over the leading axis, and the unreduced sum
-        per element is the same as in the 2-D case, so the bound argument
-        (and hence bit-identity with the per-ciphertext result) carries
-        over unchanged.
+        A stack of ``(..., |B|, N)`` residue matrices (the
+        cross-ciphertext batch axis) converts in the same number of
+        matmul passes — the hat table broadcasts over the leading axes,
+        and the unreduced sum per element is the same as in the 2-D case,
+        so the bound argument (and hence bit-identity with the
+        per-ciphertext result) carries over unchanged.
         """
-        if not dispatch.batched_enabled():
-            return self.convert_reference(residues)
         y = self._scaled_sources(residues)
         t_col = self.target.q_column
         out = np.zeros(

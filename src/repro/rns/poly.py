@@ -6,26 +6,27 @@ degree-``N`` negacyclic polynomial.  Rows live either in the coefficient
 domain or the (bit-reversed) evaluation domain; the per-tower NTTs that move
 between the two are exactly the P1/P3 stages of HKS.
 
-All arithmetic and domain changes run as whole-matrix kernels: one numpy
-pass against the basis' ``q[:, None]`` modulus column instead of a python
-loop over towers, and ``log2(N)`` batched butterfly stages total for the
-NTTs (:mod:`repro.ntt.batch`).  The per-tower loops survive as the
-``"looped"`` kernel mode (:mod:`repro.rns.dispatch`) — the reference the
-batched kernels are property-tested bit-exact against.
+The residue array is ``(L, N)`` for one polynomial or ``(B, L, N)`` for a
+stack of ``B`` same-basis polynomials (the cross-ciphertext batch axis).
+Rank is the only difference between the two: towers are always axis −2,
+every operation is one whole-array numpy pass against the basis'
+``(L, 1)`` modulus column (which broadcasts over the batch axis, so no
+per-``B`` table exists), and a stacked result is bit-identical to
+stacking the per-member results.  The per-tower oracles the whole-array
+kernels are property-tested against are :class:`NTTContext` and
+:mod:`repro.ntt.modmath`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.ntt.batch import get_batch_ntt
-from repro.ntt.modmath import add_mod, mul_mod, neg_mod, sub_mod
 from repro.ntt.transform import galois_eval_permutation, get_ntt_context
-from repro.rns import dispatch
 from repro.rns.basis import RNSBasis
 
 _INT64 = np.int64
@@ -33,9 +34,7 @@ _INT64 = np.int64
 __all__ = [
     "Domain",
     "RNSPoly",
-    "PolyBatch",
     "automorphism_stacked",
-    "automorphism_stacked_batch",
     "get_ntt_context",
 ]
 
@@ -48,14 +47,15 @@ class Domain(enum.Enum):
 
 
 class RNSPoly:
-    """A polynomial in ``prod_i Z_{q_i}[X]/(X^N+1)``.
+    """A polynomial in ``prod_i Z_{q_i}[X]/(X^N+1)``, or a stack of them.
 
     Attributes
     ----------
     basis:
         The :class:`RNSBasis` listing the tower moduli, in row order.
     data:
-        ``(len(basis), N)`` int64 matrix of canonical residues.
+        ``(len(basis), N)`` int64 matrix of canonical residues, or a
+        ``(B, len(basis), N)`` stack of ``B`` such matrices.
     domain:
         Whether rows are coefficients or NTT evaluations.
     """
@@ -64,9 +64,10 @@ class RNSPoly:
 
     def __init__(self, basis: RNSBasis, data: np.ndarray, domain: Domain):
         data = np.asarray(data, dtype=_INT64)
-        if data.ndim != 2 or data.shape[0] != len(basis):
+        if data.ndim not in (2, 3) or data.shape[-2] != len(basis):
             raise ParameterError(
-                f"data shape {data.shape} does not match basis of {len(basis)} moduli"
+                f"data shape {data.shape} does not match ({len(basis)}, N) or "
+                f"(B, {len(basis)}, N) for a basis of {len(basis)} moduli"
             )
         self.basis = basis
         self.data = data
@@ -99,290 +100,23 @@ class RNSPoly:
         rows = [rng.integers(0, q, n, dtype=_INT64) for q in basis.moduli]
         return cls(basis, np.stack(rows), domain)
 
-    # -- basic properties ----------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def num_towers(self) -> int:
-        return self.data.shape[0]
-
-    def copy(self) -> "RNSPoly":
-        return RNSPoly(self.basis, self.data.copy(), self.domain)
-
-    def __repr__(self) -> str:
-        return (
-            f"RNSPoly(towers={self.num_towers}, n={self.n}, "
-            f"domain={self.domain.value})"
-        )
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check_compatible(self, other: "RNSPoly") -> None:
-        if self.basis != other.basis:
-            raise ParameterError("operands have different RNS bases")
-        if self.domain is not other.domain:
-            raise ParameterError(
-                f"operands in different domains: {self.domain} vs {other.domain}"
-            )
-        if self.n != other.n:
-            raise ParameterError("operands have different ring degrees")
-
-    def __add__(self, other: "RNSPoly") -> "RNSPoly":
-        self._check_compatible(other)
-        if dispatch.batched_enabled():
-            s = self.data + other.data
-            out = np.where(s >= self.basis.q_column, s - self.basis.q_column, s)
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = add_mod(self.data[i], other.data[i], q)
-        return RNSPoly(self.basis, out, self.domain)
-
-    def __sub__(self, other: "RNSPoly") -> "RNSPoly":
-        self._check_compatible(other)
-        if dispatch.batched_enabled():
-            d = self.data - other.data
-            out = np.where(d < 0, d + self.basis.q_column, d)
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = sub_mod(self.data[i], other.data[i], q)
-        return RNSPoly(self.basis, out, self.domain)
-
-    def __neg__(self) -> "RNSPoly":
-        if dispatch.batched_enabled():
-            out = np.where(self.data == 0, self.data, self.basis.q_column - self.data)
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = neg_mod(self.data[i], q)
-        return RNSPoly(self.basis, out, self.domain)
-
-    def __mul__(self, other: "RNSPoly") -> "RNSPoly":
-        """Point-wise product; both operands must be in the EVAL domain."""
-        self._check_compatible(other)
-        if self.domain is not Domain.EVAL:
-            raise ParameterError("polynomial product requires EVAL domain")
-        if dispatch.batched_enabled():
-            out = self.data * other.data % self.basis.q_column
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = mul_mod(self.data[i], other.data[i], q)
-        return RNSPoly(self.basis, out, self.domain)
-
-    def scale_by(self, scalars: Sequence[int]) -> "RNSPoly":
-        """Multiply tower ``i`` by scalar ``scalars[i] mod q_i`` (any domain)."""
-        if len(scalars) != self.num_towers:
-            raise ParameterError("need one scalar per tower")
-        if dispatch.batched_enabled():
-            col = np.array(
-                [int(s) % q for s, q in zip(scalars, self.basis.moduli)],
-                dtype=_INT64,
-            )[:, None]
-            out = self.data * col % self.basis.q_column
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = mul_mod(self.data[i], int(scalars[i]) % q, q)
-        return RNSPoly(self.basis, out, self.domain)
-
-    # -- domain changes (HKS P1/P3) -------------------------------------------
-
-    def to_eval(self) -> "RNSPoly":
-        if self.domain is Domain.EVAL:
-            return self.copy()
-        if dispatch.batched_enabled():
-            out = get_batch_ntt(self.n, self.basis.moduli).forward(self.data)
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = get_ntt_context(self.n, q).forward(self.data[i])
-        return RNSPoly(self.basis, out, Domain.EVAL)
-
-    def to_coeff(self) -> "RNSPoly":
-        if self.domain is Domain.COEFF:
-            return self.copy()
-        if dispatch.batched_enabled():
-            out = get_batch_ntt(self.n, self.basis.moduli).inverse(self.data)
-        else:
-            out = np.empty_like(self.data)
-            for i, q in enumerate(self.basis.moduli):
-                out[i] = get_ntt_context(self.n, q).inverse(self.data[i])
-        return RNSPoly(self.basis, out, Domain.COEFF)
-
-    def to_domain(self, domain: Domain) -> "RNSPoly":
-        return self.to_eval() if domain is Domain.EVAL else self.to_coeff()
-
-    # -- tower structure (digit decomposition) ---------------------------------
-
-    def select_towers(self, indices: Sequence[int]) -> "RNSPoly":
-        """Sub-polynomial restricted to the given tower rows."""
-        indices = list(indices)
-        return RNSPoly(self.basis.subbasis(indices), self.data[indices], self.domain)
-
-    def drop_last_tower(self) -> "RNSPoly":
-        """Remove the highest tower (used by rescale)."""
-        if self.num_towers < 2:
-            raise ParameterError("cannot drop the only tower")
-        return RNSPoly(
-            self.basis.prefix(self.num_towers - 1),
-            self.data[:-1].copy(),
-            self.domain,
-        )
-
-    @staticmethod
-    def concat(parts: Iterable["RNSPoly"]) -> "RNSPoly":
-        """Stack tower groups into one polynomial over the union basis."""
-        parts = list(parts)
-        if not parts:
-            raise ParameterError("concat needs at least one part")
-        domain = parts[0].domain
-        basis = parts[0].basis
-        for p in parts[1:]:
-            if p.domain is not domain:
-                raise ParameterError("concat parts must share a domain")
-            basis = basis.concat(p.basis)
-        data = np.concatenate([p.data for p in parts], axis=0)
-        return RNSPoly(basis, data, domain)
-
-    # -- Galois automorphism ----------------------------------------------------
-
-    def automorphism(self, galois_element: int) -> "RNSPoly":
-        """Apply ``X -> X^g`` for odd ``g`` (computed in the COEFF domain).
-
-        Coefficient ``a_j`` moves to exponent ``j*g mod 2N``; exponents that
-        land in ``[N, 2N)`` wrap with a sign flip because ``X^N = -1``.
-        The permutation and sign mask are shared by every tower, so the
-        whole matrix moves in one fancy-indexed assignment into a
-        preallocated output — ``dest`` is a permutation of ``0..N-1``, so
-        every output slot is written and no zero-fill pass is needed.
-        """
-        g = int(galois_element)
-        if g % 2 == 0:
-            raise ParameterError(f"Galois element must be odd, got {g}")
-        coeff = self.to_coeff()
-        n = self.n
-        j = np.arange(n, dtype=np.int64)
-        e = (j * g) % (2 * n)
-        dest = np.where(e < n, e, e - n)
-        flip = e >= n
-        out = np.empty_like(coeff.data)
-        if dispatch.batched_enabled():
-            vals = np.where(
-                flip[None, :],
-                np.where(coeff.data == 0, coeff.data, self.basis.q_column - coeff.data),
-                coeff.data,
-            )
-            out[:, dest] = vals
-        else:
-            for i, q in enumerate(self.basis.moduli):
-                row = np.zeros(n, dtype=_INT64)
-                vals = coeff.data[i]
-                vals = np.where(flip, neg_mod(vals, q), vals)
-                row[dest] = vals
-                out[i] = row
-        result = RNSPoly(self.basis, out, Domain.COEFF)
-        return result.to_domain(self.domain)
-
-
-def automorphism_stacked(
-    polys: Sequence[RNSPoly], galois_element: int
-) -> List[RNSPoly]:
-    """Apply one Galois map to several polynomials in a single batched pass.
-
-    The permutation and sign mask depend only on ``(N, g)``, so the
-    polynomials' tower matrices are stacked into one tall matrix (their
-    moduli tuples concatenated — duplicates are fine, the batched NTT
-    keys per row) and moved through INTT -> permute -> NTT exactly once.
-    Inputs must share ring degree and domain; outputs match
-    ``[p.automorphism(g) for p in polys]`` bit for bit.
-    """
-    polys = list(polys)
-    if not polys:
-        return []
-    if len(polys) == 1 or not dispatch.batched_enabled():
-        return [p.automorphism(galois_element) for p in polys]
-    g = int(galois_element)
-    if g % 2 == 0:
-        raise ParameterError(f"Galois element must be odd, got {g}")
-    n = polys[0].n
-    domain = polys[0].domain
-    for p in polys[1:]:
-        if p.n != n or p.domain is not domain:
-            raise ParameterError("stacked automorphism needs a shared n and domain")
-    moduli = tuple(m for p in polys for m in p.basis.moduli)
-    q_col = np.array(moduli, dtype=_INT64)[:, None]
-    data = np.concatenate([p.data for p in polys])
-    engine = get_batch_ntt(n, moduli)
-    coeff = engine.inverse(data) if domain is Domain.EVAL else data
-    j = np.arange(n, dtype=np.int64)
-    e = (j * g) % (2 * n)
-    dest = np.where(e < n, e, e - n)
-    flip = e >= n
-    vals = np.where(
-        flip[None, :], np.where(coeff == 0, coeff, q_col - coeff), coeff
-    )
-    out = np.empty_like(coeff)
-    out[:, dest] = vals
-    if domain is Domain.EVAL:
-        out = engine.forward(out)
-    results: List[RNSPoly] = []
-    row = 0
-    for p in polys:
-        block = out[row : row + p.num_towers]
-        row += p.num_towers
-        results.append(RNSPoly(p.basis, block.copy(), domain))
-    return results
-
-
-class PolyBatch:
-    """``B`` same-basis polynomials as one ``(B, L, N)`` residue stack.
-
-    The cross-ciphertext batch axis: every operation runs as a single
-    whole-stack kernel pass (the ``(L, ...)`` twiddle/hat/modulus tables
-    broadcast over the batch axis, so no per-``B`` table exists), and
-    every operation is bit-identical to applying the corresponding
-    :class:`RNSPoly` op to each member — under the ``"looped"`` kernel
-    mode the implementation literally *is* that per-member loop, which is
-    the reference the batched path is property-tested against.
-
-    A :class:`PolyBatch` deliberately mirrors the :class:`RNSPoly`
-    surface (``basis``/``data``/``domain``, arithmetic, domain moves,
-    tower selection), so ciphertexts whose halves are batches flow
-    through the generic evaluator-driven code paths unchanged.
-    """
-
-    __slots__ = ("basis", "data", "domain")
-
-    def __init__(self, basis: RNSBasis, data: np.ndarray, domain: Domain):
-        data = np.asarray(data, dtype=_INT64)
-        if data.ndim != 3 or data.shape[1] != len(basis):
-            raise ParameterError(
-                f"batch data shape {data.shape} does not match "
-                f"(B, {len(basis)}, N) for a basis of {len(basis)} moduli"
-            )
-        self.basis = basis
-        self.data = data
-        self.domain = domain
-
-    # -- constructors --------------------------------------------------------
-
     @classmethod
-    def stack(cls, polys: Sequence[RNSPoly]) -> "PolyBatch":
-        """Stack same-basis/domain/degree polynomials into one batch.
+    def stack(cls, polys: Sequence["RNSPoly"]) -> "RNSPoly":
+        """Stack same-basis/domain/degree polynomials into one ``(B, L, N)``.
 
         Mismatches are rejected with the index of the offending member —
         the located-diagnostic style of :mod:`repro.analysis`.
         """
         polys = list(polys)
         if not polys:
-            raise ParameterError("PolyBatch.stack needs at least one polynomial")
+            raise ParameterError("RNSPoly.stack needs at least one polynomial")
         head = polys[0]
-        for i, p in enumerate(polys[1:], start=1):
+        for i, p in enumerate(polys):
+            if p.data.ndim != 2:
+                raise ParameterError(
+                    f"batch[{i}]: already a stack of {p.batch_size} — "
+                    f"members of a batch are single (L, N) polynomials"
+                )
             if p.basis != head.basis:
                 raise ParameterError(
                     f"batch[{i}]: basis has {p.num_towers} towers "
@@ -398,64 +132,48 @@ class PolyBatch:
                 raise ParameterError(
                     f"batch[{i}]: ring degree {p.n} != batch[0] degree {head.n}"
                 )
-        data = np.stack([p.data for p in polys])
-        return cls(head.basis, data, head.domain)
+        return cls(head.basis, np.stack([p.data for p in polys]), head.domain)
 
-    @classmethod
-    def zero(
-        cls, basis: RNSBasis, n: int, batch_size: int,
-        domain: Domain = Domain.EVAL,
-    ) -> "PolyBatch":
-        return cls(
-            basis, np.zeros((batch_size, len(basis), n), dtype=_INT64), domain
-        )
+    def member(self, b: int) -> "RNSPoly":
+        """Member ``b`` as an independent ``(L, N)`` copy (a single
+        polynomial is its own member 0)."""
+        stacked = self.data.reshape(-1, self.num_towers, self.n)
+        return RNSPoly(self.basis, stacked[b].copy(), self.domain)
 
-    def unstack(self) -> List[RNSPoly]:
+    def unstack(self) -> List["RNSPoly"]:
         """The member polynomials, as independent copies."""
-        return [
-            RNSPoly(self.basis, self.data[b].copy(), self.domain)
-            for b in range(self.batch_size)
-        ]
-
-    def member(self, b: int) -> RNSPoly:
-        return RNSPoly(self.basis, self.data[b].copy(), self.domain)
+        return [self.member(b) for b in range(self.batch_size)]
 
     # -- basic properties ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return int(self.data.shape[2])
+        return int(self.data.shape[-1])
 
     @property
     def num_towers(self) -> int:
-        return int(self.data.shape[1])
+        return int(self.data.shape[-2])
 
     @property
     def batch_size(self) -> int:
-        return int(self.data.shape[0])
+        """Members in the stack; 1 for a single ``(L, N)`` polynomial."""
+        return int(self.data.shape[0]) if self.data.ndim == 3 else 1
 
-    def copy(self) -> "PolyBatch":
-        return PolyBatch(self.basis, self.data.copy(), self.domain)
+    def copy(self) -> "RNSPoly":
+        return RNSPoly(self.basis, self.data.copy(), self.domain)
 
     def __repr__(self) -> str:
+        batch = f"batch={self.batch_size}, " if self.data.ndim == 3 else ""
         return (
-            f"PolyBatch(batch={self.batch_size}, towers={self.num_towers}, "
-            f"n={self.n}, domain={self.domain.value})"
+            f"RNSPoly({batch}towers={self.num_towers}, n={self.n}, "
+            f"domain={self.domain.value})"
         )
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _operand(self, other: Union["PolyBatch", RNSPoly]) -> np.ndarray:
-        """Validate ``other`` and return its (broadcastable) data.
-
-        An :class:`RNSPoly` operand (e.g. a shared plaintext) broadcasts
-        across the batch axis.
-        """
-        if isinstance(other, PolyBatch) and other.batch_size != self.batch_size:
-            raise ParameterError(
-                f"operand batch sizes differ: {self.batch_size} vs "
-                f"{other.batch_size}"
-            )
+    def _check_compatible(self, other: "RNSPoly") -> None:
+        """A single polynomial (e.g. a shared plaintext) broadcasts across
+        a stack; two stacks must agree on ``B``."""
         if self.basis != other.basis:
             raise ParameterError("operands have different RNS bases")
         if self.domain is not other.domain:
@@ -464,173 +182,157 @@ class PolyBatch:
             )
         if self.n != other.n:
             raise ParameterError("operands have different ring degrees")
-        if isinstance(other, PolyBatch):
-            return other.data
-        return other.data[None, :, :]
+        if (self.data.ndim == other.data.ndim == 3
+                and self.batch_size != other.batch_size):
+            raise ParameterError(
+                f"operand batch sizes differ: {self.batch_size} vs "
+                f"{other.batch_size}"
+            )
 
-    def _loop(
-        self,
-        other: Union["PolyBatch", RNSPoly, None],
-        fn: Callable[..., RNSPoly],
-    ) -> "PolyBatch":
-        """Looped-mode reference: apply ``fn`` member by member."""
-        mine = self.unstack()
-        if other is None:
-            return PolyBatch.stack([fn(a) for a in mine])
-        theirs = (
-            other.unstack() if isinstance(other, PolyBatch)
-            else [other] * self.batch_size
-        )
-        return PolyBatch.stack([fn(a, b) for a, b in zip(mine, theirs)])
-
-    def __add__(self, other: Union["PolyBatch", RNSPoly]) -> "PolyBatch":
-        data = self._operand(other)
-        if not dispatch.batched_enabled():
-            return self._loop(other, lambda a, b: a + b)
-        s = self.data + data
+    def __add__(self, other: "RNSPoly") -> "RNSPoly":
+        self._check_compatible(other)
+        s = self.data + other.data
         # Conditional correction via a bool-scaled subtract: measurably
-        # cheaper than np.where at batch sizes (one temp, no select pass).
+        # cheaper than np.where (one temp, no select pass).
         s -= self.basis.q_column * (s >= self.basis.q_column)
-        return PolyBatch(self.basis, s, self.domain)
+        return RNSPoly(self.basis, s, self.domain)
 
-    def __sub__(self, other: Union["PolyBatch", RNSPoly]) -> "PolyBatch":
-        data = self._operand(other)
-        if not dispatch.batched_enabled():
-            return self._loop(other, lambda a, b: a - b)
-        d = self.data - data
+    def __sub__(self, other: "RNSPoly") -> "RNSPoly":
+        self._check_compatible(other)
+        d = self.data - other.data
         d += self.basis.q_column * (d < 0)
-        return PolyBatch(self.basis, d, self.domain)
+        return RNSPoly(self.basis, d, self.domain)
 
-    def __neg__(self) -> "PolyBatch":
-        if not dispatch.batched_enabled():
-            return self._loop(None, lambda a: -a)
+    def __neg__(self) -> "RNSPoly":
         out = np.where(self.data == 0, self.data, self.basis.q_column - self.data)
-        return PolyBatch(self.basis, out, self.domain)
+        return RNSPoly(self.basis, out, self.domain)
 
-    def __mul__(self, other: Union["PolyBatch", RNSPoly]) -> "PolyBatch":
+    def __mul__(self, other: "RNSPoly") -> "RNSPoly":
         """Point-wise product; both operands must be in the EVAL domain."""
-        data = self._operand(other)
+        self._check_compatible(other)
         if self.domain is not Domain.EVAL:
             raise ParameterError("polynomial product requires EVAL domain")
-        if not dispatch.batched_enabled():
-            return self._loop(other, lambda a, b: a * b)
-        out = self.data * data % self.basis.q_column
-        return PolyBatch(self.basis, out, self.domain)
+        out = self.data * other.data % self.basis.q_column
+        return RNSPoly(self.basis, out, self.domain)
 
-    def scale_by(self, scalars: Sequence[int]) -> "PolyBatch":
-        """Multiply tower ``i`` of every member by ``scalars[i] mod q_i``."""
+    def scale_by(self, scalars: Sequence[int]) -> "RNSPoly":
+        """Multiply tower ``i`` by scalar ``scalars[i] mod q_i`` (any domain)."""
         if len(scalars) != self.num_towers:
             raise ParameterError("need one scalar per tower")
-        if not dispatch.batched_enabled():
-            return self._loop(None, lambda a: a.scale_by(scalars))
         col = np.array(
             [int(s) % q for s, q in zip(scalars, self.basis.moduli)],
             dtype=_INT64,
         )[:, None]
         out = self.data * col % self.basis.q_column
-        return PolyBatch(self.basis, out, self.domain)
+        return RNSPoly(self.basis, out, self.domain)
 
-    # -- domain changes -------------------------------------------------------
+    # -- domain changes (HKS P1/P3) -------------------------------------------
 
-    def to_eval(self) -> "PolyBatch":
+    def to_eval(self) -> "RNSPoly":
         if self.domain is Domain.EVAL:
             return self.copy()
-        if not dispatch.batched_enabled():
-            return self._loop(None, lambda a: a.to_eval())
         out = get_batch_ntt(self.n, self.basis.moduli).forward(self.data)
-        return PolyBatch(self.basis, out, Domain.EVAL)
+        return RNSPoly(self.basis, out, Domain.EVAL)
 
-    def to_coeff(self) -> "PolyBatch":
+    def to_coeff(self) -> "RNSPoly":
         if self.domain is Domain.COEFF:
             return self.copy()
-        if not dispatch.batched_enabled():
-            return self._loop(None, lambda a: a.to_coeff())
         out = get_batch_ntt(self.n, self.basis.moduli).inverse(self.data)
-        return PolyBatch(self.basis, out, Domain.COEFF)
+        return RNSPoly(self.basis, out, Domain.COEFF)
 
-    def to_domain(self, domain: Domain) -> "PolyBatch":
+    def to_domain(self, domain: Domain) -> "RNSPoly":
         return self.to_eval() if domain is Domain.EVAL else self.to_coeff()
 
-    # -- tower structure -------------------------------------------------------
+    # -- tower structure (digit decomposition) ---------------------------------
 
-    def select_towers(self, indices: Sequence[int]) -> "PolyBatch":
+    def select_towers(self, indices: Sequence[int]) -> "RNSPoly":
+        """Sub-polynomial restricted to the given tower rows."""
         indices = list(indices)
-        return PolyBatch(
-            self.basis.subbasis(indices), self.data[:, indices], self.domain
+        return RNSPoly(
+            self.basis.subbasis(indices), self.data[..., indices, :], self.domain
         )
 
-    def drop_last_tower(self) -> "PolyBatch":
+    def drop_last_tower(self) -> "RNSPoly":
+        """Remove the highest tower (used by rescale)."""
         if self.num_towers < 2:
             raise ParameterError("cannot drop the only tower")
-        return PolyBatch(
+        return RNSPoly(
             self.basis.prefix(self.num_towers - 1),
-            self.data[:, :-1].copy(),
+            self.data[..., :-1, :].copy(),
             self.domain,
         )
 
+    @staticmethod
+    def concat(parts: Iterable["RNSPoly"]) -> "RNSPoly":
+        """Stack tower groups into one polynomial over the union basis."""
+        parts = list(parts)
+        if not parts:
+            raise ParameterError("concat needs at least one part")
+        domain = parts[0].domain
+        basis = parts[0].basis
+        for p in parts[1:]:
+            if p.domain is not domain:
+                raise ParameterError("concat parts must share a domain")
+            basis = basis.concat(p.basis)
+        data = np.concatenate([p.data for p in parts], axis=-2)
+        return RNSPoly(basis, data, domain)
+
     # -- Galois automorphism ----------------------------------------------------
 
-    def automorphism(self, galois_element: int) -> "PolyBatch":
-        """Apply ``X -> X^g`` to every member in one stacked pass."""
-        if not dispatch.batched_enabled():
-            return self._loop(None, lambda a: a.automorphism(galois_element))
-        return automorphism_stacked_batch([self], galois_element)[0]
+    def automorphism(self, galois_element: int) -> "RNSPoly":
+        """Apply ``X -> X^g`` for odd ``g``, staying in the current domain."""
+        return automorphism_stacked([self], galois_element)[0]
 
 
-def automorphism_stacked_batch(
-    batches: Sequence[PolyBatch], galois_element: int
-) -> List[PolyBatch]:
-    """Batch-axis analogue of :func:`automorphism_stacked`.
+def automorphism_stacked(
+    polys: Sequence[RNSPoly], galois_element: int
+) -> List[RNSPoly]:
+    """Apply one Galois map to several polynomials in a single pass.
 
-    The batches (which may sit over different bases, e.g. a ciphertext
-    half plus the ModUp digit extensions during hoisting) are
-    concatenated along the *tower* axis into one ``(B, sum L_i, N)``
-    stack and moved through INTT -> permute -> NTT exactly once.  All
-    inputs must share batch size, ring degree and domain; outputs match
-    ``[b.automorphism(g) for b in batches]`` bit for bit.
+    The polynomials may sit over different bases (e.g. a ciphertext half
+    plus the ModUp digit extensions during hoisting) but must share ring
+    degree, domain and batch shape.
+
+    In the evaluation domain the automorphism only re-labels the
+    evaluation points, so each array moves in one gather with no
+    transforms at all (see :func:`galois_eval_permutation`).  In the
+    coefficient domain ``a_j`` moves to exponent ``j*g mod 2N``, and
+    exponents that land in ``[N, 2N)`` wrap with a sign flip because
+    ``X^N = -1``; the permutation and sign mask depend only on ``(N, g)``,
+    so the arrays are concatenated along the tower axis and moved in one
+    fancy-indexed assignment — ``dest`` is a permutation of ``0..N-1``, so
+    every output slot is written and no zero-fill pass is needed.
     """
-    batches = list(batches)
-    if not batches:
+    polys = list(polys)
+    if not polys:
         return []
-    if not dispatch.batched_enabled():
-        return [b.automorphism(galois_element) for b in batches]
     g = int(galois_element)
     if g % 2 == 0:
         raise ParameterError(f"Galois element must be odd, got {g}")
-    head = batches[0]
-    n, domain, bsz = head.n, head.domain, head.batch_size
-    for b in batches[1:]:
-        if b.n != n or b.domain is not domain or b.batch_size != bsz:
+    head = polys[0]
+    n, domain, lead = head.n, head.domain, head.data.shape[:-2]
+    for p in polys[1:]:
+        if p.n != n or p.domain is not domain or p.data.shape[:-2] != lead:
             raise ParameterError(
                 "stacked automorphism needs a shared n, domain and batch size"
             )
     if domain is Domain.EVAL:
-        # In the evaluation domain the automorphism only re-labels the
-        # evaluation points, so the whole stack moves in one gather with
-        # no transforms at all (see galois_eval_permutation) — the
-        # dominant cost of hoisted rotations at large batch sizes.
         perm = galois_eval_permutation(n, g)
-        return [
-            PolyBatch(b.basis, b.data[:, :, perm], domain) for b in batches
-        ]
-    # COEFF domain: the index map wraps through X^N = -1, so a shared
-    # destination/negation pattern applies to the concatenated stack.
-    moduli = tuple(m for b in batches for m in b.basis.moduli)
+        return [RNSPoly(p.basis, p.data[..., perm], domain) for p in polys]
+    moduli = tuple(m for p in polys for m in p.basis.moduli)
     q_col = np.array(moduli, dtype=_INT64)[:, None]
-    coeff = np.concatenate([b.data for b in batches], axis=1)
+    coeff = np.concatenate([p.data for p in polys], axis=-2)
     j = np.arange(n, dtype=np.int64)
     e = (j * g) % (2 * n)
     dest = np.where(e < n, e, e - n)
     flip = e >= n
-    vals = np.where(
-        flip[None, None, :], np.where(coeff == 0, coeff, q_col - coeff), coeff
-    )
+    vals = np.where(flip, np.where(coeff == 0, coeff, q_col - coeff), coeff)
     out = np.empty_like(coeff)
-    out[:, :, dest] = vals
-    results: List[PolyBatch] = []
+    out[..., dest] = vals
+    results: List[RNSPoly] = []
     row = 0
-    for b in batches:
-        block = out[:, row : row + b.num_towers]
-        row += b.num_towers
-        results.append(PolyBatch(b.basis, block.copy(), domain))
+    for p in polys:
+        block = out[..., row : row + p.num_towers, :]
+        row += p.num_towers
+        results.append(RNSPoly(p.basis, block.copy(), domain))
     return results

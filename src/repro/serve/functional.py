@@ -13,8 +13,8 @@ in-process serial run.
 The serving win is the cross-ciphertext batch axis: requests that share a
 :attr:`~FunctionalRequest.group_key` (same preset/dataflow/level/key)
 stack into one :class:`FunctionalBatch`, which executes all B inputs
-through a single :func:`~repro.core.functional.execute_dataflow_batch`
-pass — one kernel dispatch per schedule step for the whole group — while
+through a single :func:`~repro.core.functional.execute_dataflow`
+pass over the ``(B, L, N)`` stack — one kernel dispatch per schedule step for the whole group — while
 distinct groups shard across :class:`~repro.serve.pool.ShardPool`
 workers.  Results carry an output digest computed from the two output
 polynomials, so batched, sharded and serial executions can be compared
@@ -229,18 +229,18 @@ class FunctionalBatch:
     def run(self) -> List[FunctionalResult]:
         """Execute all requests through one stacked kernel pass."""
         from repro.core import get_dataflow
-        from repro.core.functional import execute_dataflow_batch
+        from repro.core.functional import execute_dataflow
         from repro.faults import fault_point
-        from repro.rns.poly import PolyBatch
+        from repro.rns.poly import RNSPoly
 
         fault_point("functional.run", context=self.name)
 
         head = self.requests[0]
         context, key = _world(head.preset, head.key_seed)
-        batch = PolyBatch.stack([
+        batch = RNSPoly.stack([
             _input_poly(context, request) for request in self.requests
         ])
-        out0, out1 = execute_dataflow_batch(
+        out0, out1 = execute_dataflow(
             get_dataflow(head.dataflow), context, batch, key, head.level
         )
         bsz = len(self.requests)

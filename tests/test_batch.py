@@ -6,6 +6,11 @@ produces for that member alone.  All comparisons in this file are exact
 (``np.array_equal`` on tower data or digest equality) — there are no
 tolerance-based checks except the one decrypt-accuracy sanity test.
 
+Rank is the only difference between a solo and a batched ciphertext, so
+one hypothesis property holds every kernel to it (the rank-3 result is
+the stack of the rank-2 results), and two pinned digests hold both ranks
+to the outputs of the commit before the solo/batch fork was removed.
+
 Also covered: located rejection of un-stackable batches, the
 no-per-``B``-tables cache guarantee (satellite of PR 8), and the serving
 path — functional HKS requests coalesced into stacked passes, sharded
@@ -14,21 +19,26 @@ across worker processes, compared against an in-process serial run.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ckks.batch import (
-    BatchEvaluator,
     BatchShapeError,
     batch_size,
     is_batched,
     stack_ciphertexts,
     unstack_ciphertexts,
 )
+from repro.ckks.encrypt import Ciphertext
+from repro.ckks.keys import rotation_galois_element
+from repro.ckks.keyswitch import key_switch
 from repro.errors import ParameterError
 from repro.ntt import transform
-from repro.rns.dispatch import use_kernel_mode
-from repro.rns.poly import Domain, PolyBatch, RNSPoly
+from repro.rns.poly import Domain, RNSPoly
 
 
 def _encrypt_batchable(encoder, encryptor, context, vectors, level=None):
@@ -47,8 +57,11 @@ def _vectors(encoder, count, seed=5):
 
 
 @pytest.fixture(scope="module")
-def batch_evaluator(context):
-    return BatchEvaluator(context)
+def rotation_keys(context, keygen):
+    n = context.params.n
+    return {
+        s: keygen.galois_key(rotation_galois_element(s, n)) for s in (1, 2, -1)
+    }
 
 
 # -- stacking ------------------------------------------------------------------
@@ -105,16 +118,72 @@ class TestStacking:
         assert member.c0 is not ct.c0
 
 
-# -- batched evaluator vs per-member loop --------------------------------------
+# -- rank-3 result == stack of rank-2 results ----------------------------------
+
+
+class TestRankPolymorphism:
+    @settings(max_examples=15, deadline=None)
+    @given(bsz=st.integers(1, 4), seed=st.integers(0, 2**31))
+    def test_stacked_result_is_stack_of_member_results(
+        self, context, evaluator, relin_key, rotation_keys, bsz, seed
+    ):
+        """Every polynomial op and every key-switching kernel, on a
+        (B, L, N) stack, equals the per-member results stacked — bit for
+        bit, for B = 1 as for any other B."""
+        rng = np.random.default_rng(seed)
+        level = context.params.max_level
+        basis, n = context.level_basis(level), context.params.n
+        scalars = [int(v) for v in rng.integers(1, 2**20, level + 1)]
+
+        def draw(domain):
+            return [RNSPoly.random_uniform(basis, n, rng, domain)
+                    for _ in range(bsz)]
+
+        xs, ys, cs = draw(Domain.EVAL), draw(Domain.EVAL), draw(Domain.COEFF)
+
+        def ct_of(c0, c1):
+            return Ciphertext(c0, c1, level, context.params.scale)
+
+        def halves(ct):
+            return [ct.c0, ct.c1]
+
+        ops = {
+            "+": lambda a, b, c: [a + b],
+            "-": lambda a, b, c: [a - b],
+            "neg": lambda a, b, c: [-a],
+            "*": lambda a, b, c: [a * b],
+            "scale_by": lambda a, b, c: [a.scale_by(scalars)],
+            "to_eval": lambda a, b, c: [c.to_eval()],
+            "to_coeff": lambda a, b, c: [a.to_coeff()],
+            "automorphism": lambda a, b, c: [a.automorphism(5),
+                                             c.automorphism(5)],
+            "select_towers": lambda a, b, c: [a.select_towers([0, 2, 3])],
+            "key_switch": lambda a, b, c: list(
+                key_switch(context, a, relin_key, level)),
+            "rescale": lambda a, b, c: halves(evaluator.rescale(ct_of(a, b))),
+            "hoisted_rotations": lambda a, b, c: [
+                half
+                for ct in evaluator.hoisted_rotations(
+                    ct_of(a, b), rotation_keys).values()
+                for half in halves(ct)
+            ],
+        }
+        stacks = [RNSPoly.stack(polys) for polys in (xs, ys, cs)]
+        for name, op in ops.items():
+            stacked = op(*stacks)
+            per_member = [op(*member) for member in zip(xs, ys, cs)]
+            for k, result in enumerate(stacked):
+                expected = np.stack([outs[k].data for outs in per_member])
+                assert np.array_equal(result.data, expected), name
 
 
 class TestBatchedOps:
-    """Each op at ragged batch sizes, exactly equal to the member loop."""
+    """Evaluator calls on real ciphertexts at ragged batch sizes, exactly
+    equal to the member loop."""
 
     @pytest.mark.parametrize("bsz", [1, 3, 5])
     def test_multiply_bit_identical(
-        self, context, encoder, encryptor, evaluator, batch_evaluator,
-        relin_key, bsz,
+        self, context, encoder, encryptor, evaluator, relin_key, bsz,
     ):
         xs = _encrypt_batchable(
             encoder, encryptor, context, _vectors(encoder, bsz, seed=11)
@@ -122,7 +191,7 @@ class TestBatchedOps:
         ys = _encrypt_batchable(
             encoder, encryptor, context, _vectors(encoder, bsz, seed=12)
         )
-        batched = batch_evaluator.multiply(
+        batched = evaluator.multiply(
             stack_ciphertexts(xs), stack_ciphertexts(ys), relin_key
         )
         for member, x, y in zip(unstack_ciphertexts(batched), xs, ys):
@@ -132,7 +201,7 @@ class TestBatchedOps:
 
     @pytest.mark.parametrize("bsz", [1, 3])
     def test_rescale_bit_identical(
-        self, context, encoder, encryptor, evaluator, batch_evaluator, bsz
+        self, context, encoder, encryptor, evaluator, bsz
     ):
         cts = _encrypt_batchable(
             encoder, encryptor, context, _vectors(encoder, bsz, seed=13)
@@ -141,15 +210,15 @@ class TestBatchedOps:
             np.full(encoder.num_slots, 0.5), level=cts[0].level
         )
         scaled = [evaluator.multiply_plain(ct, pt) for ct in cts]
-        batched = batch_evaluator.rescale(stack_ciphertexts(scaled))
+        batched = evaluator.rescale(stack_ciphertexts(scaled))
         for member, ct in zip(unstack_ciphertexts(batched), scaled):
             reference = evaluator.rescale(ct)
             assert member.level == reference.level
             assert np.array_equal(member.c0.data, reference.c0.data)
             assert np.array_equal(member.c1.data, reference.c1.data)
 
-    def test_rescale_identical_across_kernel_modes(
-        self, context, encoder, encryptor, evaluator, batch_evaluator
+    def test_rescale_matches_per_tower_oracle(
+        self, context, encoder, encryptor, evaluator
     ):
         cts = _encrypt_batchable(
             encoder, encryptor, context, _vectors(encoder, 3, seed=14)
@@ -157,29 +226,25 @@ class TestBatchedOps:
         pt = encoder.encode(
             np.full(encoder.num_slots, 0.25), level=cts[0].level
         )
-        scaled = stack_ciphertexts(
-            [evaluator.multiply_plain(ct, pt) for ct in cts]
-        )
-        with use_kernel_mode("batched"):
-            fast = batch_evaluator.rescale(scaled)
-        with use_kernel_mode("looped"):
-            slow = batch_evaluator.rescale(scaled)
-        assert np.array_equal(fast.c0.data, slow.c0.data)
-        assert np.array_equal(fast.c1.data, slow.c1.data)
+        scaled = [evaluator.multiply_plain(ct, pt) for ct in cts]
+        level = scaled[0].level
+        inv = context.rescale_inverses(level)
+        fast = evaluator.rescale(stack_ciphertexts(scaled))
+        for b, ct in enumerate(scaled):
+            for half, got in ((ct.c0, fast.c0), (ct.c1, fast.c1)):
+                oracle = evaluator._rescale_poly(half, level, inv)
+                assert np.array_equal(got.data[b], oracle.data)
 
     @pytest.mark.parametrize("steps", [1, -2])
     def test_rotate_bit_identical(
-        self, context, encoder, encryptor, evaluator, batch_evaluator,
-        keygen, steps,
+        self, context, encoder, encryptor, evaluator, keygen, steps,
     ):
-        from repro.ckks.keys import rotation_galois_element
-
         n = context.params.n
         key = keygen.galois_key(rotation_galois_element(steps, n))
         cts = _encrypt_batchable(
             encoder, encryptor, context, _vectors(encoder, 3, seed=15)
         )
-        batched = batch_evaluator.apply_galois(
+        batched = evaluator.apply_galois(
             stack_ciphertexts(cts), rotation_galois_element(steps, n), key
         )
         for member, ct in zip(unstack_ciphertexts(batched), cts):
@@ -190,25 +255,18 @@ class TestBatchedOps:
             assert np.array_equal(member.c1.data, reference.c1.data)
 
     def test_hoisted_rotations_bit_identical(
-        self, context, encoder, encryptor, evaluator, batch_evaluator, keygen
+        self, context, encoder, encryptor, evaluator, rotation_keys
     ):
-        from repro.ckks.keys import rotation_galois_element
-
-        n = context.params.n
-        steps_list = [1, 2, -1]
-        keys = {
-            s: keygen.galois_key(rotation_galois_element(s, n))
-            for s in steps_list
-        }
+        keys = rotation_keys
         cts = _encrypt_batchable(
             encoder, encryptor, context, _vectors(encoder, 3, seed=16)
         )
-        batched = batch_evaluator.hoisted_rotations(
+        batched = evaluator.hoisted_rotations(
             stack_ciphertexts(cts), keys
         )
         for i, ct in enumerate(cts):
             reference = evaluator.hoisted_rotations(ct, keys)
-            for s in steps_list:
+            for s in keys:
                 member = unstack_ciphertexts(batched[s])[i]
                 assert np.array_equal(
                     member.c0.data, reference[s].c0.data
@@ -306,6 +364,59 @@ class TestBatchedBootstrap:
             assert np.array_equal(
                 member.ciphertext.c1.data, reference.ciphertext.c1.data
             )
+
+
+# -- cross-commit identity -----------------------------------------------------
+
+
+def _digest(handle):
+    raw = handle.ciphertext
+    return hashlib.sha256(
+        raw.c0.data.tobytes() + raw.c1.data.tobytes()
+    ).hexdigest()
+
+
+class TestCrossCommitIdentity:
+    """SHA-256 of two outputs, recorded at the last commit that still had
+    separate solo and batch kernels (through its solo path).  Both ranks
+    must keep reproducing them: a solo run, and member 0 of a B=3 batch
+    whose member 0 is that same ciphertext."""
+
+    BOOT = "bb54ee24d6dbd50ef97f75d43d5e2792e49fa2a843b52317478df706d7982c7f"
+    CIRCUIT = "a175b071b31c2093747e256d1d9928f274f53f7567f994882e3db6372bf25eda"
+
+    def test_n7_boot_bootstrap(self):
+        from repro.api import CipherBatch, FHESession
+
+        session = FHESession.create("n7_boot", seed=3)
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-0.2, 0.2, (3, session.num_slots))
+        cts = session.encrypt_many(values, level=0)
+        assert _digest(cts[0].bootstrap()) == self.BOOT
+        batch = CipherBatch.from_vectors(cts).bootstrap()
+        assert _digest(batch.member(0)) == self.BOOT
+
+    def test_depth2_circuit_at_n4096(self):
+        from repro.api import CipherBatch, FHESession
+
+        def circuit(a, b):
+            y = a * b
+            for step in (1, 2, 4):
+                y = y + (y << step)
+            return y * a
+
+        session = FHESession.create("n10_fast", n=1 << 12, seed=3)
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1, 1, (3, session.num_slots))
+        b = rng.uniform(-1, 1, (3, session.num_slots))
+        # Member 0's two encryptions draw first, as in the recorded run.
+        ct_a, ct_b = [session.encrypt(a[0])], [session.encrypt(b[0])]
+        assert _digest(circuit(ct_a[0], ct_b[0])) == self.CIRCUIT
+        ct_a += session.encrypt_many(a[1:])
+        ct_b += session.encrypt_many(b[1:])
+        out = circuit(CipherBatch.from_vectors(ct_a),
+                      CipherBatch.from_vectors(ct_b))
+        assert _digest(out.member(0)) == self.CIRCUIT
 
 
 # -- functional batch + serving ------------------------------------------------
@@ -430,4 +541,4 @@ class TestBatchCacheSharing:
                 0, 2**20, size=(bsz, len(moduli), n), dtype=np.int64
             )
             engine.forward(data)
-        assert len(engine._batch_bufs) <= _MAX_CACHED_BATCH_SHAPES
+        assert len(engine._bufs) <= _MAX_CACHED_BATCH_SHAPES

@@ -186,6 +186,20 @@ class TestPipeline:
             bootstrapper.plan.op_counts().as_dict()
         )
 
+    def test_plan_scales_with_batch_size(
+        self, boot_ctx, boot_world, bootstrapper, boot_keys, message
+    ):
+        """Counters count ciphertexts, not calls: a B=3 stack through the
+        same circuit is three bootstraps' worth of every op."""
+        from repro.ckks.batch import stack_ciphertexts
+
+        encoder, encryptor, _ = boot_world
+        cts = [encryptor.encrypt(encoder.encode(message), level=0)
+               for _ in range(3)]
+        counting = CountingEvaluator(boot_ctx)
+        bootstrapper.bootstrap(counting, stack_ciphertexts(cts), boot_keys)
+        assert counting.snapshot() == bootstrapper.plan.op_counts().scaled(3)
+
     def test_structural_plan_equals_materialized_plan(self, bootstrapper):
         structural = BootstrapPlan.from_shape(
             bootstrapper.context.params.n // 2,

@@ -29,13 +29,13 @@ from repro import cache
 from repro.errors import ParameterError
 from repro.ntt import transform
 from repro.ntt.batch import BatchNTT, get_batch_ntt
+from repro.ntt.modmath import add_mod, mul_mod, neg_mod, sub_mod
 from repro.ntt.primes import generate_primes
 from repro.ntt.transform import NTTContext
 from repro.rns.basis import RNSBasis
 from repro.rns.bconv import BasisConverter
 from repro.rns.crt import get_engine, int_to_limbs, limbs_to_int
-from repro.rns.dispatch import use_kernel_mode
-from repro.rns.poly import RNSPoly
+from repro.rns.poly import Domain, RNSPoly
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,6 +128,28 @@ class TestBatchedNTT:
         eng = get_batch_ntt(n, tuple(moduli))
         with pytest.raises(ParameterError):
             eng.forward(np.zeros((2, n + 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("n, towers, barrett", [
+        (512, 4, False),    # 4 * 256 elements per block: stays on ``%``
+        (2048, 8, True),    # 8 * 1024 = _BARRETT_MIN_ELEMS: float Barrett
+    ])
+    def test_reduction_chosen_by_block_size_not_rank(self, n, towers, barrett):
+        """An (L, N) matrix and the (1, L, N) stack of it reduce the same
+        way — and, either way, match the scalar rows."""
+        moduli = tuple(_primes_for(n, towers, 28))
+        eng = BatchNTT(n, moduli)
+        rng = np.random.default_rng(6)
+        mat = np.stack([rng.integers(0, q, n, dtype=np.int64) for q in moduli])
+        fwd, inv = eng.forward(mat), eng.inverse(mat)
+        assert np.array_equal(eng.forward(mat[None])[0], fwd)
+        assert np.array_equal(eng.inverse(mat[None])[0], inv)
+        for lead in ((), (1,)):
+            _work, _scratch, ired, fred = eng._bufs[lead]
+            assert (ired is not None) == (fred is not None) == barrett
+        for i, q in enumerate(moduli):
+            ctx = NTTContext(n, q)
+            assert np.array_equal(fwd[i], ctx.forward(mat[i]))
+            assert np.array_equal(inv[i], ctx.inverse(mat[i]))
 
 
 # -- blocked BConv vs running-reduction loop -----------------------------------
@@ -307,12 +329,25 @@ class TestVectorizedCRT:
         assert engine.num_limbs * 16 >= head + 32
 
 
-# -- whole-pipeline mode equivalence -------------------------------------------
+# -- whole-array kernels vs the per-tower oracles -------------------------------
 
 
-class TestKernelModeEquivalence:
-    def test_key_switch_identical_across_modes(self, context, keygen, rng):
-        from repro.ckks import key_switch
+def _automorphism_rows(rows, moduli, g):
+    """``X -> X^g`` tower by tower, straight from the definition."""
+    n = rows.shape[1]
+    out = np.zeros_like(rows)
+    for i, q in enumerate(moduli):
+        for j in range(n):
+            e = j * g % (2 * n)
+            out[i, e % n] = rows[i, j] if e < n else neg_mod(rows[i, j], q)
+    return out
+
+
+class TestPerTowerOracles:
+    def test_key_switch_matches_per_tower_oracles(self, context, keygen, rng):
+        """key_switch == mod_up_digit per digit, a modmath
+        multiply-accumulate per tower, mod_down per half."""
+        from repro.ckks import key_switch, mod_down, mod_up_digit
         from repro.ckks.keys import sample_ternary
 
         level = context.params.max_level
@@ -320,37 +355,59 @@ class TestKernelModeEquivalence:
         poly = RNSPoly.random_uniform(
             context.level_basis(level), context.params.n, rng
         )
-        with use_kernel_mode("batched"):
-            b0, b1 = key_switch(context, poly, key, level)
-        with use_kernel_mode("looped"):
-            l0, l1 = key_switch(context, poly, key, level)
-        assert np.array_equal(b0.data, l0.data)
-        assert np.array_equal(b1.data, l1.data)
+        got = key_switch(context, poly, key, level)
 
-    def test_poly_arithmetic_identical_across_modes(self, rng):
-        basis = RNSBasis(_primes_for(64, 4, 26))
-        a = RNSPoly.random_uniform(basis, 64, rng)
-        b = RNSPoly.random_uniform(basis, 64, rng)
-        with use_kernel_mode("looped"):
-            ref = [
-                (a + b).data, (a - b).data, (-a).data, (a * b).data,
-                a.scale_by([3, 5, 7, 11]).data,
-                a.to_coeff().data, a.automorphism(5).data,
-            ]
-        with use_kernel_mode("batched"):
-            got = [
-                (a + b).data, (a - b).data, (-a).data, (a * b).data,
-                a.scale_by([3, 5, 7, 11]).data,
-                a.to_coeff().data, a.automorphism(5).data,
-            ]
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
+        extended = context.extended_basis(level)
+        acc = np.zeros((2, len(extended), context.params.n), dtype=np.int64)
+        for d, pair in enumerate(key.restricted(context, level)):
+            digit = mod_up_digit(context, poly, level, d)
+            for h, half in enumerate(pair):
+                for i, q in enumerate(extended.moduli):
+                    term = mul_mod(digit.data[i], half.data[i], q)
+                    acc[h, i] = add_mod(acc[h, i], term, q)
+        for h in (0, 1):
+            ref = mod_down(
+                context, RNSPoly(extended, acc[h], Domain.EVAL), level
+            )
+            assert np.array_equal(got[h].data, ref.data)
 
-    def test_unknown_mode_rejected(self):
-        from repro.rns.dispatch import set_kernel_mode
-
-        with pytest.raises(ParameterError):
-            set_kernel_mode("turbo")
+    def test_poly_arithmetic_matches_per_tower_oracles(self, rng):
+        n, g = 64, 5
+        basis = RNSBasis(_primes_for(n, 4, 26))
+        a = RNSPoly.random_uniform(basis, n, rng)
+        b = RNSPoly.random_uniform(basis, n, rng)
+        scalars = [3, 5, 7, 11]
+        contexts = [NTTContext(n, q) for q in basis.moduli]
+        coeff = np.stack(
+            [c.inverse(a.data[i]) for i, c in enumerate(contexts)]
+        )
+        rotated = _automorphism_rows(coeff, basis.moduli, g)
+        per_tower = {
+            "add": [add_mod(a.data[i], b.data[i], q)
+                    for i, q in enumerate(basis.moduli)],
+            "sub": [sub_mod(a.data[i], b.data[i], q)
+                    for i, q in enumerate(basis.moduli)],
+            "neg": [neg_mod(a.data[i], q)
+                    for i, q in enumerate(basis.moduli)],
+            "mul": [mul_mod(a.data[i], b.data[i], q)
+                    for i, q in enumerate(basis.moduli)],
+            "scale_by": [mul_mod(a.data[i], scalars[i], q)
+                         for i, q in enumerate(basis.moduli)],
+            "to_coeff": coeff,
+            "automorphism (coeff)": rotated,
+            "automorphism (eval)": [
+                c.forward(rotated[i]) for i, c in enumerate(contexts)
+            ],
+        }
+        got = {
+            "add": a + b, "sub": a - b, "neg": -a, "mul": a * b,
+            "scale_by": a.scale_by(scalars),
+            "to_coeff": a.to_coeff(),
+            "automorphism (coeff)": a.to_coeff().automorphism(g),
+            "automorphism (eval)": a.automorphism(g),
+        }
+        for name, ref in per_tower.items():
+            assert np.array_equal(got[name].data, np.stack(ref)), name
 
 
 # -- disk cache: recovery, versioning, warm start ------------------------------
