@@ -27,10 +27,17 @@ PRESETS: Dict[str, CKKSParams] = {
                           q_bits=28, p_bits=29, scale_bits=26),
     "n10_fast": CKKSParams(n=1 << 10, num_levels=6, num_aux=2, dnum=3,
                            q_bits=28, p_bits=29, scale_bits=26),
+    # The two larger worlds use a chain whose primes match the scale, so
+    # every rescale preserves it and the whole chain is usable depth (a
+    # prime two bits above the scale loses those bits again per level),
+    # under a 30-bit base prime for level-0 headroom — all within the
+    # functional kernels' 30-bit modulus limit.
     "n11_balanced": CKKSParams(n=1 << 11, num_levels=8, num_aux=3, dnum=4,
-                               q_bits=30, p_bits=31, scale_bits=28),
+                               q_bits=28, p_bits=30, scale_bits=28,
+                               q0_bits=30),
     "n12_deep": CKKSParams(n=1 << 12, num_levels=10, num_aux=3, dnum=5,
-                           q_bits=32, p_bits=33, scale_bits=30),
+                           q_bits=28, p_bits=30, scale_bits=28,
+                           q0_bits=30),
     # Bootstrappable world: a 16-level chain whose primes match the scale
     # (so the Chebyshev ladder's rescales preserve it), a wide base prime
     # (q_0/Delta = 16 gives EvalMod's sine approximation headroom) and a

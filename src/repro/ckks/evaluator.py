@@ -17,6 +17,7 @@ from repro.ckks.keys import KeySwitchKey, rotation_galois_element
 from repro.ckks.keyswitch import key_switch
 from repro.errors import KeySwitchError, ParameterError
 from repro.ntt.batch import get_batch_ntt
+from repro.ntt.modmath import mul_sum_mod
 from repro.rns.poly import Domain, RNSPoly, automorphism_stacked
 
 
@@ -126,10 +127,13 @@ class Evaluator:
         # broadcast to (2, ..., level, N); |centered| <= q_last/2 < q_i
         correction = centered + basis.q_column * (centered < 0)
         corr_eval = get_batch_ntt(n, basis.moduli).forward(correction)
+        # (c_i - corr) * inv, as c_i * inv + corr * (-inv).
         inv_col = np.array(list(inv), dtype=np.int64)[:, None]
-        rows = both[..., :level, :] - corr_eval
-        rows += basis.q_column * (rows < 0)
-        rows = rows * inv_col % basis.q_column
+        rows = mul_sum_mod(
+            [both[..., :level, :], corr_eval],
+            [inv_col, basis.q_column - inv_col],
+            basis.q_column,
+        )
         c0 = RNSPoly(basis, rows[0], Domain.EVAL)
         c1 = RNSPoly(basis, rows[1], Domain.EVAL)
         return Ciphertext(c0, c1, level - 1, x.scale / q_last)

@@ -27,6 +27,7 @@ from repro.ckks.context import CKKSContext
 from repro.ckks.keys import KeySwitchKey
 from repro.errors import KeySwitchError
 from repro.ntt.batch import get_batch_ntt
+from repro.ntt.modmath import mul_sum_mod
 from repro.rns.bconv import get_converter
 from repro.rns.poly import Domain, RNSPoly
 
@@ -85,19 +86,12 @@ def apply_evk(
             f"{len(extended_digits)} digits but key provides {count} pairs"
         )
     basis = extended_digits[0].basis
-    q_col = basis.q_column
-    acc = []
-    for keys in (b_stack, a_stack):
-        # Accumulate digit by digit instead of one tall (count*towers, N)
-        # pass: each term stays cache-resident and the reduced partial
-        # sums (count * q < 2**32) need just one final fold.
-        folded = extended_digits[0].data * keys[0] % q_col
-        for digit in range(1, count):
-            folded += extended_digits[digit].data * keys[digit] % q_col
-        if count > 1:
-            folded %= q_col
-        acc.append(RNSPoly(basis, folded, Domain.EVAL))
-    return acc[0], acc[1]
+    digits = [digit.data for digit in extended_digits]
+    b_sum, a_sum = (
+        RNSPoly(basis, mul_sum_mod(digits, keys, basis.q_column), Domain.EVAL)
+        for keys in (b_stack, a_stack)
+    )
+    return b_sum, a_sum
 
 
 #: Stacked ``(dnum, towers, N)`` evk halves per (key, level) — the
@@ -234,13 +228,14 @@ def mod_down_pair(
     conv = get_converter(context.p_basis, level_basis).convert(p_coeff)
     # P3: one NTT back.
     conv_eval = get_batch_ntt(n, level_basis.moduli).forward(conv)
-    # P4: (q_part - conv) * P^-1 in one pass.
+    # P4: (q_part - conv) * P^-1, as q_part * P^-1 + conv * (-P^-1).
+    q_col = level_basis.q_column
     inv_col = np.array(
         [context.p_inv_mod_q[i] for i in range(num_q)], dtype=np.int64
     )[:, None]
-    diff = rows[..., :num_q, :] - conv_eval
-    diff = np.where(diff < 0, diff + level_basis.q_column, diff)
-    out = diff * inv_col % level_basis.q_column
+    out = mul_sum_mod(
+        [rows[..., :num_q, :], conv_eval], [inv_col, q_col - inv_col], q_col
+    )
     return (
         RNSPoly(level_basis, out[0], Domain.EVAL),
         RNSPoly(level_basis, out[1], Domain.EVAL),

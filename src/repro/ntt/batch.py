@@ -1,69 +1,122 @@
-"""Whole-matrix negacyclic NTT over an RNS tower stack.
+"""Whole-stack negacyclic NTT as two exact float64 matrix products.
 
-:class:`NTTContext` transforms one tower at a time, so converting an
-``(L, N)`` RNS polynomial between domains costs ``L * log2(N)`` numpy
-passes — at the functional layer's small rings the interpreter overhead
-of those ``L`` separate calls dominates the arithmetic.  This engine
-stacks the per-tower twiddle tables into ``(L, N)`` matrices and keeps
-the moduli as a column vector ``q[:, None]``, so one butterfly stage
-updates *every* tower at once and a full transform is ``log2(N)``
-vectorized passes total.
+:class:`NTTContext` runs ``log2(N)`` butterfly stages per tower; each
+stage is a handful of strided numpy passes, so a transform is bound by
+pass count, not arithmetic.  This engine computes the *same*
+bit-reversed negacyclic transform of an ``(..., L, N)`` stack with the
+four-step (Bailey) factorisation, whose arithmetic is two dense matrix
+products that run in the BLAS numpy already ships.
 
-Three further tricks shave numpy passes off each stage:
+**Index maps.**  Write ``N = n1 * n2`` with ``n1 = 2**ceil(log2(N)/2)``
+and view a tower as an ``(n1, n2)`` matrix in natural row-major layout:
+input index ``j = j1*n2 + j2``, output slot ``i = i1*n2 + i2``.  Slot
+``i`` of the bit-reversed forward transform holds
+``sum_j a[j] * psi**(j * (2*rev_N(i) + 1))`` and
+``rev_N(i) = rev(i2)*n1 + rev(i1)``, so the exponent splits into four
+terms of which one is a multiple of ``2N`` (``psi**(2N) = 1``)::
 
-- **lazy reduction, scheduled per tower run** — butterfly outputs are
-  allowed to grow a few multiples of ``q`` beyond canonical before a
-  ``% q`` pass reclaims them.  The growth cap is ``2**(62 - 2*bits)``
-  per tower, so narrow scale primes (26-bit) ride out a whole transform
-  without any mid-loop reduction while only the wide ``q0``/special
-  rows (29-30 bit, cap 4) pay periodic row-sliced ``%`` passes.  All
-  intermediates stay congruent mod ``q`` (signed values included), and
-  the final canonicalization makes outputs bit-identical to the
-  eagerly-reduced scalar network.
-- **lazy signed Barrett** — the per-stage twiddle-product reduction
-  replaces int64 division (which never vectorizes) with a float64
-  multiply-by-inverse, ``rint`` and an exact int64 fixup, leaving a
-  signed remainder in ``(-q, q)``.  The remainder magnitude matches the
-  canonical one, so the lazy growth schedule is unchanged; below
-  :data:`_BARRETT_MIN_ELEMS` elements per block the extra passes cost
-  more than the division and the engine keeps ``%``.
-- **preallocated scratch** — each stage writes the difference leg through
-  reused buffers instead of allocating per call, and the input is
-  canonical by the :class:`repro.rns.poly.RNSPoly` invariant so no
-  ``% q`` validation pass is spent on entry.
+    out = ((F1 @ A) * T) @ F2            # forward, per tower
+    F1[i1, j1] = psi**(n2 * j1 * (2*rev(i1) + 1))      (n1, n1)
+    T [i1, j2] = psi**(     j2 * (2*rev(i1) + 1))      (n1, n2)
+    F2[j2, i2] = psi**(2 * n1 * j2 * rev(i2))          (n2, n2)
 
-The twiddle stacks are assembled from the per-``(N, q)``
-:class:`NTTContext` tables, which persist across processes via
-:mod:`repro.cache`; a warm cache makes both layers free to construct.
+and the inverse is the mirror image with ``psi**-1`` and ``N**-1``
+folded into the last factor: ``G1 @ ((E @ G2) * T')`` with
+``G2 = F2'.T`` and ``G1 = N**-1 * F1'.T``.  The ``psi`` pre-twist, the
+bit-reversed output order and the ``N**-1`` scaling all live in the
+constant matrices, and the left product mixes rows while the right
+product mixes columns — so input and output stay in natural layout and
+there is no transpose, permutation or twist pass anywhere.
+
+**Exactness.**  Residues are below ``2**30`` and float64 represents
+every integer up to ``2**53``, so each constant matrix is split into a
+balanced low limb in ``[-2**14, 2**14)`` and a high limb in
+``[0, 2**15]`` (``M = lo + 2**15 * hi``).  A limb product sums at most
+``n1`` terms below ``2**15 * 2**30``: every partial sum is an integer of
+magnitude below ``n1 * 2**45 <= 2**53`` for ``n1 <= 256``, hence exactly
+representable *whatever order BLAS adds them in* (an FMA is exact too).
+The limbs are recombined by floor-multiply-subtract reductions on
+integer-valued floats below ``2**53`` (see :meth:`BatchNTT._fold`), the
+one element-wise twiddle product runs in int64 with the float-Barrett
+:func:`repro.ntt.modmath.reduce_signed`, and the last fold is followed
+by one conditional subtract — so outputs are canonical and bit-identical
+to looping :meth:`NTTContext.forward` / :meth:`NTTContext.inverse` over
+the rows.  Construction refuses a ring whose ``n1`` would break the
+bound (``N > 2**16``).
+
+**Memory.**  The stack is processed in cache-sized chunks — one tower
+(or a few, on small rings) across as many stack members as fit — so a
+tower's matrices are streamed once per transform, and every engine
+shares one small per-thread scratch arena instead of pinning buffers
+per engine and per input shape.  The matrices are gathered, vectorised,
+from the per-``(N, q)`` :class:`NTTContext` power tables (which persist
+across processes via :mod:`repro.cache`) the first time a direction is
+used: the stacked-complement engines of ModUp only ever run forward.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.ntt.transform import get_ntt_context
+from repro.ntt.modmath import (
+    MAX_MODULUS_BITS,
+    reduce_signed,
+    scratch,
+    stack_chunks,
+)
+from repro.ntt.transform import (
+    bit_reverse_indices,
+    get_ntt_context,
+    is_power_of_two,
+)
 
 _INT64 = np.int64
+_FLOAT64 = np.float64
 
-_Bundle = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+#: Width of a constant-matrix limb (``M = lo + 2**15 * hi``).
+_LIMB_BITS = 15
 
-#: Distinct leading shapes whose ping-pong buffers an engine keeps alive.
-#: Serving batches cluster around a handful of B values; anything rarer
-#: allocates per call instead of pinning memory forever.
-_MAX_CACHED_BATCH_SHAPES = 8
+#: Largest row count ``n1``: ``n1`` terms of high limb (``<= 2**15``)
+#: times residue (``< 2**MAX_MODULUS_BITS``) must sum below ``2**53``.
+_MAX_ROWS = 1 << (53 - _LIMB_BITS - MAX_MODULUS_BITS)
 
-#: Smallest twiddle-product block (elements) for which the 5-pass float
-#: Barrett reduction beats one int64 ``%`` pass.  Measured on the
-#: functional ring sizes: division costs ~4.5ns/element while the float
-#: passes cost ~0.7ns each, so the crossover sits near 8k elements.  The
-#: block size is all that decides: an ``(L, N)`` matrix and a ``(1, L, N)``
-#: stack of it take the same branch.
-_BARRETT_MIN_ELEMS = 8192
+#: Downward bias on float quotients before ``floor``: above the float
+#: error (``< 2**-28`` for the ``< 2**24`` quotients here), so the
+#: floored quotient never overshoots and remainders land in ``[0, 2q)``.
+_FLOOR_BIAS = 2.0 ** -20
+
+
+class _Tables(NamedTuple):
+    """One direction's constants, each stacked over the towers: the two
+    limbs of the first product's matrix, the int64 twiddles, the two
+    limbs of the second product's matrix, and which side the first
+    matrix multiplies from (forward ``F1 @ A``, inverse ``E @ G2``)."""
+
+    left_first: bool
+    first_lo: np.ndarray
+    first_hi: np.ndarray
+    twiddle: np.ndarray
+    second_lo: np.ndarray
+    second_hi: np.ndarray
+
+
+def _limbs(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Split into float64 ``(lo, hi * 2**15)`` with ``lo`` balanced.
+
+    The high limb is stored pre-scaled: scaling by a power of two is
+    exact in float64, so its matrix product comes out as ``2**15`` times
+    the exact integer sum with no extra pass.
+    """
+    half = 1 << (_LIMB_BITS - 1)
+    lo = ((matrix + half) & ((1 << _LIMB_BITS) - 1)) - half
+    return (
+        np.ascontiguousarray(lo, dtype=_FLOAT64),
+        np.ascontiguousarray(matrix - lo, dtype=_FLOAT64),
+    )
 
 
 class BatchNTT:
@@ -73,7 +126,7 @@ class BatchNTT:
     residues, row ``i`` of the last two axes modulo ``moduli[i]``: one
     ``(L, N)`` matrix, a ``(B, L, N)`` stack of them (the
     cross-ciphertext batch axis), or both halves of such a stack, all
-    transformed in one pass.  The twiddle tables stay ``(L, ...)`` and
+    transformed in one call.  The constant matrices stay ``(L, ...)`` and
     broadcast over the leading axes, so no per-``B`` table is ever built
     or cached.  Outputs are bit-identical to looping
     :meth:`NTTContext.forward` / :meth:`NTTContext.inverse` over the rows
@@ -82,48 +135,29 @@ class BatchNTT:
     """
 
     def __init__(self, n: int, moduli: Tuple[int, ...]) -> None:
-        contexts = [get_ntt_context(n, q) for q in moduli]
+        if not is_power_of_two(n):
+            raise ParameterError(f"ring degree must be a power of two, got {n}")
+        log_n = n.bit_length() - 1
+        rows = 1 << ((log_n + 1) // 2)
+        if rows > _MAX_ROWS:
+            raise ParameterError(
+                f"N={n} needs {rows}-term limb products, which can exceed "
+                f"2**53 and lose float64 exactness; the matrix NTT "
+                f"supports N <= {_MAX_ROWS * _MAX_ROWS}"
+            )
         self.n = n
         self.moduli = tuple(moduli)
-        #: (L, 1) column vector of moduli — broadcasts against (L, m, t)
-        #: butterfly legs as (L, 1, 1).
-        self._q = np.array(self.moduli, dtype=_INT64)[:, None]
-        self._q3 = self._q[:, :, None]
-        self._qinv3 = 1.0 / self._q3
-        self._psi_rev = np.stack([c._psi_rev for c in contexts])
-        self._psi_inv_rev = np.stack([c._psi_inv_rev for c in contexts])
-        self._n_inv = np.array([c._n_inv for c in contexts], dtype=_INT64)[:, None]
-        #: Maximal runs of adjacent towers sharing a lazy growth cap
-        #: (``2**(62 - 2*bits)`` multiples of q before a twiddle product
-        #: could overflow int64).  Mid-loop reductions touch one run at
-        #: a time, so 26-bit scale towers (cap 1024) never reduce while
-        #: the wide q0/special rows (cap 4) reduce on their own beat.
-        self._runs = self._build_runs()
-        #: Buffer bundle per leading shape, allocated on first use:
-        #: ping-pong work, twiddle-product scratch, and (only where the
-        #: blocks are large enough to use it) the Barrett int/float pair.
-        self._bufs: Dict[Tuple[int, ...], _Bundle] = {}
-        # Per-stage twiddle slices, contiguous and pre-shaped for the
-        # (L, m, t) butterfly blocks, so the hot loop does no slicing.
-        self._fwd_tw = []
-        m = 1
-        while m < n:
-            self._fwd_tw.append(
-                np.ascontiguousarray(self._psi_rev[:, m : 2 * m])[:, :, None]
-            )
-            m *= 2
-        self._inv_tw = []
-        m = n
-        while m > 1:
-            h = m // 2
-            self._inv_tw.append(
-                np.ascontiguousarray(self._psi_inv_rev[:, h : 2 * h])[:, :, None]
-            )
-            m = h
-        # The stacked tables are only needed to build the per-stage slices;
-        # engines live forever in the lru cache, so drop the duplicates.
-        del self._psi_rev
-        del self._psi_inv_rev
+        self._rows = rows
+        self._cols = n // rows
+        self._contexts = [get_ntt_context(n, q) for q in self.moduli]
+        #: Moduli as (L, 1, 1) columns broadcasting over (..., L, n1, n2).
+        self._q_int = np.array(self.moduli, dtype=_INT64)[:, None, None]
+        self._q = self._q_int.astype(_FLOAT64)
+        self._q_inv = 1.0 / self._q
+        self._q_hi = self._q * (1 << _LIMB_BITS)
+        self._q_hi_inv = self._q_inv / (1 << _LIMB_BITS)
+        self._forward: Optional[_Tables] = None
+        self._inverse: Optional[_Tables] = None
 
     # -- public API ---------------------------------------------------------
 
@@ -133,196 +167,151 @@ class BatchNTT:
         Residues must already be canonical (``[0, q_i)`` per row) — the
         callers inside :class:`repro.rns.poly.RNSPoly` maintain that
         invariant, so no ``% q`` canonicalization pass is spent on entry.
-        Each butterfly stage reads one ping-pong buffer and writes the
-        other (twiddle multiply, reduce, sum leg, difference leg);
-        intermediates run signed and lazily reduced, and the final
-        canonicalization restores exact agreement with the
-        eagerly-reduced scalar network.
+        The input is only read; the result is a fresh caller-owned array.
         """
-        src, dst, spare, tmp, ired, fred = self._buffers(coeffs)
-        if dst is None or spare is None or tmp is None:
-            return src
-        original = src
-        towers = len(self.moduli)
-        lead = src.shape[:-2]
-        q3 = self._q3
-        runs = self._runs
-        bounds = [1] * len(runs)
-        stage = 0
-        m, t = 1, self.n
-        while m < self.n:
-            t //= 2
-            for i, (sl, q_run, cap) in enumerate(runs):
-                if bounds[i] > cap:
-                    src[..., sl, :] %= q_run
-                    bounds[i] = 1
-            blk = src.reshape(*lead, towers, m, 2 * t)
-            out_blk = dst.reshape(*lead, towers, m, 2 * t)
-            lo = blk[..., :t]
-            whi = tmp.reshape(*lead, towers, m, t)
-            np.multiply(blk[..., t:], self._fwd_tw[stage], out=whi)
-            if ired is not None and fred is not None:
-                self._barrett(whi, ired, fred, lead + (towers, m, t))
-            else:
-                whi %= q3
-            np.add(lo, whi, out=out_blk[..., :t])
-            np.subtract(lo, whi, out=out_blk[..., t:])
-            bounds = [b + 1 for b in bounds]
-            stage += 1
-            src, dst = dst, (spare if src is original else src)
-            m *= 2
-        src %= self._q
-        return src
+        if self._forward is None:
+            self._forward = self._build_tables(inverse=False)
+        return self._transform(coeffs, self._forward)
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
         """EVAL (bit-reversed) -> COEFF, same shapes as :meth:`forward`."""
-        src, dst, spare, tmp, ired, fred = self._buffers(evals)
-        if dst is None or spare is None or tmp is None:
-            return src
-        original = src
-        towers = len(self.moduli)
-        lead = src.shape[:-2]
-        q3 = self._q3
-        runs = self._runs
-        bounds = [1] * len(runs)
-        stage = 0
-        t, m = 1, self.n
-        while m > 1:
-            h = m // 2
-            for i, (sl, q_run, cap) in enumerate(runs):
-                if bounds[i] > cap:
-                    src[..., sl, :] %= q_run
-                    bounds[i] = 1
-            blk = src.reshape(*lead, towers, h, 2 * t)
-            out_blk = dst.reshape(*lead, towers, h, 2 * t)
-            lo = blk[..., :t]
-            hi = blk[..., t:]
-            # GS butterfly: (lo', hi') = (lo + hi, (lo - hi) * w mod q).
-            # The signed difference stays within +/- bound * q, so its
-            # twiddle product fits int64 and the reduction (either % or
-            # signed Barrett) leaves a congruent value smaller than q.
-            diff = tmp.reshape(*lead, towers, h, t)
-            np.subtract(lo, hi, out=diff)
-            np.add(lo, hi, out=out_blk[..., :t])
-            prod = out_blk[..., t:]
-            np.multiply(diff, self._inv_tw[stage], out=prod)
-            if ired is not None and fred is not None:
-                self._barrett(prod, ired, fred, lead + (towers, h, t))
-            else:
-                prod %= q3
-            bounds = [b * 2 for b in bounds]
-            stage += 1
-            src, dst = dst, (spare if src is original else src)
-            t *= 2
-            m = h
-        for (sl, q_run, cap), bound in zip(runs, bounds):
-            if bound > cap:
-                src[..., sl, :] %= q_run
-        src *= self._n_inv
-        src %= self._q
-        return src
+        if self._inverse is None:
+            self._inverse = self._build_tables(inverse=True)
+        return self._transform(evals, self._inverse)
 
     # -- helpers ------------------------------------------------------------
 
-    def _barrett(
-        self,
-        prod: np.ndarray,
-        ired: np.ndarray,
-        fred: np.ndarray,
-        shape: Tuple[int, ...],
-    ) -> None:
-        """Reduce ``prod`` in place to a signed remainder in ``(-q, q)``.
+    def _build_tables(self, inverse: bool) -> _Tables:
+        """Gather one direction's matrices from the cached power tables.
 
-        ``round(prod / q) * q`` is subtracted exactly in int64; the
-        quotient comes from a float64 multiply-by-inverse whose error is
-        far below 1/2 for 62-bit products and 25+-bit moduli, so the
-        remainder magnitude never exceeds the canonical one and the
-        caller's lazy growth schedule is unchanged.  Values stay
-        congruent mod q — the transform's final ``%`` canonicalizes.
+        ``NTTContext`` stores ``psi**(+-rev(k))`` at index ``k``; undoing
+        the bit reversal gives ``psi**(+-k)`` for ``k < N``, and
+        ``psi**N = -1`` extends it to every exponent mod ``2N``.
         """
-        q3 = self._q3
-        fblk = fred.reshape(shape)
-        iblk = ired.reshape(shape)
-        np.multiply(prod, self._qinv3, out=fblk)
-        np.rint(fblk, out=fblk)
-        np.copyto(iblk, fblk, casting="unsafe")
-        np.multiply(iblk, q3, out=iblk)
-        np.subtract(prod, iblk, out=prod)
-
-    def _build_runs(self) -> List[Tuple[slice, np.ndarray, int]]:
-        """Adjacent towers bucketed by bit width into (slice, q, cap)."""
-        caps = [
-            max(1, 1 << max(0, 62 - 2 * q.bit_length())) for q in self.moduli
+        n, rows, cols = self.n, self._rows, self._cols
+        q = self._q_int[:, :, 0]
+        table = "_psi_inv_rev" if inverse else "_psi_rev"
+        powers = np.stack([getattr(c, table) for c in self._contexts])
+        powers = powers[:, bit_reverse_indices(n)]
+        powers = np.concatenate([powers, q - powers], axis=1)
+        odd = 2 * bit_reverse_indices(rows) + 1
+        row_index = np.arange(rows, dtype=_INT64)
+        col_index = np.arange(cols, dtype=_INT64)
+        left = powers[:, np.outer(odd, cols * row_index) % (2 * n)]
+        twiddle = powers[:, np.outer(odd, col_index) % (2 * n)]
+        right = powers[
+            :,
+            np.outer(col_index, 2 * rows * bit_reverse_indices(cols)) % (2 * n),
         ]
-        runs: List[Tuple[slice, np.ndarray, int]] = []
-        start = 0
-        for i in range(1, len(caps) + 1):
-            if i == len(caps) or caps[i] != caps[start]:
-                runs.append((slice(start, i), self._q[start:i], caps[start]))
-                start = i
-        if len(runs) > 4:
-            # Pathological interleaving: fall back to one global run so
-            # the hot loop never pays per-run bookkeeping.
-            return [(slice(0, len(caps)), self._q, min(caps))]
-        return runs
+        if not inverse:
+            first, second = left, right
+        else:
+            n_inv = np.array(
+                [c._n_inv for c in self._contexts], dtype=_INT64
+            )[:, None, None]
+            first = right.transpose(0, 2, 1)
+            second = left.transpose(0, 2, 1) * n_inv % self._q_int
+        return _Tables(
+            not inverse,
+            *_limbs(first),
+            np.ascontiguousarray(twiddle),
+            *_limbs(second),
+        )
 
-    def _bundle(self, lead: Tuple[int, ...]) -> _Bundle:
-        """(work, scratch, barrett-int, barrett-float) for ``lead + (L, N)``."""
-        bufs = self._bufs.get(lead)
-        if bufs is None:
-            towers = len(self.moduli)
-            block = lead + (towers, max(1, self.n // 2))
-            barrett = math.prod(block) >= _BARRETT_MIN_ELEMS
-            bufs = (
-                np.empty(lead + (towers, self.n), dtype=_INT64),
-                np.empty(block, dtype=_INT64),
-                np.empty(block, dtype=_INT64) if barrett else None,
-                np.empty(block, dtype=np.float64) if barrett else None,
-            )
-            if len(self._bufs) < _MAX_CACHED_BATCH_SHAPES:
-                self._bufs[lead] = bufs
-        return bufs
-
-    def _buffers(
-        self, arr: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray],
-               Optional[np.ndarray], Optional[np.ndarray],
-               Optional[np.ndarray]]:
-        """Validate input and set up the ping-pong buffer pair.
-
-        The input array is only ever *read* (stage 1 writes into a
-        buffer), and the buffer parity is arranged so the final stage
-        lands in a freshly allocated caller-owned array, never in the
-        engine's reusable scratch.  The Barrett pair comes back ``None``
-        when the twiddle-product blocks are too small for the float
-        reduction to win.
-        """
+    def _transform(self, arr: np.ndarray, tables: _Tables) -> np.ndarray:
         arr = np.asarray(arr, dtype=_INT64)
-        expected = (len(self.moduli), self.n)
-        if arr.ndim < 2 or arr.shape[-2:] != expected:
+        towers = len(self.moduli)
+        if arr.ndim < 2 or arr.shape[-2:] != (towers, self.n):
             raise ParameterError(
-                f"batched NTT expects shape (..., {expected[0]}, "
-                f"{expected[1]}), got {arr.shape}"
+                f"batched NTT expects shape (..., {towers}, {self.n}), "
+                f"got {arr.shape}"
             )
-        stages = self.n.bit_length() - 1
-        if stages == 0:
-            return arr.copy(), None, None, None, None, None
-        work, scratch, ired, fred = self._bundle(arr.shape[:-2])
-        result = np.empty(arr.shape, dtype=_INT64)
-        if stages % 2 == 1:
-            return arr, result, work, scratch, ired, fred
-        return arr, work, result, scratch, ired, fred
+        out = np.empty(arr.shape, dtype=_INT64)
+        # Natural layout: splitting the last axis is a view, as is
+        # merging the leading ones (a copy only for exotic strides).
+        src = arr.reshape(-1, towers, self._rows, self._cols)
+        dst = out.reshape(src.shape)
+        for block in stack_chunks(src.shape[0], towers, self.n):
+            self._chunk(src[block], dst[block], block[1], tables)
+        return out
+
+    def _chunk(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        rows: slice,
+        tables: _Tables,
+    ) -> None:
+        """Transform one ``(members, towers, n1, n2)`` block into ``dst``."""
+        floats, ints = scratch(src.size)
+        data, lo, hi = (buf.reshape(src.shape) for buf in floats)
+        prod, quot = (buf.reshape(src.shape) for buf in ints)
+        q_int = self._q_int[rows]
+        left_first = tables.left_first
+        np.copyto(data, src)
+        self._matmul(tables.first_lo[rows], data, lo, left_first)
+        self._matmul(tables.first_hi[rows], data, hi, left_first)
+        self._fold(lo, hi, data, rows)
+        # The one element-wise product: [0, 2q) times a residue fits
+        # int64; the signed Barrett leaves |value| < q for the next GEMM.
+        np.copyto(prod, hi, casting="unsafe")
+        np.multiply(prod, tables.twiddle[rows], out=prod)
+        reduce_signed(prod, q_int, self._q_inv[rows], data, quot)
+        np.copyto(data, prod)
+        self._matmul(tables.second_lo[rows], data, lo, not left_first)
+        self._matmul(tables.second_hi[rows], data, hi, not left_first)
+        self._fold(lo, hi, data, rows)
+        # [0, 2q) -> [0, q): as unsigned, ``x - q`` wraps above ``x``
+        # exactly when ``x < q``, so the minimum picks the canonical one.
+        np.copyto(dst, hi, casting="unsafe")
+        np.subtract(dst, q_int, out=quot)
+        unsigned = dst.view(np.uint64)
+        np.minimum(unsigned, quot.view(np.uint64), out=unsigned)
+
+    @staticmethod
+    def _matmul(
+        matrix: np.ndarray, data: np.ndarray, out: np.ndarray, left: bool
+    ) -> None:
+        if left:
+            np.matmul(matrix, data, out=out)
+        else:
+            np.matmul(data, matrix, out=out)
+
+    def _fold(
+        self, lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray, rows: slice
+    ) -> None:
+        """``hi <- (lo + hi) mod q`` in ``[0, 2q)``, all in exact float64.
+
+        ``hi`` holds ``2**15`` times an integer below ``2**53`` and ``lo``
+        an integer of magnitude at most ``2**52``.  First ``hi`` is
+        reduced modulo ``2**15 * q`` (quotient ``k`` off by at most one,
+        ``k * q <= |hi|/2**15 + q`` still exact), leaving magnitude below
+        ``2**46``; then ``lo + hi`` is an exact integer below ``2**53``
+        and one biased floor-multiply-subtract brings it into
+        ``[0, 2q)`` (see :data:`_FLOOR_BIAS`).
+        """
+        np.multiply(hi, self._q_hi_inv[rows], out=tmp)
+        np.floor(tmp, out=tmp)
+        np.multiply(tmp, self._q_hi[rows], out=tmp)
+        np.subtract(hi, tmp, out=hi)
+        np.add(hi, lo, out=hi)
+        np.multiply(hi, self._q_inv[rows], out=tmp)
+        np.subtract(tmp, _FLOOR_BIAS, out=tmp)
+        np.floor(tmp, out=tmp)
+        np.multiply(tmp, self._q[rows], out=tmp)
+        np.subtract(hi, tmp, out=hi)
 
     def __repr__(self) -> str:
         return f"BatchNTT(n={self.n}, towers={len(self.moduli)})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def get_batch_ntt(n: int, moduli: Tuple[int, ...]) -> BatchNTT:
     """Shared per-``(N, moduli)`` engine, assembled from cached contexts.
 
-    Key switching walks a fixed set of level/digit bases, so the number of
-    distinct stacks is small; each holds two ``(L, N)`` int64 tables plus
-    the work buffers of the shapes it has transformed.
+    Key switching walks a fixed set of level/digit bases, so the number
+    of distinct stacks is small: an ``n7_boot`` bootstrap touches 33, the
+    N=2**12 depth-2 circuit 9.  The bound is twice the larger working
+    set; an evicted engine only costs a vectorised table gather.
     """
     return BatchNTT(n, tuple(int(q) for q in moduli))

@@ -9,10 +9,11 @@ evaluation domain are order-agnostic — exactly how HE libraries use it.
 
 Every stage is a single vectorized numpy expression, so a transform of an
 ``(L, N)`` tower matrix costs ``log2(N)`` numpy passes per tower (see
-:mod:`repro.ntt.batch` for the engine that makes it ``log2(N)`` passes
-*total*).  Twiddle tables persist across processes through
-:mod:`repro.cache`, so only the first interpreter to see an ``(N, q)``
-pair ever builds them.
+:mod:`repro.ntt.batch` for the engine that computes the same transform
+of a whole stack as two matrix products per tower; this network is the
+oracle it is tested against).  Twiddle tables persist across processes
+through :mod:`repro.cache`, so only the first interpreter to see an
+``(N, q)`` pair ever builds them.
 """
 
 from __future__ import annotations

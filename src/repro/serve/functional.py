@@ -27,7 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class FunctionalRequest:
                           separators=(",", ":"))
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionalRequest":
+    def from_dict(cls, data: Dict[str, Any]) -> "FunctionalRequest":
         try:
             return cls(
                 preset=str(data["preset"]),
@@ -135,7 +135,7 @@ class FunctionalResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionalResult":
+    def from_dict(cls, data: Dict[str, Any]) -> "FunctionalResult":
         try:
             return cls(
                 request_digest=str(data["request_digest"]),
@@ -282,7 +282,7 @@ class FunctionalBatch:
         return f"FunctionalBatch({self.name})"
 
 
-def results_from_dict(payload: Dict[str, object]) -> List[FunctionalResult]:
+def results_from_dict(payload: Dict[str, Any]) -> List[FunctionalResult]:
     """Decode a :meth:`FunctionalBatch.run_to_dict` payload."""
     try:
         rows = payload["results"]

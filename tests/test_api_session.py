@@ -10,7 +10,7 @@ and bit-for-bit equivalence between operator sugar and explicit
 import numpy as np
 import pytest
 
-from repro.api import CipherVector, FHESession, get_preset, list_presets
+from repro.api import PRESETS, CipherVector, FHESession, get_preset, list_presets
 from repro.ckks.context import CKKSParams
 from repro.errors import ParameterError
 
@@ -42,6 +42,15 @@ class TestPresets:
         for name in list_presets():
             # every preset is a valid CKKSParams with a usable ring
             assert get_preset(name).n >= 128
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_runs(self, name):
+        """A shipped preset must be creatable and compute: prime
+        generation, key generation, one multiply + rescale, decryption."""
+        s = FHESession.create(name, seed=1)
+        x = np.linspace(-0.5, 0.5, s.num_slots)
+        product = s.encrypt(x) * s.encrypt(x)
+        assert max_err(product, x * x) < 5e-3
 
     def test_override(self):
         assert get_preset("tiny_ci", num_levels=4).num_levels == 4

@@ -530,15 +530,50 @@ class TestBatchCacheSharing:
             "must depend only on (n, q), never on B"
         )
 
-    def test_batch_buffer_cache_bounded(self, context, rng):
-        from repro.ntt.batch import _MAX_CACHED_BATCH_SHAPES, BatchNTT
+    def test_scratch_arena_bounded(self, context, rng, monkeypatch):
+        """Every engine works through one scratch arena of chunk-sized
+        rows: its footprint is fixed by the chunk size, not by how many
+        engines exist or how many leading shapes they have seen."""
+        from repro.ntt import modmath
+        from repro.ntt.batch import BatchNTT
 
+        monkeypatch.setattr(modmath, "_ARENA", modmath._Arena())
         n = context.params.n
-        moduli = context.q_basis.moduli[:2]
-        engine = BatchNTT(n, moduli)
-        for bsz in range(1, 2 * _MAX_CACHED_BATCH_SHAPES + 2):
-            data = rng.integers(
-                0, 2**20, size=(bsz, len(moduli), n), dtype=np.int64
-            )
-            engine.forward(data)
-        assert len(engine._bufs) <= _MAX_CACHED_BATCH_SHAPES
+        chain = context.q_basis.moduli
+        cap = 5 * 8 * modmath.CHUNK_ELEMS  # three float64 + two int64 rows
+
+        def run(engine_count, shapes):
+            for towers in range(1, engine_count + 1):
+                engine = BatchNTT(n, chain[:towers])
+                for lead in shapes:
+                    data = rng.integers(
+                        0, 2**20, size=lead + (towers, n), dtype=np.int64
+                    )
+                    assert np.array_equal(
+                        engine.inverse(engine.forward(data)), data
+                    )
+            return modmath._ARENA.nbytes
+
+        # 256 members of one N=256 tower already exceed one chunk.
+        few = run(2, [(), (256,)])
+        many = run(len(chain), [(b,) for b in range(1, 24)] + [(256,), (2, 160)])
+        assert 0 < few == many <= cap
+
+    def test_second_bootstrap_builds_no_engine(self):
+        """The engine cache is bounded, but a bootstrap's working set
+        fits: repeating one constructs no engine and no power table."""
+        from repro.api import FHESession
+        from repro.ntt.batch import get_batch_ntt
+
+        session = FHESession.create("n7_boot", seed=3)
+        ct = session.encrypt(
+            np.linspace(-0.2, 0.2, session.num_slots), level=0
+        )
+        ct.bootstrap()
+        engines = get_batch_ntt.cache_info()
+        tables = transform.POWER_TABLE_BUILDS
+        ct.bootstrap()
+        after = get_batch_ntt.cache_info()
+        assert after.misses == engines.misses
+        assert after.currsize <= after.maxsize
+        assert transform.POWER_TABLE_BUILDS == tables

@@ -28,8 +28,14 @@ from hypothesis import strategies as st
 from repro import cache
 from repro.errors import ParameterError
 from repro.ntt import transform
-from repro.ntt.batch import BatchNTT, get_batch_ntt
-from repro.ntt.modmath import add_mod, mul_mod, neg_mod, sub_mod
+from repro.ntt.batch import _MAX_ROWS as MAX_ROWS, BatchNTT, get_batch_ntt
+from repro.ntt.modmath import (
+    MAX_MODULUS_BITS,
+    add_mod,
+    mul_mod,
+    neg_mod,
+    sub_mod,
+)
 from repro.ntt.primes import generate_primes
 from repro.ntt.transform import NTTContext
 from repro.rns.basis import RNSBasis
@@ -43,9 +49,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # -- strategies ----------------------------------------------------------------
 
 ntt_worlds = st.tuples(
-    st.sampled_from([8, 32, 128, 512]),          # N
-    st.integers(min_value=1, max_value=8),       # L
-    st.sampled_from([20, 24, 26, 29]),           # modulus bits
+    # N: 1, 2, 4 are the degenerate factorisations; odd log2(N) makes the
+    # row and column transforms differ in size (n1 = 2 * n2).
+    st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]),
+    # One modulus width per row, so one engine mixes 26/28/29/30-bit rows.
+    st.lists(st.sampled_from([20, 24, 26, 28, 29, 30]), min_size=1, max_size=8),
+    # Which rows repeat an earlier row's modulus (as mod_up_all's stacked
+    # complement basis does); row i takes the prime of row picks[i] % (i+1).
+    st.lists(st.integers(min_value=0, max_value=7), min_size=8, max_size=8),
+    st.lists(st.integers(min_value=1, max_value=3), max_size=2),  # lead axes
+    st.sampled_from(["contiguous", "strided", "readonly"]),
     st.integers(min_value=0, max_value=2**31),   # data seed
 )
 
@@ -55,35 +68,62 @@ def _primes_for(n: int, count: int, bits: int):
     return generate_primes(count, n, min(usable_bits, 30))
 
 
+def _draw_stack(world):
+    """``(n, moduli, array)`` of a drawn world: an ``(..., L, N)`` int64
+    stack of canonical residues in the drawn memory layout."""
+    n, widths, picks, lead, layout, seed = world
+    pools = {
+        bits: iter(_primes_for(n, widths.count(bits), bits))
+        for bits in set(widths)
+    }
+    moduli = []
+    for i, bits in enumerate(widths):
+        fresh = next(pools[bits])
+        source = picks[i] % (i + 1)
+        moduli.append(fresh if source == i else moduli[source])
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (n,)
+    arr = np.stack(
+        [rng.integers(0, q, shape, dtype=np.int64) for q in moduli], axis=-2
+    )
+    if layout == "strided":
+        # Every other element of a buffer twice as long: no axis is
+        # contiguous, so the engine's reshape cannot be a plain view.
+        wide = np.zeros(arr.shape[:-1] + (2 * n,), dtype=np.int64)
+        wide[..., ::2] = arr
+        arr = wide[..., ::2]
+    elif layout == "readonly":
+        arr.flags.writeable = False
+    return n, tuple(moduli), arr
+
+
+def _scalar_rows(arr, n, moduli, direction):
+    """The per-tower oracle: ``NTTContext`` looped over rows and members."""
+    out = np.empty(arr.shape, dtype=np.int64)
+    for i, q in enumerate(moduli):
+        transform_row = getattr(transform.get_ntt_context(n, q), direction)
+        rows = np.ascontiguousarray(arr[..., i, :]).reshape(-1, n)
+        out[..., i, :] = transform_row(rows).reshape(arr.shape[:-2] + (n,))
+    return out
+
+
 # -- batched NTT vs per-tower scalar loop --------------------------------------
 
 
 class TestBatchedNTT:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(ntt_worlds)
     def test_forward_matches_scalar_rows(self, world):
-        n, towers, bits, seed = world
-        moduli = _primes_for(n, towers, bits)
-        rng = np.random.default_rng(seed)
-        mat = np.stack([rng.integers(0, q, n, dtype=np.int64) for q in moduli])
-        batched = get_batch_ntt(n, tuple(moduli)).forward(mat)
-        scalar = np.stack(
-            [NTTContext(n, q).forward(mat[i]) for i, q in enumerate(moduli)]
-        )
-        assert np.array_equal(batched, scalar)
+        n, moduli, arr = _draw_stack(world)
+        batched = get_batch_ntt(n, moduli).forward(arr)
+        assert np.array_equal(batched, _scalar_rows(arr, n, moduli, "forward"))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(ntt_worlds)
     def test_inverse_matches_scalar_rows(self, world):
-        n, towers, bits, seed = world
-        moduli = _primes_for(n, towers, bits)
-        rng = np.random.default_rng(seed)
-        mat = np.stack([rng.integers(0, q, n, dtype=np.int64) for q in moduli])
-        batched = get_batch_ntt(n, tuple(moduli)).inverse(mat)
-        scalar = np.stack(
-            [NTTContext(n, q).inverse(mat[i]) for i, q in enumerate(moduli)]
-        )
-        assert np.array_equal(batched, scalar)
+        n, moduli, arr = _draw_stack(world)
+        batched = get_batch_ntt(n, moduli).inverse(arr)
+        assert np.array_equal(batched, _scalar_rows(arr, n, moduli, "inverse"))
 
     def test_roundtrip_and_input_preserved(self):
         n = 128
@@ -129,27 +169,80 @@ class TestBatchedNTT:
         with pytest.raises(ParameterError):
             eng.forward(np.zeros((2, n + 1), dtype=np.int64))
 
-    @pytest.mark.parametrize("n, towers, barrett", [
-        (512, 4, False),    # 4 * 256 elements per block: stays on ``%``
-        (2048, 8, True),    # 8 * 1024 = _BARRETT_MIN_ELEMS: float Barrett
-    ])
-    def test_reduction_chosen_by_block_size_not_rank(self, n, towers, barrett):
-        """An (L, N) matrix and the (1, L, N) stack of it reduce the same
-        way — and, either way, match the scalar rows."""
-        moduli = tuple(_primes_for(n, towers, 28))
+    def test_worst_case_inputs_exact_at_largest_ring(self):
+        """The float64 products are exact only while every limb partial
+        sum stays below 2**53.  Drive them to the bound: the widest
+        moduli, the largest supported row count (n1 = n2 = 256), and
+        inputs that make every term of a sum as large as it can be."""
+        n = MAX_ROWS * MAX_ROWS
+        moduli = tuple(generate_primes(2, n, MAX_MODULUS_BITS))
         eng = BatchNTT(n, moduli)
-        rng = np.random.default_rng(6)
-        mat = np.stack([rng.integers(0, q, n, dtype=np.int64) for q in moduli])
-        fwd, inv = eng.forward(mat), eng.inverse(mat)
-        assert np.array_equal(eng.forward(mat[None])[0], fwd)
-        assert np.array_equal(eng.inverse(mat[None])[0], inv)
-        for lead in ((), (1,)):
-            _work, _scratch, ired, fred = eng._bufs[lead]
-            assert (ired is not None) == (fred is not None) == barrett
-        for i, q in enumerate(moduli):
-            ctx = NTTContext(n, q)
-            assert np.array_equal(fwd[i], ctx.forward(mat[i]))
-            assert np.array_equal(inv[i], ctx.inverse(mat[i]))
+        top = np.array(moduli, dtype=np.int64)[:, None] - 1
+        comb = np.arange(n, dtype=np.int64) % 2
+        rng = np.random.default_rng(7)
+        stack = np.stack([
+            np.broadcast_to(top, (2, n)),          # all q-1
+            top * comb,                            # 0, q-1, 0, q-1, ...
+            top * (1 - comb),                      # q-1, 0, q-1, 0, ...
+            top - rng.integers(0, 1000, (2, n)),   # just below q, at random
+        ])
+        for direction in ("forward", "inverse"):
+            got = getattr(eng, direction)(stack)
+            assert np.array_equal(
+                got, _scalar_rows(stack, n, moduli, direction)
+            ), direction
+
+    def test_ring_beyond_exactness_bound_rejected(self):
+        """N = 2**17 would need 512-term limb sums (up to 2**54)."""
+        n = 2 * MAX_ROWS * MAX_ROWS
+        with pytest.raises(ParameterError, match=r"2\*\*53"):
+            BatchNTT(n, (generate_primes(1, n, MAX_MODULUS_BITS)[0],))
+
+
+# -- chunked float-reduced multiply-accumulate vs int64 ``%`` --------------------
+
+
+class TestMulSumMod:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([64, 1024, 4096]),
+        st.lists(st.sampled_from([20, 26, 29, 30]), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=1, max_value=9), max_size=2),
+        st.integers(min_value=1, max_value=5),       # terms in the sum
+        st.booleans(),                               # (L, N) tables or (L, 1) columns
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_modulo_oracle(self, n, widths, lead, terms, tables, seed):
+        from repro.ntt.modmath import mul_sum_mod
+
+        moduli = [
+            q for bits in sorted(set(widths))
+            for q in _primes_for(n, widths.count(bits), bits)
+        ]
+        q = np.array(moduli, dtype=np.int64)[:, None]
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (len(moduli), n)
+        # Residues drawn from the top of the range: products near q**2.
+        xs = [q - 1 - rng.integers(0, 3, shape) for _ in range(terms)]
+        ys = [
+            q - 1 - rng.integers(0, 3, (len(moduli), n if tables else 1))
+            for _ in range(terms)
+        ]
+        xs[0] = xs[0][..., ::-1].copy()[..., ::-1]   # one strided operand
+        want = sum(x * y % q for x, y in zip(xs, ys)) % q
+        assert np.array_equal(mul_sum_mod(xs, ys, q), want)
+
+    def test_signed_reduction_stays_below_q(self):
+        from repro.ntt.modmath import reduce_signed
+
+        q = np.array(generate_primes(3, 64, MAX_MODULUS_BITS), dtype=np.int64)[:, None]
+        rng = np.random.default_rng(8)
+        prod = rng.integers(-(q - 1) ** 2, (q - 1) ** 2, (3, 4096))
+        want = prod % q
+        reduce_signed(prod, q, 1.0 / q, np.empty(prod.shape),
+                      np.empty(prod.shape, dtype=np.int64))
+        assert np.all(np.abs(prod) < q)
+        assert np.array_equal(prod % q, want)
 
 
 # -- blocked BConv vs running-reduction loop -----------------------------------
