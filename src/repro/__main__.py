@@ -152,7 +152,7 @@ def cmd_serve(args) -> int:
             extras.append(f"http={config.host}:{server.http_port}")
         print(f"serving on {config.host}:{server.port} "
               f"({', '.join(extras)}); SIGHUP recycles workers, "
-              f"Ctrl-C drains and stops")
+              f"Ctrl-C drains and stops", flush=True)
         await server.wait_closed()
         return 0
 

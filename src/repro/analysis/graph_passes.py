@@ -27,12 +27,30 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.diagnostics import Diagnostic, error, info
 from repro.analysis.registry import AnalysisContext, analysis_pass
-from repro.core.taskgraph import Kind, Queue, Task, TaskGraph
+from repro.core.taskgraph import Kind, TaskGraph
 
 
-def _task_loc(task: Task) -> str:
-    label = f" {task.label!r}" if task.label else ""
-    return f"task[{task.index}]{label}"
+def _task_loc(graph: TaskGraph, index: int) -> str:
+    label = graph.labels[index]
+    return f"task[{index}] {label!r}" if label else f"task[{index}]"
+
+
+def _ragged_columns(graph: TaskGraph) -> Dict[str, int]:
+    """Columns whose length is not the task count (name -> length).
+
+    A task's index is its list position in every column, so a hand-grown
+    column breaks the index <-> position identity; ``graph.structure``
+    reports it and the other passes, which index across columns, stand
+    down.
+    """
+    columns = {
+        "is_memory": graph.is_memory, "bytes_moved": graph.bytes_moved,
+        "mod_muls": graph.mod_muls, "mod_adds": graph.mod_adds,
+        "deps": graph.deps, "labels": graph.labels,
+        "traffic_tags": graph.traffic_tags,
+    }
+    return {name: len(column) for name, column in columns.items()
+            if len(column) != len(graph)}
 
 
 @analysis_pass("graph.structure", "graph",
@@ -40,33 +58,38 @@ def _task_loc(task: Task) -> str:
 def check_structure(graph: TaskGraph,
                     ctx: AnalysisContext) -> Iterator[Diagnostic]:
     pid = "graph.structure"
-    for position, task in enumerate(graph.tasks):
-        if task.index != position:
-            yield error(pid, _task_loc(task),
-                        f"task.index {task.index} != list position "
-                        f"{position}",
-                        hint="rebuild the graph through TaskGraph.add()")
-        for dep in task.deps:
-            if not 0 <= dep < len(graph.tasks):
-                yield error(pid, _task_loc(task),
+    n = len(graph)
+    ragged = _ragged_columns(graph)
+    if ragged:
+        yield error(pid, f"graph ({n} tasks)",
+                    f"columns disagree on the list position count: "
+                    f"{n} kinds but {ragged}",
+                    hint="rebuild the graph through TaskGraph.add()")
+        return
+    for position, (memory, nbytes, muls, adds, deps) in enumerate(zip(
+            graph.is_memory, graph.bytes_moved, graph.mod_muls,
+            graph.mod_adds, graph.deps)):
+        for dep in deps:
+            if not 0 <= dep < n:
+                yield error(pid, _task_loc(graph, position),
                             f"dependency {dep} does not name a task")
             elif dep >= position:
                 yield error(
-                    pid, _task_loc(task),
+                    pid, _task_loc(graph, position),
                     f"dependency {dep} does not precede the task — the "
                     f"two queues would deadlock waiting on each other",
                     hint="dependencies must point strictly backward in "
                          "emission order",
                 )
-        if task.queue is Queue.MEMORY and task.bytes_moved <= 0:
-            yield error(pid, _task_loc(task),
+        if memory and nbytes <= 0:
+            yield error(pid, _task_loc(graph, position),
                         "memory task moves no bytes")
-        if task.queue is Queue.COMPUTE and task.mod_ops <= 0:
-            yield error(pid, _task_loc(task),
+        if not memory and muls + adds <= 0:
+            yield error(pid, _task_loc(graph, position),
                         "compute task performs no modular work")
 
 
-def written_buffer(task: Task) -> Optional[str]:
+def written_buffer(kind: Kind, label: str) -> Optional[str]:
     """The on-chip buffer a task writes, per the label conventions.
 
     Loads write the buffer they fetch (``"load X"``); compute tasks
@@ -74,14 +97,14 @@ def written_buffer(task: Task) -> Optional[str]:
     ``"ModUp.P3 ntt d0->t7"``.  Stores and spills *read* on-chip state,
     and unlabeled tasks are unknown — both return ``None``.
     """
-    label = task.label.strip()
+    label = label.strip()
     if not label:
         return None
-    if task.kind is Kind.LOAD:
+    if kind is Kind.LOAD:
         if label.startswith("load "):
             return label[len("load "):].strip() or None
         return None
-    if task.kind is Kind.STORE:
+    if kind is Kind.STORE:
         return None
     if "->" in label:
         target = label.rsplit("->", 1)[1].strip()
@@ -97,17 +120,17 @@ def _reachability(graph: TaskGraph) -> List[int]:
     task's same-queue predecessor is an implicit dependency).
     """
     reach: List[int] = []
-    prev_in_queue: Dict[Queue, int] = {}
-    for task in graph.tasks:
-        bits = 1 << task.index
-        pred = prev_in_queue.get(task.queue)
+    prev_in_queue: Dict[bool, int] = {}
+    for index, (memory, deps) in enumerate(zip(graph.is_memory, graph.deps)):
+        bits = 1 << index
+        pred = prev_in_queue.get(memory)
         if pred is not None:
             bits |= reach[pred]
-        for dep in task.deps:
-            if 0 <= dep < task.index:
+        for dep in deps:
+            if 0 <= dep < index:
                 bits |= reach[dep]
         reach.append(bits)
-        prev_in_queue[task.queue] = task.index
+        prev_in_queue[memory] = index
     return reach
 
 
@@ -121,27 +144,29 @@ RACE_CHECK_TASK_LIMIT = 50_000
 def check_buffer_races(graph: TaskGraph,
                        ctx: AnalysisContext) -> Iterator[Diagnostic]:
     pid = "graph.buffer-race"
-    writers: Dict[str, List[Task]] = {}
-    for task in graph.tasks:
-        buffer = written_buffer(task)
+    if _ragged_columns(graph):
+        return
+    writers: Dict[str, List[int]] = {}
+    for index, (kind, label) in enumerate(zip(graph.kinds, graph.labels)):
+        buffer = written_buffer(kind, label)
         if buffer is not None:
-            writers.setdefault(buffer, []).append(task)
+            writers.setdefault(buffer, []).append(index)
     if not any(len(tasks) > 1 for tasks in writers.values()):
         return
-    if len(graph.tasks) > RACE_CHECK_TASK_LIMIT:
-        yield info(pid, f"graph ({len(graph.tasks)} tasks)",
+    if len(graph) > RACE_CHECK_TASK_LIMIT:
+        yield info(pid, f"graph ({len(graph)} tasks)",
                    f"race check skipped above {RACE_CHECK_TASK_LIMIT} "
                    f"tasks")
         return
     reach = _reachability(graph)
     for buffer, tasks in sorted(writers.items()):
         for first, second in zip(tasks, tasks[1:]):
-            if not reach[second.index] >> first.index & 1:
+            if not reach[second] >> first & 1:
                 yield error(
-                    pid, _task_loc(second),
+                    pid, _task_loc(graph, second),
                     f"writes buffer {buffer!r} concurrently with "
-                    f"{_task_loc(first)}: neither orders the other, so "
-                    f"the surviving value depends on dispatch timing",
+                    f"{_task_loc(graph, first)}: neither orders the other, "
+                    f"so the surviving value depends on dispatch timing",
                     hint="add a dependency between the writers",
                 )
 
@@ -151,38 +176,38 @@ def check_buffer_races(graph: TaskGraph,
 def check_resources(graph: TaskGraph,
                     ctx: AnalysisContext) -> Iterator[Diagnostic]:
     pid = "graph.resources"
+    if _ragged_columns(graph):
+        return
     budget = ctx.data_sram_bytes
+    nbytes = graph.bytes_moved
     load_bytes: Dict[int, int] = {}
-    for task in graph.tasks:
-        if task.queue is Queue.MEMORY:
-            if task.kind is Kind.LOAD:
-                load_bytes[task.index] = task.bytes_moved
-            if task.bytes_moved > budget:
-                yield error(
-                    pid, _task_loc(task),
-                    f"single transfer of {task.bytes_moved} bytes "
-                    f"exceeds the {budget}-byte data SRAM",
-                    hint="tile the transfer or raise "
-                         "AnalysisContext.data_sram_bytes",
-                )
+    for index in graph.memory_order:
+        if graph.kinds[index] is Kind.LOAD:
+            load_bytes[index] = nbytes[index]
+        if nbytes[index] > budget:
+            yield error(
+                pid, _task_loc(graph, index),
+                f"single transfer of {nbytes[index]} bytes "
+                f"exceeds the {budget}-byte data SRAM",
+                hint="tile the transfer or raise "
+                     "AnalysisContext.data_sram_bytes",
+            )
     peak = 0
-    peak_task: Optional[Task] = None
-    for task in graph.tasks:
-        if task.queue is not Queue.COMPUTE:
-            continue
-        operand_bytes = sum(load_bytes.get(d, 0) for d in task.deps)
+    peak_task: Optional[int] = None
+    for index in graph.compute_order:
+        operand_bytes = sum(load_bytes.get(d, 0) for d in graph.deps[index])
         if operand_bytes > peak:
-            peak, peak_task = operand_bytes, task
+            peak, peak_task = operand_bytes, index
         if operand_bytes > budget:
             yield error(
-                pid, _task_loc(task),
+                pid, _task_loc(graph, index),
                 f"direct load operands total {operand_bytes} bytes, "
                 f"over the {budget}-byte data SRAM — they can never be "
                 f"resident together",
             )
     if peak_task is not None:
         yield info(
-            pid, _task_loc(peak_task),
+            pid, _task_loc(graph, peak_task),
             f"peak per-task operand footprint {peak} bytes "
             f"({peak / budget:.1%} of the data SRAM)",
         )

@@ -43,8 +43,8 @@ def check_ops_invariant(art: "ScheduleArtifact",
     compressed = art.config.key_compression and not art.config.evk_on_chip
     regen_muls = (spec.dnum * spec.extended_towers * spec.n
                   if compressed else 0)
-    muls = sum(t.mod_muls for t in art.graph.tasks)
-    adds = sum(t.mod_adds for t in art.graph.tasks)
+    muls = art.graph.total_mod_muls()
+    adds = art.graph.total_mod_adds()
     if (muls, adds) != (expected.muls + regen_muls, expected.adds):
         yield error(
             "sched.ops-invariant", f"schedule {spec.name}",

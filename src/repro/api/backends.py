@@ -160,7 +160,17 @@ class RunReport:
         return [p.as_row() for p in self.phases]
 
 
-@lru_cache(maxsize=None)
+#: Size of each model memo below.  Measured working set: the largest single
+#: plan (``RESNET_BOOT`` with ``schedule="SOLVER"`` on ``auto``, streamed
+#: evks) touches 39 schedules, 39 simulations, 46 point-wise graphs and 15
+#: mix reports (13 analyses on ``analytic``); four times the largest of
+#: those, so a sweep's MP/DC/OC/SOLVER quartet or a few tenants' plans in
+#: turn never evict each other, while a long-lived server stops pinning
+#: every graph it ever built.  An evicted entry costs one rebuild.
+_MODEL_CACHE_ENTRIES = 4 * 46
+
+
+@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
 def _cached_schedule(spec: BenchmarkSpec, schedule: str, sram_mb: int,
                      evk_on_chip: bool,
                      key_compression: bool) -> Tuple[TaskGraph, ScheduleStats]:
@@ -181,7 +191,7 @@ def _cached_schedule(spec: BenchmarkSpec, schedule: str, sram_mb: int,
     return get_dataflow(schedule).build_with_stats(spec, config)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
 def _cached_analysis(spec: BenchmarkSpec, schedule: str, sram_mb: int,
                      evk_on_chip: bool,
                      key_compression: bool) -> DataflowReport:
@@ -220,7 +230,7 @@ def _machine_of(options: EstimateOptions) -> "RPUConfig":
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
 def _cached_rpu_sim(spec: BenchmarkSpec, schedule: str,
                     options: EstimateOptions) -> "SimResult":
     """One simulation per (spec, schedule, options) — shared between the
@@ -255,7 +265,7 @@ _POINTWISE_KINDS = (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
 def _pointwise_graph(spec: BenchmarkSpec, kind: str) -> TaskGraph:
     """Task graph of one non-HKS homomorphic op (shared by both backends)."""
     from repro.workloads import build_pointwise_graph
@@ -388,7 +398,7 @@ class PlanBackendBase:
                                   schedule=schedule, options=options))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
 def _cached_rpu_mix_report(backend: "RPUBackend", spec: BenchmarkSpec,
                            mix: HEOpMix, schedule: str,
                            options: EstimateOptions) -> RunReport:

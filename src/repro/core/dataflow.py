@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.stages import OpCount
 from repro.core.taskgraph import DATA_TAG, Kind, TaskGraph
@@ -48,12 +48,19 @@ class DataflowConfig:
     key_compression: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _Value:
-    """Residency bookkeeping for one named on-chip/DRAM buffer."""
+    """Residency bookkeeping for one named on-chip/DRAM buffer.
+
+    ``seq`` numbers the definitions in order (a value redefined after a
+    free gets a new one); it breaks eviction ties the way definition order
+    always has.  ``eq=False`` keeps values identity-hashed, so the builder
+    can hold the resident ones in a set.
+    """
 
     name: str
     nbytes: int
+    seq: int
     priority: int = 0
     on_chip: bool = False
     dirty: bool = False
@@ -85,8 +92,11 @@ class ScheduleBuilder:
         self.budget = budget_bytes
         self.used = 0
         self.values: Dict[str, _Value] = {}
+        #: The values with ``on_chip`` set — the only eviction candidates.
+        self._resident: Set[_Value] = set()
         self.stats = ScheduleStats()
         self._clock = 0
+        self._defined = 0
 
     # -- value lifecycle ----------------------------------------------------------
 
@@ -94,9 +104,9 @@ class ScheduleBuilder:
         """Declare a value that initially resides only in DRAM (inputs, evks)."""
         if name in self.values:
             raise MemoryModelError(f"value {name!r} already defined")
-        self.values[name] = _Value(
-            name=name, nbytes=nbytes, in_dram=True, traffic_tag=traffic_tag
-        )
+        v = self._define(name, nbytes)
+        v.in_dram = True
+        v.traffic_tag = traffic_tag
 
     def free(self, name: str) -> None:
         """Mark a value dead; its SRAM is released without a writeback."""
@@ -104,8 +114,7 @@ class ScheduleBuilder:
         if v.locked:
             raise MemoryModelError(f"cannot free locked value {name!r}")
         if v.on_chip:
-            self.used -= v.nbytes
-            v.on_chip = False
+            self._release(v)
         v.freed = True
 
     def set_priority(self, name: str, priority: int) -> None:
@@ -119,14 +128,16 @@ class ScheduleBuilder:
 
     def touch(self, name: str) -> List[int]:
         """Ensure a value is on-chip; returns dependency task indices."""
-        v = self._get(name)
+        return self._touch(self._get(name))
+
+    def _touch(self, v: _Value) -> List[int]:
         self._clock += 1
         v.last_use = self._clock
         if v.on_chip:
             return [v.producer] if v.producer >= 0 else []
         if not v.in_dram:
             raise MemoryModelError(
-                f"value {name!r} is neither on-chip nor in DRAM (lost)"
+                f"value {v.name!r} is neither on-chip nor in DRAM (lost)"
             )
         deps = self._make_room(v.nbytes)
         if v.store_task >= 0:
@@ -136,14 +147,12 @@ class ScheduleBuilder:
             Kind.LOAD,
             bytes_moved=v.nbytes,
             deps=deps,
-            label=f"load {name}",
+            label=f"load {v.name}",
             traffic_tag=v.traffic_tag,
         )
-        v.on_chip = True
+        self._admit(v)
         v.dirty = False
         v.producer = load
-        self.used += v.nbytes
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self.used)
         return [load]
 
     def compute(
@@ -166,23 +175,19 @@ class ScheduleBuilder:
         locked: List[_Value] = []
         try:
             for name in inputs:
-                deps.extend(self.touch(name))
                 v = self._get(name)
+                deps.extend(self._touch(v))
                 v.locked = True
                 locked.append(v)
             out_values: List[_Value] = []
             for name, nbytes in outputs:
                 v = self.values.get(name)
                 if v is None or v.freed:
-                    if v is not None:
-                        del self.values[name]
-                    v = _Value(name=name, nbytes=nbytes, priority=output_priority)
-                    self.values[name] = v
+                    v = self._define(name, nbytes)
+                    v.priority = output_priority
                 if not v.on_chip:
                     deps.extend(self._make_room(v.nbytes))
-                    v.on_chip = True
-                    self.used += v.nbytes
-                    self.stats.peak_bytes = max(self.stats.peak_bytes, self.used)
+                    self._admit(v)
                 elif v.producer >= 0:
                     deps.append(v.producer)  # read-modify-write ordering
                 v.locked = True
@@ -255,19 +260,41 @@ class ScheduleBuilder:
                 victim.store_task = store
                 self.stats.spill_stores += 1
                 deps.append(store)
-            victim.on_chip = False
-            self.used -= victim.nbytes
+            self._release(victim)
         return deps
 
     def _pick_victim(self) -> Optional[_Value]:
-        candidates = [
-            v
-            for v in self.values.values()
-            if v.on_chip and not v.locked and not v.freed
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda v: (v.priority, v.last_use))
+        """The unlocked resident value with the lowest priority, least
+        recently used, earliest defined."""
+        victim: Optional[_Value] = None
+        best = (0, 0, 0)
+        for v in self._resident:
+            if v.locked:
+                continue
+            key = (v.priority, v.last_use, v.seq)
+            if victim is None or key < best:
+                victim, best = v, key
+        return victim
+
+    # -- residency ----------------------------------------------------------------
+
+    def _define(self, name: str, nbytes: int) -> _Value:
+        """(Re)define ``name``; a freed value of that name is replaced."""
+        self._defined += 1
+        v = self.values[name] = _Value(name, nbytes, self._defined)
+        return v
+
+    def _admit(self, v: _Value) -> None:
+        v.on_chip = True
+        self._resident.add(v)
+        self.used += v.nbytes
+        if self.used > self.stats.peak_bytes:
+            self.stats.peak_bytes = self.used
+
+    def _release(self, v: _Value) -> None:
+        v.on_chip = False
+        self._resident.discard(v)
+        self.used -= v.nbytes
 
     def _get(self, name: str) -> _Value:
         v = self.values.get(name)

@@ -66,11 +66,20 @@ class HKSEmitter:
         #: BConv chunk-length override (0 = derive from the budget); the
         #: schedule solver sets this to explore accumulation granularity.
         self.bconv_chunk = 0
-        #: extended index -> owning digit (or -1 for P towers).
+        #: extended index -> owning digit (or -1 for P towers), and each
+        #: digit's global tower indices; the spec re-derives (and
+        #: re-validates) its partition on every ``digit_sizes`` access, so
+        #: the geometry is laid out once here.
         self.digit_of: List[int] = []
+        self._digit_towers: List[range] = []
         for d, size in enumerate(spec.digit_sizes):
+            start = len(self.digit_of)
+            self._digit_towers.append(range(start, start + size))
             self.digit_of.extend([d] * size)
         self.digit_of.extend([-1] * spec.kp)
+        self._q_region = range(spec.kl)
+        self._p_region = range(spec.kl, spec.extended_towers)
+        self._all_ext = range(spec.extended_towers)
         #: per extended tower: has the accumulator been started yet?
         self.acc_started: Dict[int, bool] = {}
         for t in range(spec.kl):
@@ -98,17 +107,16 @@ class HKSEmitter:
 
     def digit_towers(self, d: int) -> List[int]:
         """Global tower indices of digit ``d``."""
-        start = sum(self.spec.digit_sizes[:d])
-        return list(range(start, start + self.spec.digit_sizes[d]))
+        return list(self._digit_towers[d])
 
     def q_region(self) -> range:
-        return range(self.spec.kl)
+        return self._q_region
 
     def p_region(self) -> range:
-        return range(self.spec.kl, self.spec.extended_towers)
+        return self._p_region
 
     def all_ext(self) -> range:
-        return range(self.spec.extended_towers)
+        return self._all_ext
 
     # -- ModUp kernels --------------------------------------------------------------
 
@@ -121,10 +129,10 @@ class HKSEmitter:
         avail = self.b.budget // self.tb - margin_towers
         pinned = 0
         used = 0
-        for size in self.spec.digit_sizes:
-            if used + size > avail:
+        for towers in self._digit_towers:
+            if used + len(towers) > avail:
                 break
-            used += size
+            used += len(towers)
             pinned += 1
         return pinned
 

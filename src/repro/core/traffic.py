@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List
 
-from repro.core.taskgraph import Queue, TaskGraph
+from repro.core.taskgraph import TaskGraph
 
 #: buffer-name prefix -> reported class.
 _CLASSES = (
@@ -43,10 +43,10 @@ def classify_buffer(name: str) -> str:
 def traffic_by_class(graph: TaskGraph) -> Dict[str, int]:
     """Bytes moved per buffer class (loads + stores combined)."""
     totals: Dict[str, int] = {}
-    for task in graph.queue_tasks(Queue.MEMORY):
-        match = _NAME_RE.match(task.label)
+    for index in graph.memory_order:
+        match = _NAME_RE.match(graph.labels[index])
         cls = classify_buffer(match.group(1)) if match else "other"
-        totals[cls] = totals.get(cls, 0) + task.bytes_moved
+        totals[cls] = totals.get(cls, 0) + graph.bytes_moved[index]
     return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
 
 

@@ -13,15 +13,44 @@ The cost model:
 * memory task: ``latency + bytes / bandwidth``;
 * compute task: ``modops / (HPLEs * f * scale * efficiency)``, floored by
   the frontend issue rate (one vector instruction per cycle).
+
+The replay reads the graph's columns (see :mod:`repro.core.taskgraph`):
+one pass prices every task, a second walks the two dispatch orders
+``memory_order`` / ``compute_order`` with one cursor each.
+
+Why replay order cannot change a finish time
+--------------------------------------------
+A task starts at ``max(finish of its queue predecessor, finish of each
+dependency)`` and ends one duration later.  That is a pure function of the
+DAG and the durations: which queue the loop happens to advance first only
+decides *when the loop learns* a finish time, never its value.  The replay
+is therefore confluent — any order that dispatches a head once its
+dependencies are known reaches the same ``finish`` column, and gets stuck
+(a head waiting on a task behind it in its own queue, or on a task of the
+other queue that is itself stuck) on exactly the same graphs with the same
+two heads.  ``TaskGraph.add`` only accepts backward dependencies, so built
+graphs never deadlock; the check guards hand-made and deserialized ones.
+
+The prefix argument
+-------------------
+Both queues are in-order and a built graph's dependencies point backward,
+so no task's start depends on anything emitted after it: the first ``k``
+tasks of a graph finish at the same times whether or not the rest exists.
+Each queue's busy time is summed in dispatch order, so the sum over a
+queue's tasks below ``k`` is the same sequence of float additions as
+simulating the ``k``-task graph alone.  :meth:`RPUSimulator.prefix_spans`
+uses this to read ``(runtime, compute busy, memory busy)`` of several
+prefixes off one replay — how the solver prices a one-call and a two-call
+pipeline from a single two-call schedule.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.taskgraph import DATA_TAG, EVK_TAG, Queue, Task, TaskGraph
+from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, Task, TaskGraph
 from repro.errors import SimulationError
 from repro.rpu.config import RPUConfig
 
@@ -83,80 +112,159 @@ class SimResult:
         return self.total_modops / self.runtime_s / 1e9
 
 
+#: ``finish`` entry of a task that has not been dispatched yet (simulated
+#: times are never negative).
+_PENDING = -1.0
+
+
 class RPUSimulator:
     """Event-driven replay of task graphs under one machine configuration."""
 
-    def __init__(self, config: RPUConfig):
+    def __init__(self, config: RPUConfig) -> None:
         self.config = config
 
     # -- cost model ----------------------------------------------------------------
 
-    def task_duration(self, task: Task) -> float:
+    def durations(self, graph: TaskGraph) -> List[float]:
+        """Duration of every task of ``graph``, in emission order.
+
+        Machine constants are read once and each kind's throughput is
+        looked up the first time the kind appears, so a kind the graph
+        never uses is never priced (nor validated).
+        """
         cfg = self.config
-        if task.queue is Queue.MEMORY:
-            return cfg.memory_latency_s + task.bytes_moved / cfg.bandwidth_bytes_per_s
-        throughput = cfg.effective_modops_per_s * cfg.kernel_efficiency(
-            task.kind.value
-        )
-        modops_time = task.mod_ops / throughput
-        # Frontend floor: at least one cycle per issued vector instruction.
-        issue_time = (task.mod_ops / cfg.vector_length) / cfg.frequency_hz
-        return max(modops_time, issue_time)
+        latency = cfg.memory_latency_s
+        bandwidth = cfg.bandwidth_bytes_per_s
+        modops_per_s = cfg.effective_modops_per_s
+        vector_length = cfg.vector_length
+        frequency = cfg.frequency_hz
+        throughput: Dict[Kind, float] = {}
+        out: List[float] = []
+        for kind, memory, nbytes, muls, adds in zip(
+                graph.kinds, graph.is_memory, graph.bytes_moved,
+                graph.mod_muls, graph.mod_adds):
+            if memory:
+                out.append(latency + nbytes / bandwidth)
+                continue
+            rate = throughput.get(kind)
+            if rate is None:
+                rate = modops_per_s * cfg.kernel_efficiency(kind.value)
+                throughput[kind] = rate
+            mod_ops = muls + adds
+            modops_time = mod_ops / rate
+            # Frontend floor: at least one cycle per issued vector instruction.
+            issue_time = (mod_ops / vector_length) / frequency
+            out.append(issue_time if issue_time > modops_time else modops_time)
+        return out
+
+    def task_duration(self, task: Task) -> float:
+        """Duration of one task row — ``durations`` for a single task."""
+        row = TaskGraph()
+        row.add(task.kind, bytes_moved=task.bytes_moved,
+                mod_muls=task.mod_muls, mod_adds=task.mod_adds)
+        return self.durations(row)[0]
 
     # -- simulation -----------------------------------------------------------------
 
-    def simulate(self, graph: TaskGraph, collect_trace: bool = False) -> SimResult:
-        """Run both queues to completion; returns aggregate timing."""
-        finish: List[Optional[float]] = [None] * len(graph.tasks)
-        queues: Dict[Queue, deque] = {
-            Queue.MEMORY: deque(graph.queue_tasks(Queue.MEMORY)),
-            Queue.COMPUTE: deque(graph.queue_tasks(Queue.COMPUTE)),
-        }
-        free = {Queue.MEMORY: 0.0, Queue.COMPUTE: 0.0}
-        busy = {Queue.MEMORY: 0.0, Queue.COMPUTE: 0.0}
-        timeline: List[TaskTiming] = [] if collect_trace else None
+    def _replay(
+        self, graph: TaskGraph, timeline: Optional[List[TaskTiming]] = None,
+    ) -> Tuple[List[float], List[float]]:
+        """Run both queues to completion; returns ``(durations, finish)``.
 
-        while queues[Queue.MEMORY] or queues[Queue.COMPUTE]:
+        Each round offers the memory head, then the compute head, one
+        dispatch; a round in which neither can go is a deadlock.
+        """
+        durations = self.durations(graph)
+        deps = graph.deps
+        finish = [_PENDING] * len(durations)
+        orders = (graph.memory_order, graph.compute_order)
+        cursor = [0, 0]
+        free = [0.0, 0.0]
+        remaining = len(durations)
+        while remaining:
             progressed = False
-            for q in (Queue.MEMORY, Queue.COMPUTE):
-                if not queues[q]:
+            for q in (0, 1):
+                order = orders[q]
+                if cursor[q] == len(order):
                     continue
-                head = queues[q][0]
-                if any(finish[d] is None for d in head.deps):
-                    continue
-                deps_ready = max((finish[d] for d in head.deps), default=0.0)
-                start = max(free[q], deps_ready)
-                duration = self.task_duration(head)
-                end = start + duration
-                finish[head.index] = end
-                free[q] = end
-                busy[q] += duration
-                queues[q].popleft()
-                if collect_trace:
-                    timeline.append(
-                        TaskTiming(head.index, head.kind.value, head.label, start, end)
-                    )
-                progressed = True
+                head = order[cursor[q]]
+                start = free[q]
+                for d in deps[head]:
+                    done = finish[d]
+                    if done < 0.0:
+                        break
+                    if done > start:
+                        start = done
+                else:
+                    end = start + durations[head]
+                    finish[head] = end
+                    free[q] = end
+                    cursor[q] += 1
+                    remaining -= 1
+                    progressed = True
+                    if timeline is not None:
+                        timeline.append(TaskTiming(
+                            head, graph.kinds[head].value, graph.labels[head],
+                            start, end))
             if not progressed:
-                stuck = [queues[q][0].index for q in queues if queues[q]]
+                stuck = [orders[q][cursor[q]] for q in (0, 1)
+                         if cursor[q] < len(orders[q])]
                 raise SimulationError(
                     f"queues deadlocked at task(s) {stuck}: a queue head "
                     "depends on a later task in the other queue"
                 )
+        return durations, finish
 
-        runtime = max(free.values())
+    def simulate(self, graph: TaskGraph, collect_trace: bool = False) -> SimResult:
+        """Run both queues to completion; returns aggregate timing."""
+        timeline: Optional[List[TaskTiming]] = [] if collect_trace else None
+        durations, finish = self._replay(graph, timeline)
+        runtime, compute_busy, memory_busy = _span(
+            graph, durations, finish, len(durations))
         return SimResult(
             runtime_s=runtime,
-            compute_busy_s=busy[Queue.COMPUTE],
-            memory_busy_s=busy[Queue.MEMORY],
+            compute_busy_s=compute_busy,
+            memory_busy_s=memory_busy,
             total_bytes=graph.total_bytes(),
             data_bytes=graph.total_bytes(DATA_TAG),
             evk_bytes=graph.total_bytes(EVK_TAG),
             total_modops=graph.total_mod_ops(),
-            num_tasks=len(graph.tasks),
+            num_tasks=len(graph),
             config=self.config,
             timeline=timeline,
         )
+
+    def prefix_spans(
+        self, graph: TaskGraph, boundaries: Sequence[int],
+    ) -> List[Tuple[float, float, float]]:
+        """``(runtime_s, compute_busy_s, memory_busy_s)`` of the first ``b``
+        tasks of ``graph`` for each ``b`` in ``boundaries``, from one replay.
+
+        Each triple equals what :meth:`simulate` reports for the graph cut
+        after task ``b - 1`` (the prefix argument in the module docstring).
+        """
+        durations, finish = self._replay(graph)
+        return [_span(graph, durations, finish, b) for b in boundaries]
+
+
+def _busy(durations: List[float], order: Sequence[int]) -> float:
+    """A queue's busy time, summed in dispatch order (an explicit loop:
+    ``sum()`` compensates float additions on newer interpreters and would
+    change the last bits)."""
+    busy = 0.0
+    for i in order:
+        busy += durations[i]
+    return busy
+
+
+def _span(graph: TaskGraph, durations: List[float], finish: List[float],
+          boundary: int) -> Tuple[float, float, float]:
+    """Makespan, compute-busy and memory-busy time of the tasks below
+    ``boundary``; a queue is free again when its last such task ends."""
+    mem = graph.memory_order[:bisect_left(graph.memory_order, boundary)]
+    comp = graph.compute_order[:bisect_left(graph.compute_order, boundary)]
+    free = [finish[order[-1]] if order else 0.0 for order in (mem, comp)]
+    return max(free), _busy(durations, comp), _busy(durations, mem)
 
 
 def lower_bounds(graph: TaskGraph, config: RPUConfig) -> Tuple[float, float]:
@@ -165,7 +273,6 @@ def lower_bounds(graph: TaskGraph, config: RPUConfig) -> Tuple[float, float]:
     Any simulated makespan must be at least the larger of the two; the gap
     to the simulated value is dependency stall.
     """
-    sim = RPUSimulator(config)
-    mem = sum(sim.task_duration(t) for t in graph.queue_tasks(Queue.MEMORY))
-    comp = sum(sim.task_duration(t) for t in graph.queue_tasks(Queue.COMPUTE))
-    return mem, comp
+    durations = RPUSimulator(config).durations(graph)
+    return (_busy(durations, graph.memory_order),
+            _busy(durations, graph.compute_order))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.taskgraph import Queue, TaskGraph
+from repro.core.taskgraph import TaskGraph
 from repro.rpu.config import RPUConfig
 from repro.rpu.simulator import RPUSimulator
 
@@ -37,17 +37,14 @@ def _sink_priorities(graph: TaskGraph, durations: List[float]) -> List[float]:
     successor), so the rank reflects how much serialized work hangs off
     each task.
     """
-    n = len(graph.tasks)
+    n = len(graph)
     succs: List[List[int]] = [[] for _ in range(n)]
-    for t in graph.tasks:
-        for d in t.deps:
-            succs[d].append(t.index)
-    prev_in_queue = {Queue.MEMORY: -1, Queue.COMPUTE: -1}
-    for t in graph.tasks:
-        prev = prev_in_queue[t.queue]
-        if prev >= 0:
-            succs[prev].append(t.index)
-        prev_in_queue[t.queue] = t.index
+    for i, deps in enumerate(graph.deps):
+        for d in deps:
+            succs[d].append(i)
+    for order in (graph.memory_order, graph.compute_order):
+        for prev, i in zip(order, order[1:]):
+            succs[prev].append(i)
     rank = [0.0] * n
     for i in range(n - 1, -1, -1):
         tail = max((rank[s] for s in succs[i]), default=0.0)
@@ -66,34 +63,32 @@ def reorder_for_latency(graph: TaskGraph,
     dispatch order (and dependency indices) change.  The caller decides
     adoption by re-simulating.
     """
-    n = len(graph.tasks)
+    n = len(graph)
     if n == 0 or n > MAX_REORDER_TASKS:
         return None
-    sim = RPUSimulator(machine)
-    durations = [sim.task_duration(t) for t in graph.tasks]
+    durations = RPUSimulator(machine).durations(graph)
     rank = _sink_priorities(graph, durations)
 
-    memory_order = [t.index for t in graph.queue_tasks(Queue.MEMORY)]
-    tasks = graph.tasks
-    pending_deps = [len(t.deps) for t in tasks]
+    memory_order = graph.memory_order
+    is_memory = graph.is_memory
+    all_deps = graph.deps
+    pending_deps = [len(deps) for deps in all_deps]
     dependents: List[List[int]] = [[] for _ in range(n)]
-    for t in tasks:
-        for d in t.deps:
-            dependents[d].append(t.index)
+    for i, deps in enumerate(all_deps):
+        for d in deps:
+            dependents[d].append(i)
 
     ready_compute: List[int] = [
-        t.index
-        for t in tasks
-        if t.queue is Queue.COMPUTE and pending_deps[t.index] == 0
+        i for i in graph.compute_order if pending_deps[i] == 0
     ]
     mem_pos = 0
     finish = [0.0] * n
-    free = {Queue.MEMORY: 0.0, Queue.COMPUTE: 0.0}
+    free = {True: 0.0, False: 0.0}  # keyed by the queue flag
     order: List[int] = []
 
     def start_time(i: int) -> float:
-        deps_ready = max((finish[d] for d in tasks[i].deps), default=0.0)
-        return max(free[tasks[i].queue], deps_ready)
+        deps_ready = max((finish[d] for d in all_deps[i]), default=0.0)
+        return max(free[is_memory[i]], deps_ready)
 
     while len(order) < n:
         candidates: List[int] = []
@@ -110,15 +105,15 @@ def reorder_for_latency(graph: TaskGraph,
         best = min(candidates, key=lambda i: (start_time(i), -rank[i], i))
         s = start_time(best)
         finish[best] = s + durations[best]
-        free[tasks[best].queue] = finish[best]
+        free[is_memory[best]] = finish[best]
         order.append(best)
-        if tasks[best].queue is Queue.MEMORY:
+        if is_memory[best]:
             mem_pos += 1
         else:
             ready_compute.remove(best)
         for dep in dependents[best]:
             pending_deps[dep] -= 1
-            if pending_deps[dep] == 0 and tasks[dep].queue is Queue.COMPUTE:
+            if pending_deps[dep] == 0 and not is_memory[dep]:
                 ready_compute.append(dep)
 
     if order == list(range(n)):
@@ -127,15 +122,14 @@ def reorder_for_latency(graph: TaskGraph,
     remap = {old: new for new, old in enumerate(order)}
     out = TaskGraph(graph.name)
     for old in order:
-        t = tasks[old]
         out.add(
-            t.kind,
-            bytes_moved=t.bytes_moved,
-            mod_muls=t.mod_muls,
-            mod_adds=t.mod_adds,
-            deps=[remap[d] for d in t.deps],
-            label=t.label,
-            traffic_tag=t.traffic_tag,
+            graph.kinds[old],
+            bytes_moved=graph.bytes_moved[old],
+            mod_muls=graph.mod_muls[old],
+            mod_adds=graph.mod_adds[old],
+            deps=[remap[d] for d in all_deps[old]],
+            label=graph.labels[old],
+            traffic_tag=graph.traffic_tags[old],
         )
     out.validate()
     return out

@@ -12,8 +12,11 @@ lets the dual-queue simulator price the overlap.
 ``marginal cost = sim(2 calls) - sim(1 call)``, clamped below by the
 busier queue's per-call busy time (no schedule can beat its resource
 bound) and above by the single-call runtime (pipelining never hurts an
-in-order queue pair).  The solver caches the value per (schedule digest,
-machine), so steady-state pricing costs two extra builds once, ever.
+in-order queue pair).  The builder is append-only, so call 0's tasks are
+exactly the first tasks of the two-call schedule and the one-call numbers
+are read off that prefix (see :mod:`repro.rpu.simulator`): steady-state
+pricing costs one extra build and one replay, cached by the solver per
+(schedule digest, machine).
 """
 
 from __future__ import annotations
@@ -92,6 +95,30 @@ class _PrefixedBuilder:
         )
 
 
+def pipeline_calls(spec: BenchmarkSpec, config: DataflowConfig,
+                   decision: HKSDecision, calls: int,
+                   ) -> Tuple[TaskGraph, ScheduleStats, List[int]]:
+    """:func:`build_pipeline` plus the call boundaries: entry ``c`` is the
+    task count once call ``c`` has been emitted, so the graph's first
+    ``boundaries[c]`` tasks are the ``c + 1``-call pipeline."""
+    from repro.core.hks_ops import HKSEmitter
+
+    if calls < 1:
+        raise ParameterError("a pipeline needs at least one call")
+    if decision.reordered:
+        decision = replace(decision, reordered=False)
+    flow = DecisionDataflow(decision)
+    builder = ScheduleBuilder(f"{spec.name}/SOLVER-x{calls}",
+                              config.data_sram_bytes)
+    boundaries: List[int] = []
+    for c in range(calls):
+        view = _PrefixedBuilder(builder, f"c{c}.")
+        flow.schedule(HKSEmitter(view, spec, config))  # type: ignore[arg-type]
+        boundaries.append(len(builder.graph))
+    builder.graph.validate()
+    return builder.graph, builder.stats, boundaries
+
+
 def build_pipeline(spec: BenchmarkSpec, config: DataflowConfig,
                    decision: HKSDecision,
                    calls: int = 2) -> Tuple[TaskGraph, ScheduleStats]:
@@ -102,17 +129,5 @@ def build_pipeline(spec: BenchmarkSpec, config: DataflowConfig,
     consecutive key switches.  The reorder flag is ignored — pipelining
     measures the emitter's natural order.
     """
-    from repro.core.hks_ops import HKSEmitter
-
-    if calls < 1:
-        raise ParameterError("a pipeline needs at least one call")
-    if decision.reordered:
-        decision = replace(decision, reordered=False)
-    flow = DecisionDataflow(decision)
-    builder = ScheduleBuilder(f"{spec.name}/SOLVER-x{calls}",
-                              config.data_sram_bytes)
-    for c in range(calls):
-        view = _PrefixedBuilder(builder, f"c{c}.")
-        flow.schedule(HKSEmitter(view, spec, config))  # type: ignore[arg-type]
-    builder.graph.validate()
-    return builder.graph, builder.stats
+    graph, stats, _ = pipeline_calls(spec, config, decision, calls)
+    return graph, stats

@@ -38,14 +38,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import cache as disk_cache
 from repro.core.dataflow import DataflowConfig, ScheduleStats
-from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, Queue, TaskGraph
+from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, TaskGraph
 from repro.errors import ParameterError, ScheduleError
 from repro.params import MB, BenchmarkSpec
 from repro.rpu.config import RPUConfig
 from repro.rpu.simulator import RPUSimulator, SimResult
 from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import MAX_REORDER_TASKS, reorder_for_latency
-from repro.sched.pipeline import build_pipeline
+from repro.sched.pipeline import pipeline_calls
 from repro.sched.space import (
     HKSDecision,
     compute_seconds,
@@ -306,9 +306,8 @@ def machine_for(config: DataflowConfig, objective: Objective) -> RPUConfig:
     )
 
 
-#: Enum lookups hoisted out of the per-task summary loop.
+#: ``Kind.value`` is a descriptor call; hoisted out of the digest loop.
 _KIND_CODE = {k: k.value for k in Kind}
-_KIND_IS_MEMORY = {k: k.queue is Queue.MEMORY for k in Kind}
 
 
 class _GraphSummary(NamedTuple):
@@ -321,50 +320,39 @@ class _GraphSummary(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _graph_summary(graph: TaskGraph) -> _GraphSummary:
-    """Digest + traffic/op aggregates of a graph, in one fused pass.
+    """Digest + traffic/op aggregates of a graph.
 
     The digest hashes the same fields :meth:`TaskGraph.to_json`
     serializes: the numeric columns (index, bytes, muls, adds,
-    length-prefixed deps) as one little-endian int64 stream, the string
-    columns NUL-joined — canonical, and an order of magnitude cheaper
-    than hashing the JSON blob.  Memoized by graph identity: the
-    builders behind :func:`decision_graph` are themselves lru-cached,
-    so summarizing the same object again (solve, then verify, then
-    bench) costs nothing.
+    length-prefixed deps) as one little-endian int64 stream in task
+    order, the string columns NUL-joined — canonical, and an order of
+    magnitude cheaper than hashing the JSON blob; the aggregates are the
+    graph's running totals.  Memoized by graph identity: the builders
+    behind :func:`decision_graph` are themselves lru-cached, so
+    summarizing the same object again (solve, then verify, then bench)
+    costs nothing.
     """
-    import itertools
-
     import numpy as np
 
-    tasks = graph.tasks
-    ints = np.fromiter(
-        itertools.chain.from_iterable(
-            (t.index, t.bytes_moved, t.mod_muls, t.mod_adds,
-             len(t.deps), *t.deps)
-            for t in tasks),
-        dtype=np.int64,
-    )
+    flat: List[int] = []
+    extend = flat.extend
+    for index, (nbytes, muls, adds, deps) in enumerate(zip(
+            graph.bytes_moved, graph.mod_muls, graph.mod_adds, graph.deps)):
+        extend((index, nbytes, muls, adds, len(deps)))
+        extend(deps)
     h = hashlib.sha256(repr(graph.name).encode("utf-8"))
-    h.update(ints.astype("<i8", copy=False).tobytes())
+    h.update(np.array(flat, dtype="<i8").tobytes())
     for column in (
-        "\x00".join(_KIND_CODE[t.kind] for t in tasks),
-        "\x00".join(t.label for t in tasks),
-        "\x00".join(t.traffic_tag for t in tasks),
+        "\x00".join([_KIND_CODE[kind] for kind in graph.kinds]),
+        "\x00".join(graph.labels),
+        "\x00".join(graph.traffic_tags),
     ):
         h.update(b"\x01")
         h.update(column.encode("utf-8"))
-    total_b = data_b = evk_b = mod_ops = 0
-    is_memory = _KIND_IS_MEMORY
-    for t in tasks:
-        mod_ops += t.mod_muls + t.mod_adds
-        if is_memory[t.kind]:
-            total_b += t.bytes_moved
-            if t.traffic_tag == DATA_TAG:
-                data_b += t.bytes_moved
-            elif t.traffic_tag == EVK_TAG:
-                evk_b += t.bytes_moved
-    return _GraphSummary(h.hexdigest()[:24], total_b, data_b, evk_b,
-                         mod_ops)
+    return _GraphSummary(
+        h.hexdigest()[:24], graph.total_bytes(), graph.total_bytes(DATA_TAG),
+        graph.total_bytes(EVK_TAG), graph.total_mod_ops(),
+    )
 
 
 def schedule_digest(graph: TaskGraph) -> str:
@@ -696,16 +684,16 @@ def pipeline_marginal_ms(spec: BenchmarkSpec, config: DataflowConfig,
     if isinstance(payload, dict) and "marginal_ms" in payload:
         value = float(payload["marginal_ms"])  # type: ignore[arg-type]
     else:
-        machine = machine_for(config, objective)
-        base = replace(solved.decision, reordered=False)
-        graph1, _ = build_pipeline(spec, config, base, calls=1)
-        graph2, _ = build_pipeline(spec, config, base, calls=2)
-        sim1 = RPUSimulator(machine).simulate(graph1)
-        sim2 = RPUSimulator(machine).simulate(graph2)
+        # One two-call build, one replay: call 0 is the graph's prefix.
+        graph, _, boundaries = pipeline_calls(spec, config, solved.decision,
+                                              calls=2)
+        (runtime1, compute_busy1, memory_busy1), (runtime2, _, _) = (
+            RPUSimulator(machine_for(config, objective))
+            .prefix_spans(graph, boundaries)
+        )
         marginal_s = min(
-            max(sim2.runtime_s - sim1.runtime_s,
-                sim1.compute_busy_s, sim1.memory_busy_s),
-            sim1.runtime_s,
+            max(runtime2 - runtime1, compute_busy1, memory_busy1),
+            runtime1,
         )
         value = marginal_s * 1e3
         disk_cache.store_json("sched-marginal", key,

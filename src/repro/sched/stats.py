@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional
 
-from repro.core.taskgraph import Queue, TaskGraph
+from repro.core.taskgraph import TaskGraph
 from repro.rpu.config import RPUConfig
 
 
@@ -128,20 +128,20 @@ def _graph_profile(graph: TaskGraph) -> "tuple[int, int, int, int, int]":
     caches, so repeated reports over the same schedule profile it once.
     The critical path is the longest dependency chain in tasks.
     """
-    mem = comp = total_bytes = total_ops = 0
-    depth = [0] * len(graph.tasks)
+    depth: "list[int]" = []
     longest = 0
-    for t in graph.tasks:
-        if t.queue is Queue.MEMORY:
-            mem += 1
-            total_bytes += t.bytes_moved
-        else:
-            comp += 1
-            total_ops += t.mod_ops
-        d = 1 + max((depth[i] for i in t.deps), default=0)
-        depth[t.index] = d
-        longest = max(longest, d)
-    return mem, comp, longest, total_bytes, total_ops
+    for deps in graph.deps:
+        d = 1
+        for i in deps:
+            if depth[i] >= d:
+                d = depth[i] + 1
+        depth.append(d)
+        if d > longest:
+            longest = d
+    muls, adds = graph.mod_muls, graph.mod_adds
+    compute_ops = sum(muls[i] + adds[i] for i in graph.compute_order)
+    return (len(graph.memory_order), len(graph.compute_order), longest,
+            graph.total_bytes(), compute_ops)
 
 
 def graph_task_counts(graph: TaskGraph) -> "tuple[int, int, int]":

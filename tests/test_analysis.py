@@ -34,7 +34,7 @@ from repro.analysis import (
 )
 from repro.api import FHESession, build_plan, list_backends
 from repro.core import DATAFLOWS, DataflowConfig
-from repro.core.taskgraph import Kind, Task, TaskGraph
+from repro.core.taskgraph import Kind, Queue, TaskGraph
 from repro.errors import ParameterError, SimulationError
 from repro.ntt.modmath import inv_mod
 from repro.ntt.primes import generate_primes
@@ -385,34 +385,46 @@ def _clean_graph():
     return graph
 
 
+def _append_unchecked(graph, kind, bytes_moved=0, mod_muls=0, deps=()):
+    """Hand-append one row to every column, past TaskGraph.add()'s checks."""
+    graph.kinds.append(kind)
+    graph.is_memory.append(kind.queue is Queue.MEMORY)
+    graph.bytes_moved.append(bytes_moved)
+    graph.mod_muls.append(mod_muls)
+    graph.mod_adds.append(0)
+    graph.deps.append(deps)
+    graph.labels.append("")
+    graph.traffic_tags.append("data")
+    order = graph.memory_order if graph.is_memory[-1] else graph.compute_order
+    order.append(len(graph) - 1)
+
+
 class TestGraphPasses:
     def test_clean_graph_verifies(self):
         assert analyze(_clean_graph()).ok
 
     def test_index_mismatch_caught(self):
         graph = _clean_graph()
-        graph.tasks.append(Task(index=7, kind=Kind.LOAD, bytes_moved=8))
+        graph.labels.append("load t7")  # a row in one column only
         report = analyze(graph)
         assert any("list position" in d.message
                    for d in report.by_pass("graph.structure"))
 
     def test_forward_dependency_caught(self):
         graph = _clean_graph()
-        graph.tasks.append(Task(index=3, kind=Kind.LOAD, bytes_moved=8,
-                                deps=(9,)))
+        _append_unchecked(graph, Kind.LOAD, bytes_moved=8, deps=(9,))
         report = analyze(graph)
         assert any("does not name a task" in d.message
                    for d in report.by_pass("graph.structure"))
-        graph.tasks[3] = Task(index=3, kind=Kind.LOAD, bytes_moved=8,
-                              deps=(3,))
+        graph.deps[3] = (3,)
         report = analyze(graph)
         assert any("deadlock" in d.message
                    for d in report.by_pass("graph.structure"))
 
     def test_workless_tasks_caught(self):
         graph = _clean_graph()
-        graph.tasks.append(Task(index=3, kind=Kind.LOAD, bytes_moved=0))
-        graph.tasks.append(Task(index=4, kind=Kind.PWISE, mod_muls=0))
+        _append_unchecked(graph, Kind.LOAD, bytes_moved=0)
+        _append_unchecked(graph, Kind.PWISE, mod_muls=0)
         report = analyze(graph)
         messages = [d.message for d in report.by_pass("graph.structure")]
         assert any("moves no bytes" in m for m in messages)

@@ -1,0 +1,501 @@
+"""Differential oracles for the columnar task-graph path.
+
+The columnar ``TaskGraph`` replaced per-``Task`` object walks in the
+builder, the simulator and the schedule profilers.  These tests hold the
+new code to the implementation it replaced:
+
+* the two-``deque`` replay loop the simulator used to run lives here as
+  the oracle, and random two-queue DAGs (deadlocking ones included) must
+  simulate to the same ``SimResult``, float for float;
+* the scan-every-value victim search lives here as a builder subclass,
+  and random builder programs under tight budgets must evict the same
+  victims and emit the same graph;
+* report and schedule digests of the registered workloads are pinned to
+  values computed **at the parent commit** (``golden/estimate_digests.json``);
+* row views, columns and the JSON form agree.
+"""
+
+import hashlib
+import json
+from collections import deque
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import backends, build_plan
+from repro.api.plan import report_to_dict
+from repro.core import DataflowConfig, get_dataflow
+from repro.core.dataflow import Dataflow, ScheduleBuilder
+from repro.core.stages import OpCount
+from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, Queue, TaskGraph
+from repro.errors import MemoryModelError, SimulationError
+from repro.params import MB, BenchmarkSpec
+from repro.rpu import RPUConfig, RPUSimulator
+from repro.rpu.simulator import SimResult, TaskTiming, lower_bounds
+from repro.sched import schedule_digest
+from repro.sched.pipeline import build_pipeline, pipeline_calls
+from repro.sched.space import HKSDecision
+
+GOLDEN = Path(__file__).parent / "golden" / "estimate_digests.json"
+
+
+# -- (a) the simulator oracle ---------------------------------------------------
+
+
+def oracle_task_duration(cfg: RPUConfig, task) -> float:
+    """The per-task cost model as it was written over ``Task`` objects."""
+    if task.queue is Queue.MEMORY:
+        return cfg.memory_latency_s + task.bytes_moved / cfg.bandwidth_bytes_per_s
+    throughput = cfg.effective_modops_per_s * cfg.kernel_efficiency(
+        task.kind.value
+    )
+    modops_time = task.mod_ops / throughput
+    issue_time = (task.mod_ops / cfg.vector_length) / cfg.frequency_hz
+    return max(modops_time, issue_time)
+
+
+def oracle_simulate(cfg: RPUConfig, graph: TaskGraph,
+                    collect_trace: bool = False) -> SimResult:
+    """The parent commit's replay: two deques of ``Task`` rows."""
+    tasks = list(graph.tasks)
+    finish = [None] * len(tasks)
+    queues = {
+        Queue.MEMORY: deque(t for t in tasks if t.queue is Queue.MEMORY),
+        Queue.COMPUTE: deque(t for t in tasks if t.queue is Queue.COMPUTE),
+    }
+    free = {Queue.MEMORY: 0.0, Queue.COMPUTE: 0.0}
+    busy = {Queue.MEMORY: 0.0, Queue.COMPUTE: 0.0}
+    timeline = [] if collect_trace else None
+
+    while queues[Queue.MEMORY] or queues[Queue.COMPUTE]:
+        progressed = False
+        for q in (Queue.MEMORY, Queue.COMPUTE):
+            if not queues[q]:
+                continue
+            head = queues[q][0]
+            if any(finish[d] is None for d in head.deps):
+                continue
+            deps_ready = max((finish[d] for d in head.deps), default=0.0)
+            start = max(free[q], deps_ready)
+            duration = oracle_task_duration(cfg, head)
+            end = start + duration
+            finish[head.index] = end
+            free[q] = end
+            busy[q] += duration
+            queues[q].popleft()
+            if collect_trace:
+                timeline.append(
+                    TaskTiming(head.index, head.kind.value, head.label, start, end)
+                )
+            progressed = True
+        if not progressed:
+            stuck = [queues[q][0].index for q in queues if queues[q]]
+            raise SimulationError(
+                f"queues deadlocked at task(s) {stuck}: a queue head "
+                "depends on a later task in the other queue"
+            )
+
+    def tagged(tag=None):
+        return sum(t.bytes_moved for t in tasks if t.queue is Queue.MEMORY
+                   and (tag is None or t.traffic_tag == tag))
+
+    return SimResult(
+        runtime_s=max(free.values()),
+        compute_busy_s=busy[Queue.COMPUTE],
+        memory_busy_s=busy[Queue.MEMORY],
+        total_bytes=tagged(),
+        data_bytes=tagged(DATA_TAG),
+        evk_bytes=tagged(EVK_TAG),
+        total_modops=sum(t.mod_ops for t in tasks),
+        num_tasks=len(tasks),
+        config=cfg,
+        timeline=timeline,
+    )
+
+
+@st.composite
+def two_queue_dags(draw):
+    """A random schedule: random kinds, sizes and 0-4 backward deps."""
+    graph = TaskGraph("random")
+    for index in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(list(Kind)))
+        deps = draw(st.lists(st.integers(0, index - 1), max_size=4)) \
+            if index else []
+        if kind.queue is Queue.MEMORY:
+            graph.add(kind, bytes_moved=draw(st.integers(1, 1 << 24)),
+                      deps=deps, label=f"{kind.value} b{index}",
+                      traffic_tag=draw(st.sampled_from([DATA_TAG, EVK_TAG])))
+        else:
+            muls = draw(st.integers(0, 1 << 22))
+            graph.add(kind, mod_muls=muls,
+                      mod_adds=draw(st.integers(0 if muls else 1, 1 << 22)),
+                      deps=deps, label=f"{kind.value} ->b{index}")
+    return graph
+
+
+@st.composite
+def corrupted_dags(draw):
+    """A random schedule with hand-written forward (or self) deps —
+    what ``TaskGraph.add`` refuses and only column mutation produces."""
+    graph = draw(two_queue_dags())
+    n = len(graph)
+    for _ in range(draw(st.integers(1, 3)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        graph.deps[i] = tuple(sorted(
+            set(graph.deps[i]) | {draw(st.integers(i, n - 1))}))
+    return graph
+
+
+machine_points = st.builds(
+    lambda gbs, scale, eff, streamed: RPUConfig(
+        bandwidth_bytes_per_s=gbs * 1e9, modops_scale=scale,
+        key_sram_bytes=0 if streamed else 360 * MB,
+        kind_efficiency=eff,
+    ),
+    gbs=st.floats(8.0, 512.0),
+    scale=st.floats(0.25, 4.0),
+    eff=st.one_of(st.none(), st.fixed_dictionaries(
+        {"ntt": st.floats(0.3, 1.0), "bconv": st.floats(0.3, 1.5)})),
+    streamed=st.booleans(),
+)
+
+
+def _both(cfg, graph, collect_trace):
+    outcomes = []
+    for run in (lambda: RPUSimulator(cfg).simulate(graph, collect_trace),
+                lambda: oracle_simulate(cfg, graph, collect_trace)):
+        try:
+            outcomes.append(run())
+        except SimulationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestSimulatorOracle:
+    @given(graph=two_queue_dags(), cfg=machine_points, trace=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_graphs_replay_identically(self, graph, cfg, trace):
+        new, old = _both(cfg, graph, trace)
+        assert isinstance(new, SimResult)
+        assert new == old  # every float with ==, timeline entries included
+
+    @given(graph=corrupted_dags(), cfg=machine_points, trace=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_forward_deps_deadlock_on_the_same_graphs(self, graph, cfg, trace):
+        new, old = _both(cfg, graph, trace)
+        assert new == old  # the same result, or the same deadlock message
+
+    def test_a_cross_queue_forward_dep_is_not_a_deadlock(self):
+        # Task 0 (compute) waits on task 1 (memory): emission order is
+        # violated but the memory queue can run ahead, as it always could.
+        graph = TaskGraph("forward")
+        graph.add(Kind.NTT, mod_muls=1000)
+        graph.add(Kind.LOAD, bytes_moved=4096)
+        graph.deps[0] = (1,)
+        new, old = _both(RPUConfig(), graph, True)
+        assert isinstance(new, SimResult) and new == old
+        graph.deps[1] = (0,)
+        new, old = _both(RPUConfig(), graph, False)
+        assert isinstance(new, str) and new == old
+
+    @given(graph=two_queue_dags(), cfg=machine_points)
+    @settings(max_examples=100, deadline=None)
+    def test_durations_and_bounds_match_the_row_cost_model(self, graph, cfg):
+        sim = RPUSimulator(cfg)
+        rows = list(graph.tasks)
+        expected = [oracle_task_duration(cfg, t) for t in rows]
+        assert sim.durations(graph) == expected
+        assert [sim.task_duration(t) for t in rows] == expected
+        mem = comp = 0.0
+        for t, d in zip(rows, expected):
+            if t.queue is Queue.MEMORY:
+                mem += d
+            else:
+                comp += d
+        assert lower_bounds(graph, cfg) == (mem, comp)
+
+    @given(graph=two_queue_dags(), cfg=machine_points,
+           cut=st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_spans_equal_simulating_the_prefix(self, graph, cfg, cut):
+        cut = min(cut, len(graph))
+        prefix = TaskGraph("prefix")
+        for t in graph.tasks[:cut]:
+            prefix.add(t.kind, bytes_moved=t.bytes_moved, mod_muls=t.mod_muls,
+                       mod_adds=t.mod_adds, deps=t.deps, label=t.label,
+                       traffic_tag=t.traffic_tag)
+        sim = RPUSimulator(cfg)
+        spans = sim.prefix_spans(graph, [cut, len(graph)])
+        for span, whole in zip(spans, (sim.simulate(prefix),
+                                       sim.simulate(graph))):
+            assert span == (whole.runtime_s, whole.compute_busy_s,
+                            whole.memory_busy_s)
+
+
+class TestPipelinePrefix:
+    @pytest.mark.parametrize("base", ["MP", "DC", "OC"])
+    @pytest.mark.parametrize("sram_mb, evk_on_chip",
+                             [(32, True), (8, False)])
+    def test_call_zero_is_the_prefix_of_the_two_call_graph(
+            self, base, sram_mb, evk_on_chip):
+        spec = BenchmarkSpec("PIPE", log_n=13, kl=8, kp=3, dnum=3)
+        config = DataflowConfig(data_sram_bytes=sram_mb * MB // 8,
+                                evk_on_chip=evk_on_chip)
+        decision = HKSDecision(base=base)
+        one, _ = build_pipeline(spec, config, decision, calls=1)
+        two, stats, boundaries = pipeline_calls(spec, config, decision, 2)
+        assert boundaries == [len(one), len(two)]
+        head = two.to_json()["tasks"][:len(one)]
+        assert head == one.to_json()["tasks"]
+        sim = RPUSimulator(RPUConfig(bandwidth_bytes_per_s=16e9))
+        first, both = sim.prefix_spans(two, boundaries)
+        sim1, sim2 = sim.simulate(one), sim.simulate(two)
+        assert first == (sim1.runtime_s, sim1.compute_busy_s,
+                         sim1.memory_busy_s)
+        assert both == (sim2.runtime_s, sim2.compute_busy_s,
+                        sim2.memory_busy_s)
+
+
+# -- (b) the builder oracle -------------------------------------------------------
+
+
+class ScanAllBuilder(ScheduleBuilder):
+    """The parent commit's victim search: list-scan every value ever
+    defined, in the dictionary order it kept (a redefined name moved to
+    the end), and take the first ``min`` by (priority, last_use)."""
+
+    def _define(self, name, nbytes):
+        self.values.pop(name, None)
+        return super()._define(name, nbytes)
+
+    def _pick_victim(self):
+        candidates = [v for v in self.values.values()
+                      if v.on_chip and not v.locked and not v.freed]
+        scan = (min(candidates, key=lambda v: (v.priority, v.last_use))
+                if candidates else None)
+        assert scan is super()._pick_victim()
+        return scan
+
+
+NAMES = [f"v{i}" for i in range(8)]
+UNIT = 64
+
+builder_ops = st.lists(st.one_of(
+    st.tuples(st.just("define"), st.sampled_from(NAMES), st.integers(1, 3),
+              st.sampled_from([DATA_TAG, EVK_TAG])),
+    st.tuples(st.just("compute"),
+              st.sampled_from([Kind.NTT, Kind.BCONV, Kind.MULKEY]),
+              st.lists(st.sampled_from(NAMES), max_size=3, unique=True),
+              st.lists(st.tuples(st.sampled_from(NAMES), st.integers(1, 3)),
+                       min_size=1, max_size=2, unique_by=lambda o: o[0]),
+              st.integers(0, 3)),
+    st.tuples(st.just("free"), st.sampled_from(NAMES)),
+    st.tuples(st.just("writeback"), st.sampled_from(NAMES)),
+    st.tuples(st.just("priority"), st.sampled_from(NAMES), st.integers(0, 3)),
+    st.tuples(st.just("touch"), st.sampled_from(NAMES)),
+), max_size=60)
+
+
+def _drive(builder, ops):
+    """Run a builder program; returns the per-step outcomes."""
+    outcomes = []
+    for op in ops:
+        try:
+            if op[0] == "define":
+                builder.define_dram(op[1], op[2] * UNIT, op[3])
+            elif op[0] == "compute":
+                builder.compute(
+                    op[1], op[2], [(n, u * UNIT) for n, u in op[3]],
+                    OpCount(muls=7, adds=3), label=f"k ->{op[3][0][0]}",
+                    output_priority=op[4])
+            elif op[0] == "free":
+                builder.free(op[1])
+            elif op[0] == "writeback":
+                builder.writeback(op[1])
+            elif op[0] == "priority":
+                builder.set_priority(op[1], op[2])
+            else:
+                builder.touch(op[1])
+            outcomes.append("ok")
+        except MemoryModelError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestBuilderOracle:
+    @given(ops=builder_ops, budget=st.integers(3, 8))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_resident_set_victim_is_the_scan_all_victim(self, ops, budget):
+        new = ScheduleBuilder("prog", budget * UNIT)
+        old = ScanAllBuilder("prog", budget * UNIT)
+        assert _drive(new, ops) == _drive(old, ops)
+        assert new.graph.to_json() == old.graph.to_json()
+        assert new.stats == old.stats
+        assert new.used == old.used
+        assert {v.name for v in new._resident} == {
+            n for n, v in new.values.items() if v.on_chip}
+
+    @pytest.mark.parametrize("schedule", ["MP", "DC", "OC"])
+    def test_real_dataflows_spill_identically(self, schedule, monkeypatch):
+        spec = BenchmarkSpec("SPILL", log_n=13, kl=12, kp=4, dnum=3)
+        config = DataflowConfig(data_sram_bytes=10 * spec.tower_bytes,
+                                evk_on_chip=False)
+        new, new_stats = get_dataflow(schedule).build_with_stats(spec, config)
+        assert new_stats.spill_stores > 0
+        monkeypatch.setattr("repro.core.dataflow.ScheduleBuilder",
+                            ScanAllBuilder)
+        old, old_stats = get_dataflow(schedule).build_with_stats(spec, config)
+        assert new.to_json() == old.to_json()
+        assert new_stats == old_stats
+
+
+# -- (c) golden digests from the parent commit ------------------------------------
+
+WORKLOADS = ("ARK", "BTS1", "BTS2", "BTS3", "DPRIVE",
+             "BOOT", "HELR", "RESNET_BOOT")
+VARIANTS = (("rpu", "MP"), ("rpu", "DC"), ("rpu", "OC"), ("auto", "SOLVER"))
+#: 64 MB compute-bound; 16 MB, where the graphs spill; streamed evks at a
+#: memory-bound bandwidth, where the solver's reorder search runs.
+POINTS = {
+    "compute_bound_64mb": dict(bandwidth_gbs=256.0, modops_scale=1.0,
+                               sram_mb=64, evk_on_chip=True),
+    "spilling_16mb": dict(bandwidth_gbs=64.0, modops_scale=2.0,
+                          sram_mb=16, evk_on_chip=True),
+    "streamed_evk_memory_bound": dict(bandwidth_gbs=12.8, modops_scale=1.0,
+                                      sram_mb=32, evk_on_chip=False),
+}
+
+
+def _sha(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _specs_of(workload):
+    resolved = backends._resolve_workload(workload)
+    if isinstance(resolved, BenchmarkSpec):
+        return [resolved]
+    return list(dict.fromkeys(phase.spec for phase in resolved.phases))
+
+
+def estimate_digests(point: str):
+    """``{"reports": {...}, "graphs": {...}}`` for one machine point.
+
+    Reports: SHA-256 of ``report_to_dict(build_plan(...).run())`` per
+    workload x schedule.  Graphs: SHA-256 over the ``schedule_digest`` of
+    every distinct spec of a workload, per hand-written dataflow.
+    """
+    options = POINTS[point]
+    config = DataflowConfig(data_sram_bytes=options["sram_mb"] * MB,
+                            evk_on_chip=options["evk_on_chip"])
+    reports, graphs = {}, {}
+    for workload in WORKLOADS:
+        for backend, schedule in VARIANTS:
+            report = build_plan(workload, backend=backend, schedule=schedule,
+                                **options).run()
+            reports[f"{workload}/{schedule}"] = _sha(report_to_dict(report))
+        for schedule in ("MP", "DC", "OC"):
+            graphs[f"{workload}/{schedule}"] = _sha([
+                schedule_digest(get_dataflow(schedule).build(spec, config))
+                for spec in _specs_of(workload)])
+    return {"reports": reports, "graphs": graphs}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_reports_and_graphs_match_the_parent_commit(self, point):
+        golden = json.loads(GOLDEN.read_text())[point]
+        current = estimate_digests(point)
+        assert current["graphs"] == golden["graphs"]
+        assert current["reports"] == golden["reports"]
+
+
+# -- (d) rows, columns and JSON agree -----------------------------------------------
+
+
+class TestRowViews:
+    @given(graph=two_queue_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_agree_with_columns_and_json_round_trips(self, graph):
+        rows = list(graph)
+        assert len(graph) == len(graph.tasks) == len(rows) == len(graph.kinds)
+        for i, row in enumerate(rows):
+            assert row == graph.tasks[i] == graph.tasks[i - len(rows)]
+            assert (row.index, row.kind, row.queue) == (
+                i, graph.kinds[i], graph.kinds[i].queue)
+            assert graph.is_memory[i] is (row.queue is Queue.MEMORY)
+            assert (row.bytes_moved, row.mod_muls, row.mod_adds, row.deps,
+                    row.label, row.traffic_tag) == (
+                graph.bytes_moved[i], graph.mod_muls[i], graph.mod_adds[i],
+                graph.deps[i], graph.labels[i], graph.traffic_tags[i])
+        assert graph.tasks[1:3] == rows[1:3]
+        assert [t.index for t in graph.queue_tasks(Queue.MEMORY)] == \
+            graph.memory_order == [t.index for t in rows
+                                   if t.queue is Queue.MEMORY]
+        assert [t.index for t in graph.queue_tasks(Queue.COMPUTE)] == \
+            graph.compute_order
+        # Running totals equal the column sums they replace.
+        assert graph.total_bytes() == sum(
+            t.bytes_moved for t in rows if t.queue is Queue.MEMORY)
+        assert graph.total_bytes(EVK_TAG) == sum(
+            t.bytes_moved for t in rows
+            if t.queue is Queue.MEMORY and t.traffic_tag == EVK_TAG)
+        assert graph.total_mod_ops() == sum(t.mod_ops for t in rows)
+        assert graph.total_mod_muls() == sum(t.mod_muls for t in rows)
+        assert graph.total_mod_adds() == sum(t.mod_adds for t in rows)
+        payload = json.loads(json.dumps(graph.to_json()))
+        back = TaskGraph.from_json(payload)
+        assert back.to_json() == graph.to_json()
+        assert list(back) == rows
+        assert schedule_digest(back) == schedule_digest(graph)
+
+    def test_out_of_range_row_raises(self):
+        graph = TaskGraph()
+        graph.add(Kind.LOAD, bytes_moved=1)
+        with pytest.raises(IndexError):
+            graph.tasks[1]
+        with pytest.raises(IndexError):
+            graph.tasks[-2]
+
+
+# -- bounded model caches -----------------------------------------------------------
+
+MODEL_CACHES = ("_cached_schedule", "_cached_analysis", "_cached_rpu_sim",
+                "_pointwise_graph", "_cached_rpu_mix_report")
+
+
+class TestBoundedModelCaches:
+    def test_largest_plan_fits_four_times_and_reruns_for_free(
+            self, monkeypatch):
+        largest = dict(bandwidth_gbs=20.0, sram_mb=17, evk_on_chip=False)
+        for name in MODEL_CACHES:
+            getattr(backends, name).cache_clear()
+        first = build_plan("RESNET_BOOT", backend="auto", schedule="SOLVER",
+                           **largest).run()
+        build_plan("RESNET_BOOT", backend="analytic", schedule="OC",
+                   **largest).run()
+        for name in MODEL_CACHES:
+            info = getattr(backends, name).cache_info()
+            assert info.maxsize == backends._MODEL_CACHE_ENTRIES
+            assert 0 < 4 * info.currsize <= info.maxsize, (name, info)
+
+        # A different plan in between, then the first one again: every
+        # graph and every simulation must come out of the memo tiers.
+        build_plan("HELR", backend="auto", schedule="SOLVER",
+                   bandwidth_gbs=33.0, sram_mb=18, evk_on_chip=True).run()
+        calls = []
+        build = Dataflow.build_with_stats
+        replay = RPUSimulator._replay
+        monkeypatch.setattr(
+            Dataflow, "build_with_stats",
+            lambda self, *a: calls.append("build") or build(self, *a))
+        monkeypatch.setattr(
+            RPUSimulator, "_replay",
+            lambda self, *a: calls.append("replay") or replay(self, *a))
+        again = build_plan("RESNET_BOOT", backend="auto", schedule="SOLVER",
+                           **largest).run()
+        assert calls == []
+        assert report_to_dict(again) == report_to_dict(first)

@@ -858,6 +858,36 @@ class TestNetCLI:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_serve_banner_reaches_a_pipe_without_dash_u(self, tmp_path):
+        """A parent reading the port from a pipe (block-buffered stdout,
+        no ``python -u``) must see the ``serving on`` line at once."""
+        import select
+        import subprocess
+        import sys
+
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "0", "--no-disk-cache"],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+            assert ready, "no banner on the pipe within 30 s"
+            line = proc.stdout.readline()
+            assert "serving on " in line
+            address = line.split("serving on ", 1)[1].split()[0]
+            assert int(address.rsplit(":", 1)[1]) > 0
+            proc.terminate()
+            assert proc.wait(30.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
     def test_serve_load_self_hosted_smoke(self, tmp_path, monkeypatch,
                                           capsys):
         from repro.__main__ import main
