@@ -27,11 +27,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze
-from repro.api import backends, build_plan, estimate
+from repro.api import build_plan, estimate
 from repro.core import DATAFLOWS, DataflowConfig
 from repro.ntt.primes import generate_primes
 from repro.params import get_benchmark
 from repro.rpu import codegen
+from repro.sched import clear_memos
 from repro.serve import EstimateService
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_analysis.json"
@@ -41,13 +42,6 @@ REPEATS = 50
 #: The acceptance bar: plan verification under this fraction of one
 #: cold estimate of the same workload.
 BUDGET_FRACTION = 0.05
-
-
-def _clear_backend_caches() -> None:
-    backends._cached_schedule.cache_clear()
-    backends._cached_analysis.cache_clear()
-    backends._cached_rpu_mix_report.cache_clear()
-    backends._pointwise_graph.cache_clear()
 
 
 def _timed(fn, repeats=1):
@@ -78,7 +72,7 @@ def test_emit_analysis_artifact_and_budget_guard():
     """Write BENCH_analysis.json and enforce the <5% overhead bar."""
     plan = build_plan(WORKLOAD, backend="rpu", schedule="OC")
 
-    _clear_backend_caches()
+    clear_memos()
     cold_estimate_s = _timed(
         lambda: estimate(WORKLOAD, backend="rpu", schedule="OC")
     )

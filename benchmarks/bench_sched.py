@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro import sched
-from repro.api import SCHEDULES, backends, estimate
+from repro.api import SCHEDULES, estimate
 from repro.core.dataflow import DataflowConfig
 from repro.params import BENCHMARKS, MB
 from repro.sched import Objective, solve, solve_workload
@@ -49,25 +49,6 @@ def sched_cache_dir(tmp_path, monkeypatch):
     return tmp_path / "sched-cache"
 
 
-def _clear_estimator_caches() -> None:
-    backends._cached_schedule.cache_clear()
-    backends._cached_analysis.cache_clear()
-    backends._cached_rpu_mix_report.cache_clear()
-    backends._cached_rpu_sim.cache_clear()
-    backends._pointwise_graph.cache_clear()
-
-
-def _clear_solver_caches() -> None:
-    sched_solver._MEMO.clear()
-    sched_solver._MARGINAL.clear()
-    sched_solver._built.cache_clear()
-    sched_solver._reordered_graph.cache_clear()
-    sched_solver._verified_graph.cache_clear()
-    sched_solver._simulated.cache_clear()
-    sched_solver._graph_summary.cache_clear()
-    sched.reset_counters()
-
-
 def _timed(fn):
     start = time.perf_counter()
     fn()
@@ -87,8 +68,8 @@ def test_bench_warm_solve(benchmark):
 
 def test_emit_sched_artifact_and_guards(sched_cache_dir):
     """Write BENCH_sched.json; enforce match-or-beat and the 10% bar."""
-    _clear_estimator_caches()
-    _clear_solver_caches()
+    sched.clear_memos()
+    sched.reset_counters()
 
     # -- solve cost ------------------------------------------------------
     # Baseline: one cold estimate of the baseline workload on the best
@@ -116,8 +97,8 @@ def test_emit_sched_artifact_and_guards(sched_cache_dir):
     import os
 
     os.environ["REPRO_CACHE_DIR"] = str(sched_cache_dir / "cold2")
-    _clear_estimator_caches()
-    _clear_solver_caches()
+    sched.clear_memos()
+    sched.reset_counters()
     cold_search_wall_s = _timed(
         lambda: solve_workload(BASELINE, DataflowConfig(), Objective())
     )

@@ -72,7 +72,7 @@ def test_emit_workloads_artifact():
             }
         payload["programs"][name] = entry
 
-    flat = estimate(boot_flat_workload().as_program(), backend="rpu",
+    flat = estimate(boot_flat_workload(), backend="rpu",
                     schedule="OC")
     level_aware = estimate("BOOT", backend="rpu", schedule="OC")
     payload["boot_flat_vs_level_aware"] = {

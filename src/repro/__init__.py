@@ -32,8 +32,6 @@ The research layers remain available underneath:
   (``python -m repro serve-bench``).
 """
 
-import warnings as _warnings
-
 from repro.api import (
     CipherVector,
     FHESession,
@@ -65,44 +63,13 @@ from repro.core import (
     MaxParallel,
     OutputCentric,
     TaskGraph,
+    analyze_dataflow,
     get_dataflow,
 )
 from repro.params import BENCHMARKS, BenchmarkSpec, get_benchmark
-from repro.rpu import RPUConfig
+from repro.rpu import RPUConfig, RPUSimulator
 
 __version__ = "1.1.0"
-
-#: Legacy top-level entry points whose job moved behind the repro.api
-#: facade.  They keep working (PEP 562 lazy re-export) but emit a
-#: DeprecationWarning pointing at the unified replacement.
-_REROUTED = {
-    "analyze_dataflow": (
-        "repro.core", "analyze_dataflow",
-        "repro.estimate(..., backend='analytic') or FHESession.estimate",
-    ),
-    "RPUSimulator": (
-        "repro.rpu", "RPUSimulator",
-        "repro.estimate(..., backend='rpu') or FHESession.estimate",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _REROUTED:
-        module_name, attr, replacement = _REROUTED[name]
-        _warnings.warn(
-            f"importing {name!r} from the repro top level is deprecated; "
-            f"use {replacement} (or import it from {module_name} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        value = getattr(importlib.import_module(module_name), attr)
-        globals()[name] = value  # cache so the warning fires once per process
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BENCHMARKS",

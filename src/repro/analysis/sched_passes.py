@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.analysis.diagnostics import Diagnostic, error, info
 from repro.analysis.registry import AnalysisContext, analysis_pass
 from repro.core.stages import HKSShape
+from repro.core.taskgraph import DATA_TAG, EVK_TAG
 
 if TYPE_CHECKING:
     from repro.sched.solver import ScheduleArtifact
@@ -60,7 +61,7 @@ def check_ops_invariant(art: "ScheduleArtifact",
 def check_evk_traffic(art: "ScheduleArtifact",
                       ctx: AnalysisContext) -> Iterator[Diagnostic]:
     spec, config = art.spec, art.config
-    evk_bytes = art.solved.evk_bytes
+    evk_bytes = art.graph.total_bytes(EVK_TAG)
     if config.evk_on_chip:
         if evk_bytes != 0:
             yield error(
@@ -90,10 +91,11 @@ def check_compulsory_data(art: "ScheduleArtifact",
                           ctx: AnalysisContext) -> Iterator[Diagnostic]:
     spec = art.spec
     compulsory = spec.input_bytes + spec.output_bytes
-    if art.solved.data_bytes < compulsory:
+    data_bytes = art.graph.total_bytes(DATA_TAG)
+    if data_bytes < compulsory:
         yield error(
             "sched.compulsory-data", f"schedule {spec.name}",
-            f"data traffic {art.solved.data_bytes} below the compulsory "
+            f"data traffic {data_bytes} below the compulsory "
             f"{compulsory}: the schedule skipped loading inputs or "
             f"storing outputs",
         )

@@ -14,14 +14,31 @@ This module unifies them behind a small protocol:
 * :func:`estimate` is the single request path used by
   ``FHESession.estimate``, the CLI and the examples.
 
+Every built-in backend prices through one chain, each step memoised once
+by the module that owns it (all under :data:`repro.sched.memo.
+MODEL_CACHE_ENTRIES`, all emptied by :func:`repro.sched.clear_memos`):
+
+1. **decision** — ``MP``/``DC``/``OC`` is the matching
+   :data:`~repro.sched.LEGACY_DECISIONS` point, ``SOLVER`` is
+   :func:`repro.sched.solve`'s argmin (in-process memo, then the disk
+   cache, then a search);
+2. **graph** — :func:`repro.sched.decision_graph`, the schedule store
+   keyed ``(spec, DataflowConfig, HKSDecision)``;
+3. **profile** — :func:`repro.sched.stats.from_graph`, keyed by graph;
+4. **simulate** — :func:`repro.sched.simulated`, keyed ``(graph,
+   RPUConfig)``, only for a backend with a timing model;
+5. **report** — ``PlanBackendBase._spec_report`` / ``_mix_report``
+   below, the only places a :class:`RunReport` is filled in; this module
+   memoises the point-wise op graphs and the label-free per-phase
+   reports.
+
 Users never import :mod:`repro.core` or :mod:`repro.rpu` directly; those
-stay implementation details of the two built-in backends.
+stay implementation details of the built-in backends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,15 +54,25 @@ from typing import (
 
 if TYPE_CHECKING:
     from repro.api.plan import Plan
-    from repro.core import DataflowReport, ScheduleStats, TaskGraph
-    from repro.rpu import RPUConfig, SimResult
-    from repro.sched import Objective, SolvedSchedule
-    from repro.workloads import CompositeWorkload, HEOpMix, Phase, WorkloadProgram
 
+from repro import sched
+from repro.core.analysis import summarize_schedule
+from repro.core.dataflow import DataflowConfig
+from repro.core.taskgraph import DATA_TAG, EVK_TAG, TaskGraph
 from repro.errors import ParameterError
-from repro.params import BENCHMARKS, MB, BenchmarkSpec, get_benchmark
-from repro.sched import stats as sched_stats_mod
-from repro.sched.stats import ScheduleStats as SchedStats
+from repro.params import MB, BenchmarkSpec
+from repro.rpu import RPUConfig, RPUSimulator
+from repro.sched import LEGACY_DECISIONS, Objective
+from repro.sched import stats as sched_stats
+from repro.sched.memo import model_memo
+from repro.sched.stats import ScheduleStats
+from repro.workloads import (
+    HEOpMix,
+    Workload,
+    WorkloadProgram,
+    build_pointwise_graph,
+    resolve_workload,
+)
 
 #: Short ids of the paper's three HKS dataflow schedules.
 SCHEDULES = ("MP", "DC", "OC")
@@ -106,7 +133,7 @@ class RunReport:
     options: EstimateOptions = field(default_factory=EstimateOptions)
     #: Structural summary of the underlying schedule (queue occupancy,
     #: critical path, SRAM high-water) — filled by every built-in backend.
-    schedule_stats: Optional[SchedStats] = None
+    schedule_stats: Optional[ScheduleStats] = None
 
     @property
     def total_mb(self) -> float:
@@ -160,56 +187,8 @@ class RunReport:
         return [p.as_row() for p in self.phases]
 
 
-#: Size of each model memo below.  Measured working set: the largest single
-#: plan (``RESNET_BOOT`` with ``schedule="SOLVER"`` on ``auto``, streamed
-#: evks) touches 39 schedules, 39 simulations, 46 point-wise graphs and 15
-#: mix reports (13 analyses on ``analytic``); four times the largest of
-#: those, so a sweep's MP/DC/OC/SOLVER quartet or a few tenants' plans in
-#: turn never evict each other, while a long-lived server stops pinning
-#: every graph it ever built.  An evicted entry costs one rebuild.
-_MODEL_CACHE_ENTRIES = 4 * 46
-
-
-@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
-def _cached_schedule(spec: BenchmarkSpec, schedule: str, sram_mb: int,
-                     evk_on_chip: bool,
-                     key_compression: bool) -> Tuple[TaskGraph, ScheduleStats]:
-    """One (graph, stats) build per schedule configuration.
-
-    Schedules depend only on the memory configuration, not on bandwidth
-    or MODOPS, so sweep-style estimate() loops (the common request
-    pattern) reuse one build — the same memoization the experiment
-    harness applies in :mod:`repro.experiments.common`.
-    """
-    from repro.core import DataflowConfig, get_dataflow
-
-    config = DataflowConfig(
-        data_sram_bytes=sram_mb * MB,
-        evk_on_chip=evk_on_chip,
-        key_compression=key_compression,
-    )
-    return get_dataflow(schedule).build_with_stats(spec, config)
-
-
-@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
-def _cached_analysis(spec: BenchmarkSpec, schedule: str, sram_mb: int,
-                     evk_on_chip: bool,
-                     key_compression: bool) -> DataflowReport:
-    """Memoized :func:`repro.core.analyze_dataflow` (reports are frozen)."""
-    from repro.core import DataflowConfig, analyze_dataflow, get_dataflow
-
-    config = DataflowConfig(
-        data_sram_bytes=sram_mb * MB,
-        evk_on_chip=evk_on_chip,
-        key_compression=key_compression,
-    )
-    return analyze_dataflow(spec, get_dataflow(schedule), config)
-
-
-def _dataflow_config(options: EstimateOptions) -> "DataflowConfig":
+def _dataflow_config(options: EstimateOptions) -> DataflowConfig:
     """The schedule-generation view of an options record."""
-    from repro.core import DataflowConfig
-
     return DataflowConfig(
         data_sram_bytes=options.sram_mb * MB,
         evk_on_chip=options.evk_on_chip,
@@ -217,44 +196,19 @@ def _dataflow_config(options: EstimateOptions) -> "DataflowConfig":
     )
 
 
-def _machine_of(options: EstimateOptions) -> "RPUConfig":
-    """The RPU timing model an options record denotes (both backends use
-    it for occupancy stats; the RPU backend also simulates on it)."""
-    from repro.rpu import RPUConfig
-
-    return RPUConfig(
-        bandwidth_bytes_per_s=options.bandwidth_gbs * 1e9,
-        data_sram_bytes=options.sram_mb * MB,
-        key_sram_bytes=360 * MB if options.evk_on_chip else 0,
-        modops_scale=options.modops_scale,
+def _machine_of(options: EstimateOptions) -> RPUConfig:
+    """The RPU timing model an options record denotes (every backend uses
+    it for occupancy stats; the timed ones also simulate on it)."""
+    return sched.machine_for(
+        _dataflow_config(options),
+        Objective.latency(bandwidth_gbs=options.bandwidth_gbs,
+                          modops_scale=options.modops_scale),
     )
 
 
-@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
-def _cached_rpu_sim(spec: BenchmarkSpec, schedule: str,
-                    options: EstimateOptions) -> "SimResult":
-    """One simulation per (spec, schedule, options) — shared between the
-    RPU backend and the solver's legacy-anchor evaluations, so whichever
-    runs first warms the other."""
-    from repro.rpu import RPUSimulator
-
-    graph, _ = _cached_schedule(
-        spec, schedule, options.sram_mb, options.evk_on_chip,
-        options.key_compression,
-    )
-    return RPUSimulator(_machine_of(options)).simulate(graph)
-
-
-def _solver_objective_of(backend_name: str,
-                         options: EstimateOptions) -> "Objective":
-    """The solver objective a backend prices schedules under."""
-    from repro.sched import Objective
-
-    if backend_name == "analytic":
-        return Objective.traffic()
-    return Objective.latency(bandwidth_gbs=options.bandwidth_gbs,
-                             modops_scale=options.modops_scale)
-
+#: The hand-written dataflows by schedule name: an ``MP``/``DC``/``OC``
+#: request is that point of the solver's decision space.
+_LEGACY = {decision.base: decision for decision in LEGACY_DECISIONS}
 
 #: Mix field -> pointwise graph kind (rotations also pay an automorphism).
 _POINTWISE_KINDS = (
@@ -265,11 +219,9 @@ _POINTWISE_KINDS = (
 )
 
 
-@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
+@model_memo
 def _pointwise_graph(spec: BenchmarkSpec, kind: str) -> TaskGraph:
-    """Task graph of one non-HKS homomorphic op (shared by both backends)."""
-    from repro.workloads import build_pointwise_graph
-
+    """Task graph of one non-HKS homomorphic op (shared by all backends)."""
     return build_pointwise_graph(spec, kind)
 
 
@@ -282,7 +234,7 @@ def _fold_phase_reports(name: str, backend: str, schedule: str,
     (phases run back-to-back, never concurrently); latency adds with the
     idle fraction folded busy-time-weighted.  Folding a single phase
     reproduces that phase's numbers exactly — the degenerate case the
-    legacy flat path maps onto.
+    flat one-phase pricing maps onto.
     """
     latency_ms: Optional[float] = 0.0
     busy_ms = 0.0
@@ -313,7 +265,7 @@ def _fold_phase_reports(name: str, backend: str, schedule: str,
         phases=tuple(phase_reports),
         options=options,
         schedule_stats=(
-            sched_stats_mod.fold([p.schedule_stats for p in phase_reports])
+            sched_stats.fold([p.schedule_stats for p in phase_reports])
             if any(p.schedule_stats is not None for p in phase_reports)
             else None
         ),
@@ -321,15 +273,26 @@ def _fold_phase_reports(name: str, backend: str, schedule: str,
 
 
 class PlanBackendBase:
-    """Plan-execution skeleton shared by the built-in backends.
+    """The one pricer behind every built-in backend.
 
     :meth:`run_plan` is the primary entry point: it dispatches a resolved
-    :class:`~repro.api.plan.Plan` to the engine's single-benchmark
-    pricing (``_spec_report``) or folds its phase-structured program
-    through ``_phase_report``.  The historic ``run`` / ``run_composite``
-    methods survive as thin adapters that wrap their arguments into a
-    plan — one execution path, however the request arrives.
+    :class:`~repro.api.plan.Plan` to the single-benchmark pricing
+    (``_spec_report``) or folds its phase-structured program through
+    ``_mix_report``.  Both resolve the plan's schedule to a decision
+    (the hand-written one it names, or the solver's pick), fetch that
+    decision's shared ``(graph, stats)`` from the schedule store and read
+    the report off it; a subclass is a name plus the two flags below.
+    The historic ``run`` / ``run_composite`` adapter wraps its arguments
+    into a plan — one execution path, however the request arrives.
     """
+
+    name: str
+
+    #: Whether the backend has a timing model: a timed backend replays
+    #: each schedule on the RPU simulator (latency, idle fraction) and
+    #: solves for latency; an untimed one reports traffic only, solves for
+    #: traffic and holds each hand-written schedule to the stage algebra.
+    timed = False
 
     #: Backends that search regardless of the plan's schedule name (the
     #: ``auto`` backend) set this; ``run_plan`` then rewrites the schedule
@@ -347,8 +310,14 @@ class PlanBackendBase:
         try:
             if isinstance(workload, BenchmarkSpec):
                 return self._spec_report(workload, schedule, plan.options)
+            # The numbers of a phase are label-free (and memoised so);
+            # only the label is stamped on per phase.
             phase_reports = [
-                self._phase_report(phase, schedule, plan.options)
+                replace(
+                    self._mix_report(phase.spec, phase.mix, schedule,
+                                     plan.options),
+                    benchmark=phase.label,
+                )
                 for phase in workload.phases
             ]
             return _fold_phase_reports(
@@ -359,341 +328,147 @@ class PlanBackendBase:
             if solver_ctx is not None:
                 self._finish_solver(solver_ctx)
 
+    def _objective(self, options: EstimateOptions) -> Objective:
+        """The solver objective this backend prices schedules under."""
+        if not self.timed:
+            return Objective.traffic()
+        return Objective.latency(bandwidth_gbs=options.bandwidth_gbs,
+                                 modops_scale=options.modops_scale)
+
     def _prepare_solver(self, plan: "Plan") -> Tuple[str, bool]:
         """Seed the solver memo from this plan's recorded bundle, or start
         recording one.  A warm process (or a fresh worker against a warm
         cache) loads every per-spec solve with a single cache read."""
-        from repro import sched
-
-        objective = _solver_objective_of(self.name, plan.options)
-        key = sched.solver.bundle_key(plan.digest, objective)
+        key = sched.solver.bundle_key(plan.digest,
+                                      self._objective(plan.options))
         loaded = sched.solver.preload_bundle(key)
         if not loaded:
             sched.solver.begin_recording()
         return key, loaded
 
     def _finish_solver(self, ctx: Tuple[str, bool]) -> None:
-        from repro import sched
-
         key, loaded = ctx
         if not loaded:
             sched.solver.store_bundle(key, sched.solver.end_recording())
 
-    def run(self, spec: BenchmarkSpec, schedule: str,
-            options: EstimateOptions) -> RunReport:
-        """Thin adapter: wrap a single-benchmark request into a plan."""
-        from repro.api.plan import Plan
-
-        return self.run_plan(Plan(workload=spec, backend=self.name,
-                                  schedule=schedule, options=options))
-
-    def run_composite(self, workload: Union[WorkloadProgram, CompositeWorkload],
-                      schedule: str,
-                      options: EstimateOptions) -> RunReport:
-        """Thin adapter: wrap a workload program (or the deprecated flat
-        ``CompositeWorkload``, which warns while lifting) into a plan."""
-        from repro.api.plan import Plan
-
-        return self.run_plan(Plan(workload=workload, backend=self.name,
-                                  schedule=schedule, options=options))
-
-
-@lru_cache(maxsize=_MODEL_CACHE_ENTRIES)
-def _cached_rpu_mix_report(backend: "RPUBackend", spec: BenchmarkSpec,
-                           mix: HEOpMix, schedule: str,
-                           options: EstimateOptions) -> RunReport:
-    """Label-free RPU phase numbers, memoized across repeated phases.
-
-    Every argument is hashable (frozen dataclasses; the backend by
-    identity), and :class:`RunReport` is frozen, so repeated bootstrap
-    phases inside deep programs — and repeated estimate() requests —
-    share one simulation instead of re-running it."""
-    return backend._mix_report(spec, mix, schedule, options)
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """Anything that can execute a resolved estimate plan.
-
-    ``run_plan`` is the primary entry point.  Backends that predate the
-    plan API may instead expose the legacy ``run(spec, schedule,
-    options)`` / ``run_composite(workload, schedule, options)`` pair;
-    :func:`execute_plan` adapts either shape.
-    """
-
-    name: str
-
-    def run_plan(self, plan: "Plan") -> RunReport:
-        """Produce a :class:`RunReport` for one resolved :class:`Plan`."""
-        ...
-
-
-class AnalyticBackend(PlanBackendBase):
-    """Traffic/AI analysis of the generated schedules (paper Table II).
-
-    Wraps :func:`repro.core.analyze_dataflow`; no timing model, so
-    ``latency_ms`` is ``None``.
-    """
-
-    name = "analytic"
-
     def _spec_report(self, spec: BenchmarkSpec, schedule: str,
                      options: EstimateOptions) -> RunReport:
-        if schedule.upper() == "SOLVER":
-            return self._solver_spec_report(spec, options)
-        report = _cached_analysis(
-            spec, schedule.upper(), options.sram_mb, options.evk_on_chip,
-            options.key_compression,
-        )
-        graph, stats = _cached_schedule(
-            spec, schedule.upper(), options.sram_mb, options.evk_on_chip,
-            options.key_compression,
-        )
-        return RunReport(
-            benchmark=spec.name,
-            backend=self.name,
-            schedule=report.dataflow,
-            total_bytes=report.total_bytes,
-            data_bytes=report.data_bytes,
-            evk_bytes=report.evk_bytes,
-            mod_ops=report.mod_ops,
-            num_tasks=report.num_tasks,
-            peak_on_chip_bytes=report.peak_on_chip_bytes,
-            spill_stores=report.spill_stores,
-            reloads=report.reloads,
-            options=options,
-            schedule_stats=sched_stats_mod.from_graph(
-                graph, _machine_of(options), stats.peak_bytes,
-            ),
-        )
+        """Price one HKS of ``spec`` under ``schedule``.
 
-    def _solver_spec_report(self, spec: BenchmarkSpec,
-                            options: EstimateOptions) -> RunReport:
-        """Price the solver's minimum-traffic schedule for one spec."""
-        from repro import sched
-
+        Bytes, ops and task counts are the graph's running totals;
+        peak/spills/reloads come from the builder stats.  On the solver
+        path the *stored* latency of the (digest-verified) solve is
+        reused — no simulation runs in a warm process.
+        """
         config = _dataflow_config(options)
-        objective = _solver_objective_of(self.name, options)
-        solved = sched.solve(spec, config, objective)
-        graph, stats = sched.solved_graph(spec, config, objective, solved)
-        return RunReport(
-            benchmark=spec.name,
-            backend=self.name,
-            schedule="SOLVER",
-            total_bytes=solved.total_bytes,
-            data_bytes=solved.data_bytes,
-            evk_bytes=solved.evk_bytes,
-            mod_ops=solved.mod_ops,
-            num_tasks=solved.num_tasks,
-            peak_on_chip_bytes=solved.peak_bytes,
-            spill_stores=solved.spill_stores,
-            reloads=solved.reloads,
-            options=options,
-            schedule_stats=sched_stats_mod.from_graph(
-                graph, _machine_of(options), stats.peak_bytes,
-            ),
-        )
-
-    def _phase_report(self, phase: Phase, schedule: str,
-                      options: EstimateOptions) -> RunReport:
-        """Traffic/ops of one phase: HKS calls + point-wise ops at its level."""
-        base = self._spec_report(phase.spec, schedule, options)
-        calls = phase.hks_calls
-        total_bytes = calls * base.total_bytes
-        data_bytes = calls * base.data_bytes
-        mod_ops = calls * base.mod_ops
-        num_tasks = calls * base.num_tasks
-        extra_mem = extra_comp = extra_crit = 0
-        for mix_field, kind in _POINTWISE_KINDS:
-            count = getattr(phase.mix, mix_field)
-            if count == 0:
-                continue
-            graph = _pointwise_graph(phase.spec, kind)
-            total_bytes += count * graph.total_bytes()
-            data_bytes += count * graph.total_bytes()
-            mod_ops += count * graph.total_mod_ops()
-            num_tasks += count * len(graph)
-            mem, comp, crit = sched_stats_mod.graph_task_counts(graph)
-            extra_mem += count * mem
-            extra_comp += count * comp
-            extra_crit += count * crit
-        if base.schedule_stats is not None and calls:
-            stats = base.schedule_stats.scaled(calls)
+        objective = self._objective(options)
+        machine = _machine_of(options)
+        latency_ms: Optional[float] = None
+        latency_s: Optional[float] = None
+        idle: Optional[float] = None
+        if schedule == "SOLVER":
+            solved = sched.solve(spec, config, objective)
+            graph, stats = sched.solved_graph(spec, config, objective, solved)
+            latency_ms, idle = solved.latency_ms, solved.compute_idle_fraction
+            if latency_ms is not None:
+                latency_s = latency_ms / 1e3
         else:
-            stats = SchedStats()
-        return RunReport(
-            benchmark=phase.label,
-            backend=self.name,
-            schedule=base.schedule,
-            total_bytes=total_bytes,
-            data_bytes=data_bytes,
-            evk_bytes=calls * base.evk_bytes,
-            mod_ops=mod_ops,
-            num_tasks=num_tasks,
-            # A key-switch-free phase never holds the HKS working set.
-            peak_on_chip_bytes=base.peak_on_chip_bytes if calls else 0,
-            spill_stores=calls * base.spill_stores,
-            reloads=calls * base.reloads,
-            hks_calls=calls,
-            options=options,
-            schedule_stats=stats.plus_tasks(extra_mem, extra_comp,
-                                            extra_crit),
-        )
-
-class RPUBackend(PlanBackendBase):
-    """Cycle-level replay on the dual-queue RPU simulator (paper Section V).
-
-    Program estimates fold phase by phase; each phase simulates at its
-    own point of the modulus chain, so descending tower counts make late
-    phases strictly cheaper than flat top-of-chain pricing.
-    """
-
-    name = "rpu"
-
-    def _spec_report(self, spec: BenchmarkSpec, schedule: str,
-                     options: EstimateOptions) -> RunReport:
-        if schedule.upper() == "SOLVER":
-            return self._solver_spec_report(spec, options)
-        graph, stats = _cached_schedule(
-            spec, schedule.upper(), options.sram_mb, options.evk_on_chip,
-            options.key_compression,
-        )
-        result = _cached_rpu_sim(spec, schedule.upper(), options)
+            graph, stats = sched.decision_graph(
+                spec, config, _LEGACY[schedule], objective)
+            if self.timed:
+                result = sched.simulated(graph, machine)
+                latency_ms, latency_s = result.runtime_ms, result.runtime_s
+                idle = result.compute_idle_fraction
+            else:
+                summarize_schedule(spec, schedule, config, graph, stats)
         return RunReport(
             benchmark=spec.name,
             backend=self.name,
-            schedule=schedule.upper(),
-            total_bytes=result.total_bytes,
-            data_bytes=result.data_bytes,
-            evk_bytes=result.evk_bytes,
-            mod_ops=result.total_modops,
-            num_tasks=result.num_tasks,
+            schedule=schedule,
+            total_bytes=graph.total_bytes(),
+            data_bytes=graph.total_bytes(DATA_TAG),
+            evk_bytes=graph.total_bytes(EVK_TAG),
+            mod_ops=graph.total_mod_ops(),
+            num_tasks=len(graph),
             peak_on_chip_bytes=stats.peak_bytes,
             spill_stores=stats.spill_stores,
             reloads=stats.reloads,
-            latency_ms=result.runtime_ms,
-            compute_idle_fraction=result.compute_idle_fraction,
+            latency_ms=latency_ms,
+            compute_idle_fraction=idle,
             options=options,
-            schedule_stats=sched_stats_mod.from_graph(
-                graph, _machine_of(options), stats.peak_bytes,
-                latency_s=result.runtime_s,
+            schedule_stats=sched_stats.from_graph(
+                graph, machine, stats.peak_bytes, latency_s=latency_s,
             ),
         )
 
-    def _solver_spec_report(self, spec: BenchmarkSpec,
-                            options: EstimateOptions) -> RunReport:
-        """Price the solver's minimum-latency schedule for one spec.
-
-        Warm path: the solve comes from cache, the schedule is rebuilt
-        deterministically (digest-verified) and the *stored* latency is
-        reused — no simulation runs.
-        """
-        from repro import sched
-
-        config = _dataflow_config(options)
-        objective = _solver_objective_of(self.name, options)
-        solved = sched.solve(spec, config, objective)
-        graph, stats = sched.solved_graph(spec, config, objective, solved)
-        latency_s = (None if solved.latency_ms is None
-                     else solved.latency_ms / 1e3)
-        return RunReport(
-            benchmark=spec.name,
-            backend=self.name,
-            schedule="SOLVER",
-            total_bytes=solved.total_bytes,
-            data_bytes=solved.data_bytes,
-            evk_bytes=solved.evk_bytes,
-            mod_ops=solved.mod_ops,
-            num_tasks=solved.num_tasks,
-            peak_on_chip_bytes=solved.peak_bytes,
-            spill_stores=solved.spill_stores,
-            reloads=solved.reloads,
-            latency_ms=solved.latency_ms,
-            compute_idle_fraction=solved.compute_idle_fraction,
-            options=options,
-            schedule_stats=sched_stats_mod.from_graph(
-                graph, _machine_of(options), stats.peak_bytes,
-                latency_s=latency_s,
-            ),
-        )
-
-    def _machine(self, options: EstimateOptions) -> RPUConfig:
-        return _machine_of(options)
-
-    def _phase_report(self, phase: Phase, schedule: str,
-                      options: EstimateOptions) -> RunReport:
-        """Latency of one phase: one simulation per distinct kernel at the
-        phase's level, scaled by the phase op mix (the simulator replays
-        one HKS / one point-wise op; a real run would interleave them
-        identically in steady state).
-
-        Deep programs repeat the same bootstrap phases many times (HELR:
-        one per training iteration), so the label-free numbers are
-        memoized per ``(spec, mix, schedule, options)`` and only the
-        phase label is stamped on per call."""
-        from dataclasses import replace
-
-        numbers = _cached_rpu_mix_report(
-            self, phase.spec, phase.mix, schedule, options
-        )
-        return replace(numbers, benchmark=phase.label)
-
+    @model_memo
     def _mix_report(self, spec: BenchmarkSpec, mix: HEOpMix, schedule: str,
                     options: EstimateOptions) -> RunReport:
-        from repro.rpu import RPUSimulator
+        """HKS calls plus point-wise ops of one op mix at ``spec``'s level.
 
+        One schedule per distinct kernel, scaled by the op mix (a timed
+        backend replays one HKS / one point-wise op; a real run would
+        interleave them identically in steady state).
+
+        Deep programs repeat the same bootstrap phases many times (HELR:
+        one per training iteration), so the numbers are memoized: every
+        argument is hashable (frozen dataclasses; the backend, a registry
+        singleton, by identity) and :class:`RunReport` is frozen, so
+        repeated phases and repeated requests share one pricing.
+        """
         base = self._spec_report(spec, schedule, options)
-        sim = RPUSimulator(self._machine(options))
         calls = mix.hks_calls
         total_bytes = calls * base.total_bytes
         data_bytes = calls * base.data_bytes
         mod_ops = calls * base.mod_ops
         num_tasks = calls * base.num_tasks
-        latency_ms = calls * base.latency_ms
-        busy_ms = calls * base.latency_ms * (1.0 - base.compute_idle_fraction)
-        if schedule.upper() == "SOLVER" and calls > 1:
-            # Steady-state pricing: repeat calls pay the pipeline marginal
-            # (never above the cold single-call latency, so match-or-beat
-            # against `calls x hand-written` is preserved; never below the
-            # busier queue, so the folded idle fraction stays in range).
-            from repro import sched
-
-            config = _dataflow_config(options)
-            objective = _solver_objective_of(self.name, options)
-            solved = sched.solve(spec, config, objective)
-            marginal = sched.pipeline_marginal_ms(
-                spec, config, objective, solved
-            )
-            latency_ms = base.latency_ms + (calls - 1) * marginal
-        for mix_field, kind in _POINTWISE_KINDS:
-            count = getattr(mix, mix_field)
-            if count == 0:
-                continue
-            graph = _pointwise_graph(spec, kind)
-            result = sim.simulate(graph)
-            total_bytes += count * result.total_bytes
-            data_bytes += count * result.data_bytes
-            mod_ops += count * result.total_modops
-            num_tasks += count * result.num_tasks
-            latency_ms += count * result.runtime_ms
-            busy_ms += count * result.runtime_ms * (
-                1.0 - result.compute_idle_fraction
-            )
-        if base.schedule_stats is not None and calls:
-            stats = base.schedule_stats.scaled(calls)
-        else:
-            stats = SchedStats()
+        latency_ms: Optional[float] = None
+        busy_ms = 0.0
+        if (base.latency_ms is not None
+                and base.compute_idle_fraction is not None):
+            latency_ms = calls * base.latency_ms
+            busy_ms = latency_ms * (1.0 - base.compute_idle_fraction)
+            if schedule == "SOLVER" and calls > 1:
+                # Steady-state pricing: repeat calls pay the pipeline
+                # marginal (never above the cold single-call latency, so
+                # match-or-beat against `calls x hand-written` is
+                # preserved; never below the busier queue, so the folded
+                # idle fraction stays in range).
+                config = _dataflow_config(options)
+                objective = self._objective(options)
+                marginal = sched.pipeline_marginal_ms(
+                    spec, config, objective,
+                    sched.solve(spec, config, objective),
+                )
+                latency_ms = base.latency_ms + (calls - 1) * marginal
+        simulator = RPUSimulator(_machine_of(options))
         extra_mem = extra_comp = extra_crit = 0
         for mix_field, kind in _POINTWISE_KINDS:
             count = getattr(mix, mix_field)
             if count == 0:
                 continue
-            mem, comp, crit = sched_stats_mod.graph_task_counts(
-                _pointwise_graph(spec, kind)
-            )
+            graph = _pointwise_graph(spec, kind)
+            total_bytes += count * graph.total_bytes()
+            data_bytes += count * graph.total_bytes(DATA_TAG)
+            mod_ops += count * graph.total_mod_ops()
+            num_tasks += count * len(graph)
+            mem, comp, crit = sched_stats.graph_task_counts(graph)
             extra_mem += count * mem
             extra_comp += count * comp
             extra_crit += count * crit
+            if latency_ms is not None:
+                # Replayed (~8 us), not looked up: this report's own memo
+                # answers repeats, and 46 entries per machine point would
+                # crowd the schedules out of ``sched.simulated``.
+                result = simulator.simulate(graph)
+                latency_ms += count * result.runtime_ms
+                busy_ms += count * result.runtime_ms * (
+                    1.0 - result.compute_idle_fraction
+                )
+        if base.schedule_stats is not None and calls:
+            stats = base.schedule_stats.scaled(calls)
+        else:
+            stats = ScheduleStats()
         return RunReport(
             benchmark=spec.name,
             backend=self.name,
@@ -716,6 +491,57 @@ class RPUBackend(PlanBackendBase):
             schedule_stats=stats.plus_tasks(extra_mem, extra_comp,
                                             extra_crit),
         )
+
+    def run(self, workload: Union[BenchmarkSpec, WorkloadProgram],
+            schedule: str, options: EstimateOptions) -> RunReport:
+        """Thin adapter: wrap a pre-plan request into a plan."""
+        from repro.api.plan import Plan
+
+        return self.run_plan(Plan(workload=workload, backend=self.name,
+                                  schedule=schedule, options=options))
+
+    #: The historic entry point for programs; a plan carries either form.
+    run_composite = run
+
+
+@runtime_checkable
+class Backend(Protocol):
+    """Anything that can execute a resolved estimate plan.
+
+    ``run_plan`` is the primary entry point.  Backends that predate the
+    plan API may instead expose the legacy ``run(spec, schedule,
+    options)`` / ``run_composite(workload, schedule, options)`` pair;
+    :func:`execute_plan` adapts either shape.
+    """
+
+    name: str
+
+    def run_plan(self, plan: "Plan") -> RunReport:
+        """Produce a :class:`RunReport` for one resolved :class:`Plan`."""
+        ...
+
+
+class AnalyticBackend(PlanBackendBase):
+    """Traffic/AI analysis of the generated schedules (paper Table II).
+
+    No timing model, so ``latency_ms`` is ``None``; every hand-written
+    schedule it reports has passed :func:`repro.core.analysis.
+    summarize_schedule`'s stage-algebra checks.
+    """
+
+    name = "analytic"
+
+
+class RPUBackend(PlanBackendBase):
+    """Cycle-level replay on the dual-queue RPU simulator (paper Section V).
+
+    Program estimates fold phase by phase; each phase simulates at its
+    own point of the modulus chain, so descending tower counts make late
+    phases strictly cheaper than flat top-of-chain pricing.
+    """
+
+    name = "rpu"
+    timed = True
 
 
 class AutoBackend(RPUBackend):
@@ -789,42 +615,6 @@ register_backend(AutoBackend())
 
 # -- the single request path ---------------------------------------------------
 
-Workload = Union[str, BenchmarkSpec, "WorkloadProgram", "CompositeWorkload"]
-
-
-def _resolve_workload(workload: Workload) -> Workload:
-    """Resolve a name/spec to a :class:`BenchmarkSpec` or workload program.
-
-    Names check Table III benchmarks first (``"ARK"``), then the named
-    workload programs of :mod:`repro.workloads` (``"BOOT"``,
-    ``"RESNET_BOOT"``, ``"HELR"``).
-    """
-    if isinstance(workload, BenchmarkSpec):
-        return workload
-    if not isinstance(workload, str):
-        from repro.workloads import CompositeWorkload, WorkloadProgram
-
-        if isinstance(workload, (WorkloadProgram, CompositeWorkload)):
-            return workload
-        raise ParameterError(
-            f"workload must be a name, BenchmarkSpec, WorkloadProgram or "
-            f"CompositeWorkload, got {type(workload).__name__}"
-        )
-    try:
-        return get_benchmark(workload)
-    except ParameterError:
-        from repro.workloads import get_workload, list_workloads
-
-        try:
-            return get_workload(workload)
-        except ParameterError:
-            raise ParameterError(
-                f"unknown workload {workload!r}; benchmarks: "
-                f"{sorted(BENCHMARKS)}, composite workloads: "
-                f"{list_workloads()}"
-            ) from None
-
-
 def _resolve_schedules(schedule: Union[str, Sequence[str]]) -> List[str]:
     if isinstance(schedule, str):
         if schedule.lower() == "all":
@@ -892,7 +682,7 @@ def estimate(
     """
     from repro.api.plan import Plan
 
-    spec = _resolve_workload(workload)
+    spec = resolve_workload(workload)
     get_backend(backend)  # unknown backends fail before option parsing
     valid = sorted(EstimateOptions.__dataclass_fields__)
     unknown = sorted(set(options) - set(valid))

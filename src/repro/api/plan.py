@@ -41,12 +41,11 @@ if TYPE_CHECKING:
 
 from repro.errors import ParameterError
 from repro.params import BenchmarkSpec
-from repro.workloads.ir import (
-    CompositeWorkload,
+from repro.workloads import (
     HEOpMix,
     Phase,
     WorkloadProgram,
-    as_program,
+    resolve_workload,
 )
 
 #: Bump when the digest payload layout changes; digests (and anything
@@ -218,10 +217,6 @@ class Plan:
                 f"plan options must be EstimateOptions, "
                 f"got {type(self.options).__name__}"
             )
-        if isinstance(self.workload, CompositeWorkload):
-            # The deprecated flat representation lifts (with its warning)
-            # to the one-phase program, which prices identically.
-            object.__setattr__(self, "workload", as_program(self.workload))
         if not isinstance(self.workload, (BenchmarkSpec, WorkloadProgram)):
             raise ParameterError(
                 f"plan workload must be a BenchmarkSpec or WorkloadProgram, "
@@ -332,7 +327,7 @@ def build_plan(workload: "Workload", *, backend: str = "rpu",
     dataflow — a plan is one executable request; loop (or use
     ``estimate(schedule="all")``) for sweeps.
     """
-    from repro.api.backends import EstimateOptions, _resolve_workload
+    from repro.api.backends import EstimateOptions
 
     if options is not None and option_fields:
         raise ParameterError(
@@ -352,7 +347,7 @@ def build_plan(workload: "Workload", *, backend: str = "rpu",
             "dataflow (or call estimate(schedule='all') for the sweep)"
         )
     return Plan(
-        workload=_resolve_workload(workload),
+        workload=resolve_workload(workload),
         backend=backend,
         schedule=schedule,
         options=options,
@@ -394,7 +389,7 @@ def report_to_dict(report: "RunReport") -> Dict[str, object]:
 def report_from_dict(data: Dict[str, object]) -> "RunReport":
     from repro.api.backends import RunReport
 
-    from repro.sched.stats import ScheduleStats as SchedStats
+    from repro.sched.stats import ScheduleStats
 
     latency = data.get("latency_ms")
     idle = data.get("compute_idle_fraction")
@@ -418,6 +413,6 @@ def report_from_dict(data: Dict[str, object]) -> "RunReport":
         phases=tuple(report_from_dict(p) for p in data.get("phases", ())),
         options=_options_from_dict(dict(data.get("options", {}))),
         schedule_stats=(
-            None if raw_stats is None else SchedStats.from_dict(dict(raw_stats))
+            None if raw_stats is None else ScheduleStats.from_dict(dict(raw_stats))
         ),
     )

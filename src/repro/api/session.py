@@ -217,9 +217,9 @@ class FHESession:
         has already been paid.
         """
         from repro.analysis import required_evks
-        from repro.api.backends import _resolve_workload
+        from repro.workloads import resolve_workload
 
-        resolved = _resolve_workload(workload)
+        resolved = resolve_workload(workload)
         needed = required_evks(resolved)
         have = self.key_cache_info()
         return {

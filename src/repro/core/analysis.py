@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.dataflow import Dataflow, DataflowConfig
+from repro.core.dataflow import BuilderStats, Dataflow, DataflowConfig
 from repro.core.stages import HKSShape
 from repro.core.taskgraph import DATA_TAG, EVK_TAG, TaskGraph
 from repro.params import MB, BenchmarkSpec
@@ -64,9 +64,25 @@ def analyze_dataflow(
     if config is None:
         config = DataflowConfig(data_sram_bytes=32 * MB, evk_on_chip=False)
     graph, stats = dataflow.build_with_stats(spec, config)
+    return summarize_schedule(spec, dataflow.name, config, graph, stats)
+
+
+def summarize_schedule(
+    spec: BenchmarkSpec,
+    dataflow_name: str,
+    config: DataflowConfig,
+    graph: TaskGraph,
+    stats: BuilderStats,
+) -> DataflowReport:
+    """Summarize an already-built schedule and check its invariants.
+
+    The half of :func:`analyze_dataflow` that needs no build, so a caller
+    holding the shared ``(graph, stats)`` of a schedule checks that one
+    rather than a private second build.
+    """
     report = DataflowReport(
         benchmark=spec.name,
-        dataflow=dataflow.name,
+        dataflow=dataflow_name,
         total_bytes=graph.total_bytes(),
         data_bytes=graph.total_bytes(DATA_TAG),
         evk_bytes=graph.total_bytes(EVK_TAG),

@@ -74,7 +74,7 @@ class _Value:
 
 
 @dataclass
-class ScheduleStats:
+class BuilderStats:
     """Aggregates the builder tracks while emitting a schedule."""
 
     peak_bytes: int = 0
@@ -94,7 +94,7 @@ class ScheduleBuilder:
         self.values: Dict[str, _Value] = {}
         #: The values with ``on_chip`` set — the only eviction candidates.
         self._resident: Set[_Value] = set()
-        self.stats = ScheduleStats()
+        self.stats = BuilderStats()
         self._clock = 0
         self._defined = 0
 
@@ -320,7 +320,7 @@ class Dataflow(abc.ABC):
 
     def build_with_stats(
         self, spec: BenchmarkSpec, config: DataflowConfig
-    ) -> Tuple[TaskGraph, ScheduleStats]:
+    ) -> Tuple[TaskGraph, BuilderStats]:
         """Like :meth:`build` but also returns the builder statistics."""
         from repro.core.hks_ops import HKSEmitter  # local: avoids module cycle
 

@@ -7,7 +7,7 @@ functional layer runs (phases lowered from the bootstrap plan, see
 :func:`repro.workloads.boot_program`) on all three dataflow schedules,
 with keys on-chip and streamed — *level-aware*: every pipeline stage is
 charged at its true (descending) point of the modulus chain, and the
-per-phase latency breakdown plus the saving over the deprecated flat
+per-phase latency breakdown plus the saving over the flat
 top-of-chain pricing are reported.
 """
 
@@ -24,7 +24,7 @@ def run() -> ExperimentResult:
     for evk_on_chip in (True, False):
         reports = estimate("BOOT", backend="rpu", schedule="all",
                            evk_on_chip=evk_on_chip)
-        flats = estimate(boot_flat_workload().as_program(), backend="rpu",
+        flats = estimate(boot_flat_workload(), backend="rpu",
                          schedule="all", evk_on_chip=evk_on_chip)
         for report, flat in zip(reports, flats):
             rows.append(
@@ -54,7 +54,7 @@ def run() -> ExperimentResult:
         f"OC per-phase latency: {phase_note}",
         "HKS counts derive from the same BootstrapPlan the functional "
         "pipeline is instrumentation-tested against (tests/test_bootstrap.py)",
-        "flat_latency_s is the deprecated top-of-chain pricing: the "
+        "flat_latency_s is the flat top-of-chain pricing: the "
         "level-aware program is strictly cheaper on every schedule",
     ]
     return ExperimentResult(

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core import DATAFLOWS, TaskGraph
+from repro.core import DATAFLOWS, DataflowConfig, TaskGraph
 from repro.params import MB, get_benchmark
-from repro.rpu import RPUConfig, RPUSimulator, SimResult
+from repro.rpu import SimResult
+from repro.sched import (
+    HKSDecision,
+    Objective,
+    decision_graph,
+    machine_for,
+    simulated,
+)
 
 #: The paper's reference operating point: MP at DDR5 peak with keys on-chip.
 BASELINE_BW_GBS = 64.0
@@ -15,24 +22,26 @@ BASELINE_BW_GBS = 64.0
 OCBASE_GRID = (8.0, 12.8, 16.0, 25.6, 32.0, 45.62, 48.0, 64.0)
 
 
-def _cached_graph(bench_name: str, dataflow_name: str, sram_mb: int,
-                  evk_on_chip: bool) -> TaskGraph:
-    # Delegates to the backend registry's schedule cache so the facade
-    # and the experiment harness share one graph per configuration.
-    from repro.api.backends import _cached_schedule
-
-    spec = get_benchmark(bench_name)
-    graph, _ = _cached_schedule(
-        spec, dataflow_name.upper(), sram_mb, evk_on_chip, False
-    )
-    return graph
+def _memory(sram_mb: int, evk_on_chip: bool) -> DataflowConfig:
+    return DataflowConfig(data_sram_bytes=sram_mb * MB,
+                          evk_on_chip=evk_on_chip)
 
 
 def build_schedule(
     benchmark: str, dataflow: str, *, sram_mb: int = 32, evk_on_chip: bool = True
 ) -> TaskGraph:
-    """Cached schedule lookup (schedules do not depend on bandwidth/MODOPS)."""
-    return _cached_graph(benchmark.upper(), dataflow.upper(), sram_mb, evk_on_chip)
+    """The shared schedule of one (benchmark, dataflow, memory config).
+
+    Comes out of the schedule store of :mod:`repro.sched`, the one the
+    estimate backends read, so the harness and the facade share one graph
+    per configuration (schedules do not depend on bandwidth/MODOPS).
+    """
+    # The objective only orders a re-listed decision; any one will do here.
+    graph, _ = decision_graph(
+        get_benchmark(benchmark), _memory(sram_mb, evk_on_chip),
+        HKSDecision(base=dataflow.upper()), Objective(),
+    )
+    return graph
 
 
 def simulate(
@@ -48,13 +57,10 @@ def simulate(
     graph = build_schedule(
         benchmark, dataflow, sram_mb=sram_mb, evk_on_chip=evk_on_chip
     )
-    config = RPUConfig(
-        bandwidth_bytes_per_s=bandwidth_gbs * 1e9,
-        data_sram_bytes=sram_mb * MB,
-        key_sram_bytes=360 * MB if evk_on_chip else 0,
-        modops_scale=modops_scale,
-    )
-    return RPUSimulator(config).simulate(graph)
+    return simulated(graph, machine_for(
+        _memory(sram_mb, evk_on_chip),
+        Objective.latency(bandwidth_gbs, modops_scale),
+    ))
 
 
 def runtime_ms(benchmark: str, dataflow: str, **kwargs) -> float:

@@ -12,8 +12,10 @@ evaluated exactly, so the solved schedule matches or beats the best
 hand-written one by construction.
 
 This package sits *below* :mod:`repro.api` (the workload builders import
-:data:`~repro.sched.space.RESNET_DECISION` and friends); the solver's
-API-layer hooks are imported lazily.
+:data:`~repro.sched.space.RESNET_DECISION` and friends) and never imports
+it: the API layer calls down into the schedule store
+(:func:`decision_graph`, :func:`simulated`) and registers its own memos
+with :mod:`~repro.sched.memo` so :func:`clear_memos` reaches them.
 """
 
 from repro.sched.generic import DecisionDataflow
@@ -27,9 +29,13 @@ from repro.sched.solver import (
     ScheduleDecision,
     SolvedSchedule,
     artifact,
+    clear_memos,
+    decision_graph,
+    machine_for,
     pipeline_marginal_ms,
     reset_counters,
     schedule_digest,
+    simulated,
     solve,
     solve_key,
     solve_workload,
@@ -63,13 +69,17 @@ __all__ = [
     "SolvedSchedule",
     "artifact",
     "build_pipeline",
+    "clear_memos",
+    "decision_graph",
     "enumerate_decisions",
+    "machine_for",
     "pin_capacity",
     "pipeline_marginal_ms",
     "predict_cost",
     "reorder_for_latency",
     "reset_counters",
     "schedule_digest",
+    "simulated",
     "solve",
     "solve_key",
     "solve_workload",

@@ -45,6 +45,10 @@ class DecisionDataflow(Dataflow):
             from repro.core import get_dataflow
 
             self._delegate = get_dataflow(decision.base)
+            # Same graph name, hence same digest, as the hand-written
+            # dataflow built directly.
+            self.name = self._delegate.name
+            self.title = self._delegate.title
         else:
             self._delegate = None
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, List, Tuple
 
-from repro.core.dataflow import DataflowConfig, ScheduleBuilder, ScheduleStats
+from repro.core.dataflow import DataflowConfig, ScheduleBuilder, BuilderStats
 from repro.core.stages import OpCount
 from repro.core.taskgraph import DATA_TAG, Kind, TaskGraph
 from repro.errors import ParameterError
@@ -55,7 +55,7 @@ class _PrefixedBuilder:
         return self._inner.graph
 
     @property
-    def stats(self) -> ScheduleStats:
+    def stats(self) -> BuilderStats:
         return self._inner.stats
 
     def _p(self, name: str) -> str:
@@ -97,7 +97,7 @@ class _PrefixedBuilder:
 
 def pipeline_calls(spec: BenchmarkSpec, config: DataflowConfig,
                    decision: HKSDecision, calls: int,
-                   ) -> Tuple[TaskGraph, ScheduleStats, List[int]]:
+                   ) -> Tuple[TaskGraph, BuilderStats, List[int]]:
     """:func:`build_pipeline` plus the call boundaries: entry ``c`` is the
     task count once call ``c`` has been emitted, so the graph's first
     ``boundaries[c]`` tasks are the ``c + 1``-call pipeline."""
@@ -121,7 +121,7 @@ def pipeline_calls(spec: BenchmarkSpec, config: DataflowConfig,
 
 def build_pipeline(spec: BenchmarkSpec, config: DataflowConfig,
                    decision: HKSDecision,
-                   calls: int = 2) -> Tuple[TaskGraph, ScheduleStats]:
+                   calls: int = 2) -> Tuple[TaskGraph, BuilderStats]:
     """Emit ``calls`` back-to-back HKS instances into one schedule.
 
     All calls share one builder (one budget, one pair of task queues), so

@@ -23,9 +23,13 @@ schedule deterministically, and verifies the rebuild against the stored
 digest.  Plan-level bundles (recorded during a cold ``run_plan``) let a
 fresh process pre-seed the memo with one cache read.
 
-All imports of :mod:`repro.api` are lazy: the workload builders import
-:mod:`repro.sched.space`, which executes this package's ``__init__``,
-and the API layer sits above the workloads.
+This module is also the **schedule store**: :func:`decision_graph` is the
+one place a ``(spec, config, decision)`` becomes a task graph and
+:func:`simulated` the one place a ``(graph, machine)`` is replayed, for
+the solver's candidates and the backends' ``MP``/``DC``/``OC`` requests
+alike (a hand-written schedule is its :data:`~repro.sched.space.
+LEGACY_DECISIONS` entry).  Nothing here imports :mod:`repro.api`; the
+API layer sits above this package and calls down.
 """
 
 from __future__ import annotations
@@ -33,18 +37,18 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import cache as disk_cache
-from repro.core.dataflow import DataflowConfig, ScheduleStats
-from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, TaskGraph
+from repro.core.dataflow import BuilderStats, DataflowConfig
+from repro.core.taskgraph import Kind, TaskGraph
 from repro.errors import ParameterError, ScheduleError
 from repro.params import MB, BenchmarkSpec
 from repro.rpu.config import RPUConfig
 from repro.rpu.simulator import RPUSimulator, SimResult
 from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import MAX_REORDER_TASKS, reorder_for_latency
+from repro.sched.memo import MODEL_MEMOS, model_memo
 from repro.sched.pipeline import pipeline_calls
 from repro.sched.space import (
     HKSDecision,
@@ -55,8 +59,10 @@ from repro.sched.space import (
 
 #: Bump when solver output could change for the same inputs (new search
 #: knobs, emitter changes, digest format): it invalidates every cached
-#: solve, preventing stale-digest rebuild failures.
-SCHED_VERSION = 1
+#: solve, preventing stale-digest rebuild failures.  2: a hand-written
+#: decision names its graph ``{spec}/{base}`` at every budget (the name is
+#: hashed); stored solves carry the digest and timing only.
+SCHED_VERSION = 2
 
 #: A generic candidate is evaluated exactly only when its closed-form
 #: guess undercuts the best legacy guess by at least this factor.
@@ -186,20 +192,14 @@ class ScheduleDecision:
 @dataclass(frozen=True)
 class SolvedSchedule:
     """The argmin schedule for one (spec, config, objective), plus the
-    report numbers a backend needs without re-simulating."""
+    timing a backend needs without re-simulating.  Traffic, op and task
+    counts are not stored: every reader holds the digest-verified graph
+    and reads its running totals."""
 
     record: ScheduleDecision
     #: Content digest of the schedule's canonical task-graph JSON; warm
     #: rebuilds are verified against it.
     digest: str
-    total_bytes: int
-    data_bytes: int
-    evk_bytes: int
-    mod_ops: int
-    num_tasks: int
-    peak_bytes: int
-    spill_stores: int
-    reloads: int
     latency_ms: Optional[float] = None
     compute_idle_fraction: Optional[float] = None
 
@@ -215,14 +215,6 @@ class SolvedSchedule:
         return {
             "record": self.record.to_dict(),
             "digest": self.digest,
-            "total_bytes": self.total_bytes,
-            "data_bytes": self.data_bytes,
-            "evk_bytes": self.evk_bytes,
-            "mod_ops": self.mod_ops,
-            "num_tasks": self.num_tasks,
-            "peak_bytes": self.peak_bytes,
-            "spill_stores": self.spill_stores,
-            "reloads": self.reloads,
             "latency_ms": self.latency_ms,
             "compute_idle_fraction": self.compute_idle_fraction,
         }
@@ -234,14 +226,6 @@ class SolvedSchedule:
         return cls(
             record=ScheduleDecision.from_dict(dict(data["record"])),  # type: ignore[arg-type]
             digest=str(data["digest"]),
-            total_bytes=int(data["total_bytes"]),
-            data_bytes=int(data["data_bytes"]),
-            evk_bytes=int(data["evk_bytes"]),
-            mod_ops=int(data["mod_ops"]),
-            num_tasks=int(data["num_tasks"]),
-            peak_bytes=int(data["peak_bytes"]),
-            spill_stores=int(data["spill_stores"]),
-            reloads=int(data["reloads"]),
             latency_ms=None if latency is None else float(latency),
             compute_idle_fraction=None if idle is None else float(idle),
         )
@@ -262,7 +246,7 @@ class ScheduleArtifact:
     config: DataflowConfig
     solved: SolvedSchedule
     graph: TaskGraph
-    stats: ScheduleStats = field(repr=False)
+    stats: BuilderStats = field(repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -272,6 +256,18 @@ class ScheduleArtifact:
 _MEMO: Dict[str, SolvedSchedule] = {}
 _MARGINAL: Dict[str, float] = {}
 _RECORDING: Optional[Dict[str, Dict[str, object]]] = None
+
+
+def clear_memos() -> None:
+    """Empty every in-process model memo, wherever it is defined.
+
+    The disk cache is a deployment path and is left alone: a cleared
+    process re-reads it, it does not search again.
+    """
+    for memo in MODEL_MEMOS:
+        memo.cache_clear()
+    _MEMO.clear()
+    _MARGINAL.clear()
 
 
 def _spec_parts(spec: BenchmarkSpec) -> Tuple[object, ...]:
@@ -295,8 +291,10 @@ def solve_key(spec: BenchmarkSpec, config: DataflowConfig,
 def machine_for(config: DataflowConfig, objective: Objective) -> RPUConfig:
     """The RPU timing model a latency objective is evaluated under.
 
-    Mirrors the RPU backend's machine mapping so a solve at the default
-    axes and a backend estimate price schedules identically.
+    The one mapping from a memory configuration plus machine axes to an
+    :class:`RPUConfig` — the backends and the experiment harness use it
+    too, so their simulations share :func:`simulated` entries with the
+    solver's.
     """
     return RPUConfig(
         bandwidth_bytes_per_s=objective.bandwidth_gbs * 1e9,
@@ -310,27 +308,17 @@ def machine_for(config: DataflowConfig, objective: Objective) -> RPUConfig:
 _KIND_CODE = {k: k.value for k in Kind}
 
 
-class _GraphSummary(NamedTuple):
-    digest: str
-    total_bytes: int
-    data_bytes: int
-    evk_bytes: int
-    mod_ops: int
+@model_memo
+def schedule_digest(graph: TaskGraph) -> str:
+    """Deterministic content digest of a schedule.
 
-
-@lru_cache(maxsize=1024)
-def _graph_summary(graph: TaskGraph) -> _GraphSummary:
-    """Digest + traffic/op aggregates of a graph.
-
-    The digest hashes the same fields :meth:`TaskGraph.to_json`
-    serializes: the numeric columns (index, bytes, muls, adds,
-    length-prefixed deps) as one little-endian int64 stream in task
-    order, the string columns NUL-joined — canonical, and an order of
-    magnitude cheaper than hashing the JSON blob; the aggregates are the
-    graph's running totals.  Memoized by graph identity: the builders
-    behind :func:`decision_graph` are themselves lru-cached, so
-    summarizing the same object again (solve, then verify, then bench)
-    costs nothing.
+    Hashes the same fields :meth:`TaskGraph.to_json` serializes: the
+    numeric columns (index, bytes, muls, adds, length-prefixed deps) as
+    one little-endian int64 stream in task order, the string columns
+    NUL-joined — canonical, and an order of magnitude cheaper than
+    hashing the JSON blob.  Memoized by graph identity: the store behind
+    :func:`decision_graph` hands out one object per key, so digesting it
+    again (solve, then verify, then report) costs nothing.
     """
     import numpy as np
 
@@ -349,60 +337,31 @@ def _graph_summary(graph: TaskGraph) -> _GraphSummary:
     ):
         h.update(b"\x01")
         h.update(column.encode("utf-8"))
-    return _GraphSummary(
-        h.hexdigest()[:24], graph.total_bytes(), graph.total_bytes(DATA_TAG),
-        graph.total_bytes(EVK_TAG), graph.total_mod_ops(),
-    )
-
-
-def schedule_digest(graph: TaskGraph) -> str:
-    """Deterministic content digest of a schedule."""
-    return _graph_summary(graph).digest
+    return h.hexdigest()[:24]
 
 
 # --------------------------------------------------------------------------
 # Schedule construction (deterministic; shared with warm rebuilds)
 # --------------------------------------------------------------------------
 
-def _aligned_sram_mb(config: DataflowConfig) -> Optional[int]:
-    """MB size when the config round-trips through EstimateOptions."""
-    if config.data_sram_bytes >= MB and config.data_sram_bytes % MB == 0:
-        return config.data_sram_bytes // MB
-    return None
-
-
-@lru_cache(maxsize=256)
+@model_memo
 def _built(spec: BenchmarkSpec, config: DataflowConfig,
-           decision: HKSDecision) -> Tuple[TaskGraph, ScheduleStats]:
+           decision: HKSDecision) -> Tuple[TaskGraph, BuilderStats]:
+    """The schedule store: one build per (spec, config, decision).
+
+    Schedules depend only on the memory configuration, never on bandwidth
+    or MODOPS, so a sweep over machine points, the solver's anchors and
+    every backend share one graph object per key.
+    """
     return DecisionDataflow(decision).build_with_stats(spec, config)
 
 
-def _base_graph(spec: BenchmarkSpec, config: DataflowConfig,
-                decision: HKSDecision) -> Tuple[TaskGraph, ScheduleStats]:
-    """Build (or fetch) the non-reordered graph for a decision.
-
-    Legacy decisions at MB-aligned budgets go through the API layer's
-    schedule cache so solver and backends share one build per config.
-    """
-    decision = replace(decision, reordered=False)
-    if decision.is_legacy:
-        mb = _aligned_sram_mb(config)
-        if mb is not None:
-            from repro.api import backends
-
-            return backends._cached_schedule(
-                spec, decision.base, mb, config.evk_on_chip,
-                config.key_compression,
-            )
-    return _built(spec, config, decision)
-
-
-@lru_cache(maxsize=256)
+@model_memo
 def _reordered_graph(
     spec: BenchmarkSpec, config: DataflowConfig, decision: HKSDecision,
     objective: Objective,
-) -> Tuple[TaskGraph, ScheduleStats]:
-    base, stats = _base_graph(spec, config, decision)
+) -> Tuple[TaskGraph, BuilderStats]:
+    base, stats = _built(spec, config, decision)
     better = reorder_for_latency(base, machine_for(config, objective))
     return (better if better is not None else base), stats
 
@@ -410,18 +369,24 @@ def _reordered_graph(
 def decision_graph(
     spec: BenchmarkSpec, config: DataflowConfig, decision: HKSDecision,
     objective: Objective,
-) -> Tuple[TaskGraph, ScheduleStats]:
-    """The deterministic (graph, builder stats) a decision denotes."""
+) -> Tuple[TaskGraph, BuilderStats]:
+    """The deterministic (graph, builder stats) a decision denotes.
+
+    ``objective`` matters to a re-listed decision only: the list scheduler
+    orders the compute queue against that machine.
+    """
     if decision.reordered:
-        return _reordered_graph(spec, config, decision, objective)
-    return _base_graph(spec, config, decision)
+        return _reordered_graph(
+            spec, config, replace(decision, reordered=False), objective)
+    return _built(spec, config, decision)
 
 
-@lru_cache(maxsize=256)
-def _verified_graph(
+def solved_graph(
     spec: BenchmarkSpec, config: DataflowConfig, objective: Objective,
     solved: SolvedSchedule,
-) -> Tuple[TaskGraph, ScheduleStats]:
+) -> Tuple[TaskGraph, BuilderStats]:
+    """Rebuild a solved schedule and verify it against the stored digest
+    (hashed once per graph object: :func:`schedule_digest` is memoised)."""
     graph, stats = decision_graph(spec, config, solved.decision, objective)
     digest = schedule_digest(graph)
     if digest != solved.digest:
@@ -433,14 +398,6 @@ def _verified_graph(
     return graph, stats
 
 
-def solved_graph(
-    spec: BenchmarkSpec, config: DataflowConfig, objective: Objective,
-    solved: SolvedSchedule,
-) -> Tuple[TaskGraph, ScheduleStats]:
-    """Rebuild a solved schedule, digest-verified once per process."""
-    return _verified_graph(spec, config, objective, solved)
-
-
 # --------------------------------------------------------------------------
 # Exact evaluation
 # --------------------------------------------------------------------------
@@ -448,46 +405,25 @@ def solved_graph(
 class _Eval(NamedTuple):
     decision: HKSDecision
     graph: TaskGraph
-    stats: ScheduleStats
     sim: Optional[SimResult]
     cost: float
 
 
-@lru_cache(maxsize=512)
-def _simulated(graph: TaskGraph, machine: RPUConfig) -> SimResult:
+@model_memo
+def simulated(graph: TaskGraph, machine: RPUConfig) -> SimResult:
+    """One replay per (graph, machine): an estimate that already priced OC
+    warms the solver's anchor for free, and the other way round."""
     return RPUSimulator(machine).simulate(graph)
-
-
-def _sim_for(spec: BenchmarkSpec, config: DataflowConfig,
-             objective: Objective, decision: HKSDecision,
-             graph: TaskGraph) -> SimResult:
-    if decision.is_legacy and not decision.reordered:
-        mb = _aligned_sram_mb(config)
-        if mb is not None:
-            # Share the API layer's simulation cache: an estimate() that
-            # already priced OC warms the solver's legacy anchors free.
-            from repro.api import backends
-
-            options = backends.EstimateOptions(
-                bandwidth_gbs=objective.bandwidth_gbs,
-                sram_mb=mb,
-                evk_on_chip=config.evk_on_chip,
-                key_compression=config.key_compression,
-                modops_scale=objective.modops_scale,
-            )
-            return backends._cached_rpu_sim(spec, decision.base, options)
-    return _simulated(graph, machine_for(config, objective))
 
 
 def _evaluate(spec: BenchmarkSpec, config: DataflowConfig,
               objective: Objective, decision: HKSDecision) -> _Eval:
     COUNTERS["exact_evals"] += 1
-    graph, stats = decision_graph(spec, config, decision, objective)
+    graph, _ = decision_graph(spec, config, decision, objective)
     if objective.metric == "traffic":
-        return _Eval(decision, graph, stats, None,
-                     float(graph.total_bytes()))
-    sim = _sim_for(spec, config, objective, decision, graph)
-    return _Eval(decision, graph, stats, sim, sim.runtime_ms)
+        return _Eval(decision, graph, None, float(graph.total_bytes()))
+    sim = simulated(graph, machine_for(config, objective))
+    return _Eval(decision, graph, sim, sim.runtime_ms)
 
 
 def _analysis_clean(graph: TaskGraph) -> bool:
@@ -560,13 +496,13 @@ def _search(spec: BenchmarkSpec, config: DataflowConfig,
         and len(best.graph) <= MAX_REORDER_TASKS
     ):
         rdec = replace(best.decision, reordered=True)
-        graph2, stats2 = decision_graph(spec, config, rdec, objective)
+        graph2, _ = decision_graph(spec, config, rdec, objective)
         if graph2 is not best.graph:
-            sim2 = _simulated(graph2, machine_for(config, objective))
+            sim2 = simulated(graph2, machine_for(config, objective))
             COUNTERS["exact_evals"] += 1
             evaluated += 1
             if sim2.runtime_ms < best.cost and _analysis_clean(graph2):
-                best = _Eval(rdec, graph2, stats2, sim2, sim2.runtime_ms)
+                best = _Eval(rdec, graph2, sim2, sim2.runtime_ms)
 
     if best.decision == legacy_best.decision:
         reason = (
@@ -594,19 +530,9 @@ def _search(spec: BenchmarkSpec, config: DataflowConfig,
         evaluated=evaluated,
         reason=reason,
     )
-    graph = best.graph
-    summary = _graph_summary(graph)
     return SolvedSchedule(
         record=record,
-        digest=summary.digest,
-        total_bytes=summary.total_bytes,
-        data_bytes=summary.data_bytes,
-        evk_bytes=summary.evk_bytes,
-        mod_ops=summary.mod_ops,
-        num_tasks=len(graph),
-        peak_bytes=best.stats.peak_bytes,
-        spill_stores=best.stats.spill_stores,
-        reloads=best.stats.reloads,
+        digest=schedule_digest(best.graph),
         latency_ms=None if best.sim is None else best.sim.runtime_ms,
         compute_idle_fraction=(
             None if best.sim is None else best.sim.compute_idle_fraction
@@ -758,12 +684,13 @@ def solve_workload(workload: str,
     """Solve every distinct HKS spec a workload touches.
 
     Returns ``(spec, hks_calls, solved)`` rows in first-appearance order,
-    aggregating call counts across phases that share a spec.  Imports the
-    API layer lazily (this module sits below it).
+    aggregating call counts across phases that share a spec.
     """
-    from repro.api.backends import _resolve_workload
+    # Lazy: the workload builders import repro.sched.space, which runs
+    # this package's __init__ before repro.workloads has finished loading.
+    from repro.workloads import resolve_workload
 
-    resolved = _resolve_workload(workload)
+    resolved = resolve_workload(workload)
     config = config if config is not None else DataflowConfig()
     objective = objective if objective is not None else Objective()
     order: List[BenchmarkSpec] = []

@@ -1,7 +1,7 @@
 """Report-level schedule statistics, uniform across backends.
 
 Distinct from the *builder-level* :class:`repro.core.dataflow.
-ScheduleStats` (peak bytes / spills / reloads tracked while emitting):
+BuilderStats` (peak bytes / spills / reloads tracked while emitting):
 this module derives comparable per-queue occupancy, critical-path length
 and SRAM high-water numbers for any finished schedule, so a
 :class:`~repro.api.backends.RunReport` can carry the same structural
@@ -16,11 +16,11 @@ lower bounds: queue busy time over the span of the longer queue.  It is a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Optional
 
 from repro.core.taskgraph import TaskGraph
 from repro.rpu.config import RPUConfig
+from repro.sched.memo import model_memo
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,14 @@ def fold(stats: "list[ScheduleStats]") -> ScheduleStats:
     )
 
 
-@lru_cache(maxsize=512)
+@model_memo
 def _graph_profile(graph: TaskGraph) -> "tuple[int, int, int, int, int]":
     """(mem_tasks, comp_tasks, critical_path, bytes, mod_ops) for a graph.
 
-    Cached by graph object identity — backends build graphs through lru
-    caches, so repeated reports over the same schedule profile it once.
-    The critical path is the longest dependency chain in tasks.
+    Memoised by graph object identity — every graph comes out of the
+    schedule store (or the point-wise graph memo), so repeated reports
+    over the same schedule profile it once.  The critical path is the
+    longest dependency chain in tasks.
     """
     depth: "list[int]" = []
     longest = 0

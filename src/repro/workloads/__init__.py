@@ -11,12 +11,12 @@ of the modulus chain — so the claim can be reproduced quantitatively,
 Layout:
 
 * :mod:`repro.workloads.mix` — op mixes and per-op task models;
-* :mod:`repro.workloads.ir` — the phase IR plus the deprecated flat
-  :class:`CompositeWorkload` shim;
+* :mod:`repro.workloads.ir` — the phase IR;
 * :mod:`repro.workloads.builders` — structural lowering of the bootstrap
   plan and the deep scenarios (``BOOT``, ``RESNET_BOOT``, ``HELR``);
-* :mod:`repro.workloads.registry` — name -> program lookup used by
-  ``estimate()``.
+* :mod:`repro.workloads.registry` — name -> program lookup and the
+  request-level :func:`resolve_workload` used by ``estimate()``, plans
+  and the solver.
 """
 
 from repro.workloads.builders import (
@@ -30,7 +30,6 @@ from repro.workloads.builders import (
 )
 from repro.workloads.ir import (
     BOOTSTRAP_KINDS,
-    CompositeWorkload,
     PHASE_KINDS,
     Phase,
     WorkloadProgram,
@@ -38,15 +37,21 @@ from repro.workloads.ir import (
     level_spec,
 )
 from repro.workloads.mix import HEOpMix, build_pointwise_graph, hks_time_share
-from repro.workloads.registry import WORKLOADS, get_workload, list_workloads
+from repro.workloads.registry import (
+    WORKLOADS,
+    Workload,
+    get_workload,
+    list_workloads,
+    resolve_workload,
+)
 
 __all__ = [
     "BOOTSTRAP_KINDS",
-    "CompositeWorkload",
     "HEOpMix",
     "PHASE_KINDS",
     "Phase",
     "WORKLOADS",
+    "Workload",
     "WorkloadProgram",
     "as_program",
     "boot_flat_workload",
@@ -61,4 +66,5 @@ __all__ = [
     "level_spec",
     "list_workloads",
     "resnet_boot_program",
+    "resolve_workload",
 ]

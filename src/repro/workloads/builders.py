@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.errors import ParameterError
 from repro.params import BenchmarkSpec
 from repro.sched.space import HELR_DECISION, RESNET_DECISION
-from repro.workloads.ir import CompositeWorkload, Phase, WorkloadProgram, level_spec
+from repro.workloads.ir import Phase, WorkloadProgram, level_spec
 from repro.workloads.mix import HEOpMix
 
 if TYPE_CHECKING:
@@ -143,25 +143,25 @@ def bootstrap_workload() -> WorkloadProgram:
     returns the phase-structured :class:`WorkloadProgram`; every accessor
     the flat object exposed (``name``/``spec``/``mix``/``hks_calls``/
     ``description``) reads identically through the program's aggregate
-    views, so only ``isinstance(..., CompositeWorkload)`` checks notice —
-    those callers want :func:`boot_flat_workload`.
+    views; callers that want the flat top-of-chain pricing use
+    :func:`boot_flat_workload`.
     """
     return boot_program()
 
 
 @lru_cache(maxsize=None)
-def boot_flat_workload() -> CompositeWorkload:
-    """The deprecated flat BOOT pricing (every HKS at top-of-chain).
+def boot_flat_workload() -> WorkloadProgram:
+    """The flat BOOT pricing: one phase, every HKS at top-of-chain.
 
     Kept for A/B comparisons against the level-aware program — the phase
     IR's totals must come in strictly below this upper bound.
     """
     plan = bootstrap_plan()
-    return CompositeWorkload(
-        name="BOOT",
-        spec=_BOOT_SPEC,
-        mix=_phase_mix(plan.op_counts()),
-        description="flat top-of-chain BOOT pricing (deprecated upper bound)",
+    return WorkloadProgram.single(
+        "BOOT",
+        _BOOT_SPEC,
+        _phase_mix(plan.op_counts()),
+        description="flat top-of-chain BOOT pricing (upper bound)",
     )
 
 

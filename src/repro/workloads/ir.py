@@ -12,16 +12,14 @@ switch.  The IR here keeps that structure:
 * a :class:`WorkloadProgram` is an ordered list of phases — the unit both
   estimation backends fold over, preserving a per-phase breakdown on the
   resulting report;
-* the legacy flat :class:`CompositeWorkload` survives as the one-phase
-  degenerate case (:func:`as_program` converts, with a deprecation
-  warning when a backend receives one).
+* the flat pricing survives as the one-phase degenerate program
+  (:meth:`WorkloadProgram.single`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ParameterError
 from repro.params import BenchmarkSpec
@@ -186,53 +184,10 @@ class WorkloadProgram:
         )
 
 
-@dataclass(frozen=True)
-class CompositeWorkload:
-    """Deprecated flat circuit: one spec x one mix (pre-IR representation).
-
-    Kept as a shim so research code written against the flat API keeps
-    running; estimation paths convert it to a one-phase
-    :class:`WorkloadProgram` via :func:`as_program`, which reproduces the
-    old report exactly.
-    """
-
-    name: str
-    spec: BenchmarkSpec
-    mix: HEOpMix
-    description: str = ""
-
-    @property
-    def hks_calls(self) -> int:
-        """Every rotation and ciphertext multiply is one hybrid key switch."""
-        return self.mix.hks_calls
-
-    def as_program(self) -> WorkloadProgram:
-        """Lift to the one-phase degenerate program."""
-        return WorkloadProgram.single(
-            self.name, self.spec, self.mix, self.description
-        )
-
-
-def as_program(workload: Union[WorkloadProgram, CompositeWorkload],
-               *, warn: bool = True) -> WorkloadProgram:
-    """Coerce either workload representation to the phase IR.
-
-    Passing a flat :class:`CompositeWorkload` warns: it prices every HKS
-    at the top of the chain, which the phase IR exists to avoid.
-    """
+def as_program(workload: WorkloadProgram) -> WorkloadProgram:
+    """Check that ``workload`` is the phase IR and hand it back."""
     if isinstance(workload, WorkloadProgram):
         return workload
-    if isinstance(workload, CompositeWorkload):
-        if warn:
-            warnings.warn(
-                "flat CompositeWorkload pricing is deprecated; build a "
-                "phase-structured WorkloadProgram (see repro.workloads) "
-                "for level-aware estimates",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return workload.as_program()
     raise ParameterError(
-        f"expected WorkloadProgram or CompositeWorkload, "
-        f"got {type(workload).__name__}"
+        f"expected WorkloadProgram, got {type(workload).__name__}"
     )

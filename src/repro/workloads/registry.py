@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Union
 
 from repro.errors import ParameterError
+from repro.params import BENCHMARKS, BenchmarkSpec, get_benchmark
 from repro.workloads.builders import (
     boot_program,
     helr_program,
@@ -32,3 +33,34 @@ def get_workload(name: str) -> WorkloadProgram:
 
 def list_workloads() -> List[str]:
     return sorted(WORKLOADS)
+
+
+#: Everything an estimate request may name as its workload.
+Workload = Union[str, BenchmarkSpec, WorkloadProgram]
+
+
+def resolve_workload(
+        workload: Workload) -> Union[BenchmarkSpec, WorkloadProgram]:
+    """Resolve a name/spec to a :class:`BenchmarkSpec` or workload program.
+
+    Names check Table III benchmarks first (``"ARK"``), then the named
+    workload programs (``"BOOT"``, ``"RESNET_BOOT"``, ``"HELR"``).
+    """
+    if isinstance(workload, (BenchmarkSpec, WorkloadProgram)):
+        return workload
+    if not isinstance(workload, str):
+        raise ParameterError(
+            f"workload must be a name, BenchmarkSpec or WorkloadProgram, "
+            f"got {type(workload).__name__}"
+        )
+    try:
+        return get_benchmark(workload)
+    except ParameterError:
+        try:
+            return get_workload(workload)
+        except ParameterError:
+            raise ParameterError(
+                f"unknown workload {workload!r}; benchmarks: "
+                f"{sorted(BENCHMARKS)}, composite workloads: "
+                f"{list_workloads()}"
+            ) from None

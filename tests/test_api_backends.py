@@ -196,22 +196,6 @@ class TestRunReport:
 
 
 class TestDeprecationShims:
-    def test_legacy_names_warn_once_and_work(self):
-        import warnings
-
-        import repro
-
-        repro.__dict__.pop("analyze_dataflow", None)  # reset the cache
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = repro.analyze_dataflow
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            )
-        from repro.core import analyze_dataflow as direct
-
-        assert fn is direct
-
     def test_every_historic_export_still_importable(self):
         import repro
 

@@ -79,11 +79,10 @@ class TestPlanConstruction:
         assert a == b and hash(a) == hash(b)
         assert len({a, b, c}) == 2
 
-    def test_flat_composite_lifts_with_warning(self):
+    def test_flat_pricing_plans_as_a_one_phase_program(self):
         from repro.workloads import boot_flat_workload
 
-        with pytest.warns(DeprecationWarning):
-            plan = build_plan(boot_flat_workload())
+        plan = build_plan(boot_flat_workload())
         assert isinstance(plan.workload, WorkloadProgram)
         assert len(plan.workload.phases) == 1
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import backends, build_plan
+from repro.api import build_plan
 from repro.api.plan import report_to_dict
 from repro.core import DataflowConfig, get_dataflow
 from repro.core.dataflow import Dataflow, ScheduleBuilder
@@ -34,9 +34,16 @@ from repro.errors import MemoryModelError, SimulationError
 from repro.params import MB, BenchmarkSpec
 from repro.rpu import RPUConfig, RPUSimulator
 from repro.rpu.simulator import SimResult, TaskTiming, lower_bounds
-from repro.sched import schedule_digest
+from repro.sched import (
+    Objective,
+    clear_memos,
+    decision_graph,
+    schedule_digest,
+)
+from repro.sched.memo import MODEL_CACHE_ENTRIES, MODEL_MEMOS
 from repro.sched.pipeline import build_pipeline, pipeline_calls
 from repro.sched.space import HKSDecision
+from repro.workloads import resolve_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "estimate_digests.json"
 
@@ -356,7 +363,8 @@ class TestBuilderOracle:
 
 WORKLOADS = ("ARK", "BTS1", "BTS2", "BTS3", "DPRIVE",
              "BOOT", "HELR", "RESNET_BOOT")
-VARIANTS = (("rpu", "MP"), ("rpu", "DC"), ("rpu", "OC"), ("auto", "SOLVER"))
+VARIANTS = (("rpu", "MP"), ("rpu", "DC"), ("rpu", "OC"), ("auto", "SOLVER"),
+            ("analytic", "OC"), ("analytic", "SOLVER"))
 #: 64 MB compute-bound; 16 MB, where the graphs spill; streamed evks at a
 #: memory-bound bandwidth, where the solver's reorder search runs.
 POINTS = {
@@ -374,8 +382,14 @@ def _sha(payload) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _report_key(workload, backend, schedule):
+    """The timed rows keep the bare key they were first pinned under."""
+    prefix = "analytic:" if backend == "analytic" else ""
+    return f"{workload}/{prefix}{schedule}"
+
+
 def _specs_of(workload):
-    resolved = backends._resolve_workload(workload)
+    resolved = resolve_workload(workload)
     if isinstance(resolved, BenchmarkSpec):
         return [resolved]
     return list(dict.fromkeys(phase.spec for phase in resolved.phases))
@@ -396,7 +410,8 @@ def estimate_digests(point: str):
         for backend, schedule in VARIANTS:
             report = build_plan(workload, backend=backend, schedule=schedule,
                                 **options).run()
-            reports[f"{workload}/{schedule}"] = _sha(report_to_dict(report))
+            reports[_report_key(workload, backend, schedule)] = _sha(
+                report_to_dict(report))
         for schedule in ("MP", "DC", "OC"):
             graphs[f"{workload}/{schedule}"] = _sha([
                 schedule_digest(get_dataflow(schedule).build(spec, config))
@@ -461,26 +476,91 @@ class TestRowViews:
             graph.tasks[-2]
 
 
-# -- bounded model caches -----------------------------------------------------------
+# -- (e) one schedule store, three pricers -------------------------------------------
 
-MODEL_CACHES = ("_cached_schedule", "_cached_analysis", "_cached_rpu_sim",
-                "_pointwise_graph", "_cached_rpu_mix_report")
+#: What every backend must read off the same decision's graph.
+AGREED_FIELDS = ("total_bytes", "data_bytes", "evk_bytes", "mod_ops",
+                 "num_tasks", "peak_on_chip_bytes", "spill_stores", "reloads",
+                 "hks_calls")
+AGREED_STRUCTURE = ("compute_tasks", "memory_tasks", "critical_path_tasks",
+                    "sram_high_water_bytes")
+AGREED_TIMING = ("latency_ms", "compute_idle_fraction")
+
+
+def _agreement_rows(report, timing):
+    """The compared fields, top level first, then phase by phase."""
+    rows = []
+    for part in (report,) + report.phases:
+        row = {"label": part.benchmark, "schedule": part.schedule}
+        row.update((f, getattr(part, f)) for f in AGREED_FIELDS)
+        row.update((f, getattr(part.schedule_stats, f))
+                   for f in AGREED_STRUCTURE)
+        if timing:
+            row.update((f, getattr(part, f)) for f in AGREED_TIMING)
+        rows.append(row)
+    return rows
+
+
+class TestPricersAgree:
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_backends_read_the_same_numbers_off_the_same_decision(
+            self, workload, point):
+        def rows(backend, schedule, timing=False):
+            report = build_plan(workload, backend=backend, schedule=schedule,
+                                **POINTS[point]).run()
+            return _agreement_rows(report, timing)
+
+        for schedule in ("MP", "DC", "OC"):
+            assert rows("analytic", schedule) == rows("rpu", schedule)
+        # Same latency objective, same solve.  (The analytic SOLVER
+        # minimises traffic and may pick another decision; its golden
+        # digest pins it.)
+        assert (rows("rpu", "SOLVER", timing=True)
+                == rows("auto", "SOLVER", timing=True))
+
+
+class TestOneScheduleStore:
+    def test_analytic_builds_each_schedule_once_and_rpu_reuses_them(
+            self, monkeypatch):
+        unseen = dict(sram_mb=21, evk_on_chip=True)
+        clear_memos()
+        built = []
+        build = Dataflow.build_with_stats
+        monkeypatch.setattr(
+            Dataflow, "build_with_stats",
+            lambda self, spec, config: built.append(spec)
+            or build(self, spec, config))
+        plan = build_plan("HELR", backend="analytic", schedule="OC", **unseen)
+        plan.run()
+        specs = {phase.spec for phase in plan.workload.phases}
+        assert len(specs) == 12
+        assert sorted(built, key=repr) == sorted(specs, key=repr)
+        build_plan("HELR", backend="rpu", schedule="OC", **unseen).run()
+        assert len(built) == len(specs)
+
+    def test_hand_written_decision_is_the_hand_written_graph(self):
+        """Off the whole-megabyte budgets too (the digest hashes the name)."""
+        spec = resolve_workload("ARK")
+        config = DataflowConfig(data_sram_bytes=20 * MB + 4096)
+        for schedule in ("MP", "DC", "OC"):
+            stored, _ = decision_graph(spec, config,
+                                       HKSDecision(base=schedule), Objective())
+            direct = get_dataflow(schedule).build(spec, config)
+            assert schedule_digest(stored) == schedule_digest(direct)
 
 
 class TestBoundedModelCaches:
     def test_largest_plan_fits_four_times_and_reruns_for_free(
             self, monkeypatch):
         largest = dict(bandwidth_gbs=20.0, sram_mb=17, evk_on_chip=False)
-        for name in MODEL_CACHES:
-            getattr(backends, name).cache_clear()
+        clear_memos()
         first = build_plan("RESNET_BOOT", backend="auto", schedule="SOLVER",
                            **largest).run()
-        build_plan("RESNET_BOOT", backend="analytic", schedule="OC",
-                   **largest).run()
-        for name in MODEL_CACHES:
-            info = getattr(backends, name).cache_info()
-            assert info.maxsize == backends._MODEL_CACHE_ENTRIES
-            assert 0 < 4 * info.currsize <= info.maxsize, (name, info)
+        for memo in MODEL_MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == MODEL_CACHE_ENTRIES
+            assert 0 < 4 * info.currsize <= info.maxsize, (memo.__name__, info)
 
         # A different plan in between, then the first one again: every
         # graph and every simulation must come out of the memo tiers.

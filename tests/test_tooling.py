@@ -119,3 +119,50 @@ class TestCLI:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "table2" in out and "crossover" in out
+
+
+class TestProjectLint:
+    """tools/lint_repro.py — the REPRO004 layer-import rule."""
+
+    @staticmethod
+    def _rules(source, rel):
+        from tools.lint_repro import lint_source
+
+        return [(line, rule) for line, rule, _ in lint_source(source, rel)]
+
+    @pytest.mark.parametrize("source", [
+        "from repro.api import backends\n",
+        "from repro.api.backends import RunReport\n",
+        "import repro.api.plan\n",
+        "from repro import api\n",
+        "from ..api import backends\n",
+        "from .. import api\n",
+        "def f():\n    from repro.api import backends\n    return backends\n",
+    ])
+    def test_lower_layers_may_not_import_the_api(self, source):
+        line = source.count("\n", 0, source.index("import")) + 1
+        for rel in ("core/dataflow.py", "rpu/simulator.py",
+                    "sched/solver.py", "workloads/registry.py"):
+            assert self._rules(source, rel) == [(line, "REPRO004")]
+
+    def test_the_api_layer_and_its_peers_may(self):
+        source = "from repro.api import backends\n"
+        for rel in ("api/plan.py", "serve/service.py", "experiments/common.py",
+                    "__init__.py"):
+            assert self._rules(source, rel) == []
+
+    def test_importing_below_or_beside_is_fine(self):
+        source = ("from repro.core import DataflowConfig\n"
+                  "from repro import sched\n"
+                  "from . import space\n"
+                  "import repro.apiary\n")
+        assert self._rules(source, "sched/solver.py") == []
+
+    def test_pragma_silences_the_finding(self):
+        source = "from repro.api import Plan  # lint: allow-layer-import\n"
+        assert self._rules(source, "workloads/ir.py") == []
+
+    def test_the_tree_is_clean(self):
+        from tools.lint_repro import main
+
+        assert main([]) == 0

@@ -14,7 +14,6 @@ from repro.api import RunReport, estimate
 from repro.errors import ParameterError
 from repro.params import get_benchmark
 from repro.workloads import (
-    CompositeWorkload,
     HEOpMix,
     Phase,
     WorkloadProgram,
@@ -92,14 +91,13 @@ class TestProgramIR:
             total = total + piece
         assert total == mix
 
-    def test_as_program_passthrough_and_shim(self):
+    def test_as_program_passthrough(self):
         program = boot_program()
         assert as_program(program) is program
         flat = boot_flat_workload()
-        with pytest.warns(DeprecationWarning):
-            lifted = as_program(flat)
-        assert len(lifted) == 1
-        assert lifted.hks_calls == flat.hks_calls
+        assert as_program(flat) is flat
+        assert len(flat) == 1
+        assert flat.hks_calls == bootstrap_plan().op_counts().hks_calls
 
     def test_as_program_rejects_garbage(self):
         with pytest.raises(ParameterError):
@@ -143,7 +141,7 @@ class TestLevelAwarePricing:
         """Acceptance: level-aware BOOT totals strictly below the flat
         top-of-chain estimate on both backends."""
         level_aware = estimate("BOOT", backend=backend, schedule="OC")
-        flat = estimate(boot_flat_workload().as_program(), backend=backend,
+        flat = estimate(boot_flat_workload(), backend=backend,
                         schedule="OC")
         assert level_aware.total_bytes < flat.total_bytes
         assert level_aware.mod_ops < flat.mod_ops
@@ -167,14 +165,12 @@ class TestLevelAwarePricing:
             )
 
     def test_one_phase_program_matches_legacy_flat_exactly(self):
-        """The degenerate one-phase program reproduces the legacy flat
-        CompositeWorkload report exactly (the deprecation-shim contract)."""
+        """A one-phase program built from the flat pricing's aggregate
+        views (one spec x one mix) reproduces its report exactly."""
         flat = boot_flat_workload()
-        assert isinstance(flat, CompositeWorkload)
-        single = flat.as_program()
+        single = WorkloadProgram.single(flat.name, flat.spec, flat.mix)
         for backend in ("analytic", "rpu"):
-            with pytest.warns(DeprecationWarning):
-                legacy = estimate(flat, backend=backend, schedule="OC")
+            legacy = estimate(flat, backend=backend, schedule="OC")
             modern = estimate(single, backend=backend, schedule="OC")
             assert modern.total_bytes == legacy.total_bytes
             assert modern.data_bytes == legacy.data_bytes
@@ -196,7 +192,7 @@ class TestLevelAwarePricing:
         from repro.api.backends import _pointwise_graph, get_backend
 
         flat = boot_flat_workload()
-        report = estimate(flat.as_program(), backend="analytic", schedule="OC")
+        report = estimate(flat, backend="analytic", schedule="OC")
         base = get_backend("analytic").run(
             flat.spec, "OC", report.options
         )
@@ -218,7 +214,7 @@ class TestLevelAwarePricing:
         from repro.rpu import RPUConfig, RPUSimulator
 
         flat = boot_flat_workload()
-        report = estimate(flat.as_program(), backend="rpu", schedule="OC")
+        report = estimate(flat, backend="rpu", schedule="OC")
         base = get_backend("rpu").run(flat.spec, "OC", report.options)
         sim = RPUSimulator(RPUConfig(
             bandwidth_bytes_per_s=64e9,
@@ -281,10 +277,9 @@ class TestDeepPrograms:
         strictly cheaper than pricing every op at top-of-chain."""
         for name in ("RESNET_BOOT", "HELR"):
             program = get_workload(name)
-            flat = CompositeWorkload(name, program.spec, program.mix)
+            flat = WorkloadProgram.single(name, program.spec, program.mix)
             level_aware = estimate(program, backend="rpu", schedule="OC")
-            flattened = estimate(flat.as_program(), backend="rpu",
-                                 schedule="OC")
+            flattened = estimate(flat, backend="rpu", schedule="OC")
             assert level_aware.latency_ms < flattened.latency_ms
             assert level_aware.total_bytes < flattened.total_bytes
 

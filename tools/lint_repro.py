@@ -1,7 +1,7 @@
 """Project-specific AST lint rules for the repro codebase.
 
 Run as ``python -m tools.lint_repro`` from the repository root (CI does).
-Three rules that generic linters don't know about:
+Four rules that generic linters don't know about:
 
 * **REPRO001 mutable-default** — a function parameter defaulting to a
   mutable literal (``[]``, ``{}``, ``set()``) is shared across calls;
@@ -15,6 +15,11 @@ Three rules that generic linters don't know about:
   subscripts arrays per iteration inside the :mod:`repro.rns` hot paths
   is a per-coefficient Python-int loop; those stages must be vectorized
   (the whole point of PR 4's batched kernel engine).
+* **REPRO004 layer-import** — :mod:`repro.core`, :mod:`repro.rpu`,
+  :mod:`repro.sched` and :mod:`repro.workloads` sit below
+  :mod:`repro.api`; a module there importing it, at the top level or
+  lazily inside a function, makes the layer above a dependency of the
+  one below (the solver once reached up for the API's schedule cache).
 
 A finding is silenced by a same-line pragma naming its rule, e.g.::
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -41,6 +46,8 @@ RULES = {
                  "direct backend .run() bypasses the plan/admission path"),
     "REPRO003": ("coeff-loop",
                  "per-coefficient Python loop in an rns/ hot path"),
+    "REPRO004": ("layer-import",
+                 "a layer below repro.api imports it"),
 }
 
 #: Only this module may talk to backend objects directly.
@@ -48,6 +55,9 @@ BACKEND_RUN_ALLOWED = ("api/backends.py",)
 
 #: REPRO003 applies to the RNS hot-path modules only.
 COEFF_LOOP_PATHS = ("rns/",)
+
+#: REPRO004 applies to the packages the API layer is built on.
+BELOW_API_PATHS = ("core/", "rpu/", "sched/", "workloads/")
 
 
 class Finding(NamedTuple):
@@ -169,26 +179,71 @@ def _check_coeff_loops(tree: ast.AST) -> Iterator[Tuple[int, str, str]]:
                    "python work is provably O(1) and unavoidable)")
 
 
-def lint_file(path: Path) -> List[Finding]:
-    source = path.read_text()
-    tree = ast.parse(source, filename=str(path))
+def _imported_modules(tree: ast.AST,
+                      rel: str) -> Iterator[Tuple[int, List[str]]]:
+    """Per import statement (nested ones too): its line and the absolute
+    dotted modules it may load.
+
+    ``from pkg import name`` lists ``pkg.name`` as well as ``pkg``: the
+    name may be a submodule.  Relative imports resolve against ``rel``,
+    the module's path under ``src/repro``.
+    """
+    package = ("repro",) + tuple(rel.split("/")[:-1])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package[:len(package) - node.level + 1]
+                base = ".".join(parent + ((base,) if base else ()))
+            yield node.lineno, [base] + [
+                f"{base}.{alias.name}" for alias in node.names]
+
+
+def _check_layer_imports(tree: ast.AST,
+                         rel: str) -> Iterator[Tuple[int, str, str]]:
+    for lineno, modules in _imported_modules(tree, rel):
+        if any(m == "repro.api" or m.startswith("repro.api.")
+               for m in modules):
+            yield (lineno, "REPRO004",
+                   f"{rel} sits below repro.api; move what it needs down "
+                   f"a layer instead of importing it")
+
+
+def lint_source(source: str, rel: str,
+                filename: Optional[str] = None) -> List[Tuple[int, str, str]]:
+    """Unsuppressed ``(line, rule, message)`` findings of one module.
+
+    ``rel`` is the module's posix path under ``src/repro``; it selects
+    the path-scoped rules.
+    """
+    tree = ast.parse(source, filename=filename or rel)
     allowed = _pragmas(source)
-    rel = path.relative_to(SRC_ROOT).as_posix()
 
     checks = [_check_mutable_defaults(tree)]
     if rel not in BACKEND_RUN_ALLOWED:
         checks.append(_check_backend_run(tree))
     if any(rel.startswith(prefix) for prefix in COEFF_LOOP_PATHS):
         checks.append(_check_coeff_loops(tree))
+    if any(rel.startswith(prefix) for prefix in BELOW_API_PATHS):
+        checks.append(_check_layer_imports(tree, rel))
 
-    findings = []
-    for check in checks:
-        for lineno, rule, message in check:
-            slug = RULES[rule][0]
-            if slug in allowed.get(lineno, ()):
-                continue
-            findings.append(Finding(path, lineno, rule, message))
-    return findings
+    return [
+        (lineno, rule, message)
+        for check in checks
+        for lineno, rule, message in check
+        if RULES[rule][0] not in allowed.get(lineno, ())
+    ]
+
+
+def lint_file(path: Path) -> List[Finding]:
+    rel = path.relative_to(SRC_ROOT).as_posix()
+    return [
+        Finding(path, lineno, rule, message)
+        for lineno, rule, message in lint_source(path.read_text(), rel,
+                                                 filename=str(path))
+    ]
 
 
 def main(argv: List[str] = None) -> int:
