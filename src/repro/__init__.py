@@ -29,7 +29,7 @@ The research layers remain available underneath:
   paper's evaluation (``python -m repro.experiments``);
 * :mod:`repro.serve` — the multi-session serving layer: batch, dedup,
   cache and shard :class:`~repro.api.plan.Plan` executions
-  (``python -m repro serve-bench``).
+  (``python -m repro serve`` puts it on a socket).
 """
 
 from repro.api import (

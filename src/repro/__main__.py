@@ -9,7 +9,6 @@ Usage::
     python -m repro verify --graphs --kernels  # static analysis gate
     python -m repro simulate ARK --dataflow OC --bandwidth 12.8
     python -m repro trace ARK --dataflow MP --bandwidth 8
-    python -m repro serve-bench HELR --requests 64 --workers 2
 
 Everything routes through :mod:`repro.api` — the same facade user code
 calls.  (Full paper regeneration lives in ``python -m repro.experiments``.)
@@ -52,60 +51,6 @@ def cmd_backends(_args) -> int:
         for name, doc in describe_backends().items()
     ]
     print(format_table(rows, title="registered backends (sorted, stable):"))
-    return 0
-
-
-def cmd_serve_bench(args) -> int:
-    """Throughput of the serving layer vs a naive estimate() loop."""
-    import time
-
-    from repro.api import build_plan
-    from repro.serve import EstimateService
-
-    def plans():
-        return [
-            build_plan(args.workload, backend=args.backend,
-                       schedule=args.schedule)
-            for _ in range(args.requests)
-        ]
-
-    # Warm the model caches so both sides time steady-state request cost.
-    build_plan(args.workload, backend=args.backend,
-               schedule=args.schedule).run()
-
-    start = time.perf_counter()
-    for _ in range(args.requests):
-        estimate(args.workload, backend=args.backend, schedule=args.schedule)
-    naive_s = time.perf_counter() - start
-
-    service = EstimateService(workers=args.workers,
-                              disk_cache=not args.no_disk_cache)
-    try:
-        start = time.perf_counter()
-        service.estimate_many(plans())
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        service.estimate_many(plans())
-        warm_s = time.perf_counter() - start
-    finally:
-        service.close()
-
-    rows = [
-        {"mode": "naive estimate() loop", "seconds": naive_s,
-         "req_per_s": args.requests / naive_s},
-        {"mode": "service (first batch)", "seconds": cold_s,
-         "req_per_s": args.requests / cold_s},
-        {"mode": "service (warm)", "seconds": warm_s,
-         "req_per_s": args.requests / warm_s},
-    ]
-    print(format_table(
-        rows,
-        title=f"{args.requests} x {args.workload} on {args.backend!r}/"
-              f"{args.schedule} (workers={args.workers}):",
-    ))
-    stats = service.stats.as_row()
-    print(f"\nservice stats: {stats}")
-    print(f"warm speedup over naive loop: {naive_s / warm_s:.1f}x")
     return 0
 
 
@@ -485,22 +430,6 @@ def main(argv=None) -> int:
         "backends", help="registered estimation backends (stable order)"
     )
     p_backends.set_defaults(func=cmd_backends)
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="serving-layer throughput vs a naive estimate() loop",
-    )
-    p_serve.add_argument("workload", nargs="?", default="HELR",
-                         help="benchmark or program name (default HELR)")
-    p_serve.add_argument("--requests", type=int, default=64,
-                         help="requests per timed loop")
-    p_serve.add_argument("--backend", default="rpu",
-                         help=f"one of {list_backends()}")
-    p_serve.add_argument("--schedule", default="OC", help="MP, DC or OC")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="shard pool size (0/1 = in-process)")
-    p_serve.add_argument("--no-disk-cache", action="store_true",
-                         help="skip the cross-process report cache")
-    p_serve.set_defaults(func=cmd_serve_bench)
     p_verify = sub.add_parser(
         "verify",
         help="static analysis of plans, task graphs and generated kernels",

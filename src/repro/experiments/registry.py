@@ -9,14 +9,12 @@ from repro.experiments import (
     crossover,
     deep,
     extras,
-    facade,
     figure2,
     figure4,
     figure56,
     figure7,
     figure8,
     figure9,
-    serving,
     table2,
     table3,
     table4,
@@ -42,10 +40,8 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "hoisting": extras.run_hoisting,
     "ablation": extras.run_budget_ablation,
     "crossover": crossover.run,
-    "backends": facade.run,
     "bootstrap": bootstrap.run,
     "deep": deep.run,
-    "serving": serving.run,
 }
 
 

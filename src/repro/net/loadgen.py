@@ -6,9 +6,7 @@ submit→gather one plan at a time from a weighted request mix until the
 deadline.  Retryable refusals (rate, quota, backpressure) are retried
 with the server's ``retry_after`` hint — so under deliberate overload
 the harness measures *deferral*, and anything that still fails is
-counted as dropped.  The same harness backs ``repro serve-load`` and
-``benchmarks/bench_serve_net.py``; the bench's guards (qps floor, p99
-ceiling, zero drops) read its result verbatim.
+counted as dropped.  ``repro serve-load`` is this harness behind a CLI.
 """
 
 from __future__ import annotations

@@ -9,8 +9,16 @@ on the RPU.  The counts follow the classic vector implementations:
   output tower;
 * ApplyKey / point-wise stages are streaming multiply(-accumulate) loops.
 
-The mixes are used for reporting (instructions per HKS) and to derive the
-frontend issue-pressure term in the simulator's cost model.
+The mixes are closed-form *reporting* only (instructions per task and per
+graph, :func:`graph_instruction_histogram`).  Nothing prices them: the
+simulator's frontend floor is ``mod_ops / vector_length / frequency``
+(:meth:`repro.rpu.simulator.RPUSimulator.durations`) and never reads this
+module, and the mixes are not derived from the programs
+:mod:`repro.rpu.codegen` generates.  The two descriptions of one kernel
+disagree — at N = VL = 256 :func:`ntt_kernel_mix` counts 35 instructions
+(``vswap`` x 8, ``bnez`` x 8, ``vld`` x 1) where ``build_ntt_kernel``'s
+program executes 78 on ``B1KVM`` (``vshuf`` x 16, ``li`` x 25, ``vld`` x 17,
+no ``vswap``, no ``bnez``) — and nothing holds them together yet.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.sched.solver import (
     decision_graph,
     machine_for,
     pipeline_marginal_ms,
-    reset_counters,
     schedule_digest,
     simulated,
     solve,
@@ -77,7 +76,6 @@ __all__ = [
     "pipeline_marginal_ms",
     "predict_cost",
     "reorder_for_latency",
-    "reset_counters",
     "schedule_digest",
     "simulated",
     "solve",

@@ -74,7 +74,8 @@ MAX_GENERIC_EVALS = 2
 #: Reorder attempt triggers above this simulated compute-idle fraction.
 REORDER_IDLE_THRESHOLD = 0.10
 
-#: Observable search effort, for tests and the benchmark guards.
+#: Observable search effort, for tests and the ``bench/`` workloads (which
+#: read deltas; nothing resets it).
 #: ``search_seconds`` covers :func:`solve` cache misses only; pipeline
 #: marginals are schedule *construction* (cached by digest), not search.
 COUNTERS: Dict[str, float] = {
@@ -83,11 +84,6 @@ COUNTERS: Dict[str, float] = {
     "exact_evals": 0,
     "disk_hits": 0,
 }
-
-
-def reset_counters() -> None:
-    COUNTERS.update(searches=0, search_seconds=0.0, exact_evals=0,
-                    disk_hits=0)
 
 
 @dataclass(frozen=True)

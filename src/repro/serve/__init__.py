@@ -14,7 +14,7 @@ remaining distinct work across processes.
   sharing the machine-wide kernel-table disk cache;
 * :class:`AsyncEstimateService` — the same service behind ``await``.
 
-Try it: ``python -m repro serve-bench`` or ``examples/serving.py``.
+Try it: ``examples/serving.py``.
 """
 
 from repro.serve.aio import AsyncEstimateService

@@ -27,12 +27,13 @@ def fresh_vm(vl=N):
 
 
 class TestNTTKernel:
-    def test_forward_matches_reference(self):
-        ctx = NTTContext(N, Q)
-        a = RNG.integers(0, Q, N)
-        image = build_ntt_kernel(N, Q, inverse=False)
-        out = run_kernel(image, fresh_vm(), {image.input_address: a}, N)
-        assert np.array_equal(out, ctx.forward(a))
+    @pytest.mark.parametrize("n", [N, 1024])
+    def test_forward_matches_reference(self, n):
+        q = generate_primes(1, n, 28)[0]
+        a = RNG.integers(0, q, n)
+        image = build_ntt_kernel(n, q, inverse=False)
+        out = run_kernel(image, fresh_vm(n), {image.input_address: a}, n)
+        assert np.array_equal(out, NTTContext(n, q).forward(a))
 
     def test_inverse_matches_reference(self):
         ctx = NTTContext(N, Q)

@@ -1,5 +1,8 @@
-"""Tests for the experiment harness: every table/figure runs and matches
-the paper's qualitative claims."""
+"""Tests for the experiment harness: every table/figure runs, matches
+the paper's qualitative claims, and reproduces its committed cells."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -118,22 +121,33 @@ class TestFigures:
         assert rows["OC"]["interleave"] > rows["MP"]["interleave"]
 
     def test_figure4_monotone_and_converging(self):
-        result = figure4.run(extended_for=("ARK",))
+        result = figure4.run()
+        assert len(result.rows) == 50
+        for row in result.rows:  # OC never slower than MP on the sweep
+            assert row["OC_ms"] <= row["MP_ms"] * 1.02, row
         ark = [r for r in result.rows if r["benchmark"] == "ARK"]
         mp = [r["MP_ms"] for r in ark]
         assert mp == sorted(mp, reverse=True)
         last = ark[-1]
         assert last["MP_ms"] / last["OC_ms"] < 1.15  # converged at 1 TB/s
 
-    def test_figure56_streaming_never_faster(self):
-        result = figure56.run("ARK")
-        for row in result.rows:
+    @pytest.mark.parametrize("bench", ["ARK", "BTS3"])
+    def test_figure56_streaming_never_faster(self, bench):
+        # Exact for OC (the paper's Fig. 5/6 claim) and for all of ARK.  On
+        # compute-bound BTS3 (1 TB/s) the in-order replay lets streamed DC
+        # finish 0.03 % ahead of its on-chip twin (30.02 vs 30.03 ms; MP
+        # likewise before rounding): the evk loads reorder its evictions.
+        slack = {"ARK": 0.0, "BTS3": 5e-4}[bench]
+        for row in figure56.run(bench).rows:
             for df in ("MP", "DC", "OC"):
-                assert row[f"{df}_stream"] >= row[f"{df}_onchip"] - 1e-6
+                floor = row[f"{df}_onchip"] * (1 - (df != "OC") * slack)
+                assert row[f"{df}_stream"] >= floor - 1e-6, (row, df)
 
     def test_figure7_slowdowns_bounded(self):
         for row in figure7.run().rows:
             assert 1.0 <= row["slowdown"] < 3.5
+            if row["equiv_BW_GBs"] != "n/a":
+                assert row["BW_ratio"] >= 1.0
 
     def test_figure8_modops_helps_only_when_compute_bound(self):
         result = figure8.run()
@@ -151,14 +165,74 @@ class TestFigures:
         assert numeric == sorted(numeric, reverse=True)
 
 
+#: Every row of Tables II-V and Figs. 2, 4-9 as the model produced them at
+#: the commit that pinned them.  A model change that is *meant* to move a
+#: cell regenerates the file with ``json.dump({name: EXPERIMENTS[name]().rows
+#: for name in PAPER_EXPERIMENTS}, open(GOLDEN_CELLS, "w"), indent=1)``.
+GOLDEN_CELLS = Path(__file__).resolve().parent / "golden" / "paper_cells.json"
+PAPER_EXPERIMENTS = ("table2", "table3", "table4", "table5", "fig2", "fig4",
+                     "fig5", "fig6", "fig7", "fig8", "fig9")
+
+
+def first_moved_cell(name, golden_rows, rows):
+    """``"<experiment>[<row key>].<column>: ..."`` of the first cell that
+    differs from its golden, or ``None``.  A row is named by the shortest
+    prefix of its columns that tells the golden rows apart."""
+    if len(rows) != len(golden_rows):
+        return f"{name}: {len(golden_rows)} golden rows, now {len(rows)}"
+    columns = list(golden_rows[0])
+    width = next(
+        w for w in range(1, len(columns) + 1)
+        if len({tuple(r[c] for c in columns[:w]) for r in golden_rows})
+        == len(golden_rows)
+    )
+    for golden, row in zip(golden_rows, rows):
+        key = "/".join(str(golden[c]) for c in columns[:width])
+        if list(row) != list(golden):
+            return f"{name}[{key}]: columns {list(golden)}, now {list(row)}"
+        for column, want in golden.items():
+            if row[column] != want:
+                return (f"{name}[{key}].{column}: golden {want!r}, "
+                        f"now {row[column]!r}")
+    return None
+
+
+class TestPaperCells:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_CELLS.read_text())
+
+    def test_golden_file_covers_every_paper_experiment(self, golden):
+        assert tuple(golden) == PAPER_EXPERIMENTS
+        assert sum(len(r) for rows in golden.values() for r in rows) == 875
+
+    @pytest.mark.parametrize("name", PAPER_EXPERIMENTS)
+    def test_cells_match_golden(self, golden, name):
+        moved = first_moved_cell(name, golden[name],
+                                 EXPERIMENTS[name]().rows)
+        assert moved is None, moved
+
+    def test_a_moved_cell_is_named(self, golden):
+        rows = [dict(r) for r in golden["table2"]]
+        rows[4]["AI"] += 0.01
+        assert first_moved_cell("table2", golden["table2"], rows).startswith(
+            "table2[BTS2/DC].AI: golden 1.22, now 1.23")
+        assert first_moved_cell("fig9", golden["fig9"], rows[:3]) == \
+            "fig9: 4 golden rows, now 3"
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == {
             "table2", "table3", "table4", "table5",
             "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
             "keycompress", "motivation", "hoisting", "ablation", "crossover",
-            "backends", "bootstrap", "deep", "serving",
+            "bootstrap", "deep",
         }
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_experiment_renders(self, name):
+        assert run_experiment(name).render().startswith("=== ")
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):

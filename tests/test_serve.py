@@ -517,11 +517,3 @@ class TestBackendListing:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "analytic" in out and "rpu" in out
-
-    def test_cli_serve_bench_smoke(self, capsys, tmp_path, monkeypatch):
-        from repro.__main__ import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["serve-bench", "ARK", "--requests", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "service (warm)" in out and "warm speedup" in out

@@ -166,3 +166,85 @@ class TestProjectLint:
         from tools.lint_repro import main
 
         assert main([]) == 0
+
+
+class TestBenchCompareVerdict:
+    """tools/bench_compare.py — the verdict rule on paired readings."""
+
+    @staticmethod
+    def _judge(parent, change, better="higher", bound=0.25):
+        from tools.bench_compare import judge
+
+        return judge(parent, change, better, bound)
+
+    def test_identical_quiet_runs_are_within_bound(self):
+        parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9,
+                  100.0]
+        row = self._judge(parent, list(parent))
+        assert row["verdict"] == "within bound"
+        assert (row["wins"], row["ties"], row["pairs"]) == (0, 10, 10)
+        assert row["worse_by"] == 0.0
+
+    def test_median_worse_by_more_than_the_bound(self):
+        parent = [100.0, 102.0, 98.0, 101.0, 99.0] * 2
+        slower = [70.0, 72.0, 69.0, 71.0, 70.5] * 2
+        assert self._judge(parent, slower)["verdict"] == "worse"
+        # The same readings of a lower-is-better metric are a gain.
+        assert self._judge(parent, slower, "lower")["verdict"] == "improved"
+        row = self._judge([4.0, 4.1, 3.9, 4.0], [5.5, 5.4, 5.6, 5.5], "lower")
+        assert row["verdict"] == "worse"
+        assert row["worse_by"] == pytest.approx(0.375)
+
+    def test_gain_needs_nine_tenths_of_pairs_and_the_parents_iqr(self):
+        parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9,
+                  100.0]
+        faster = [p + 5.0 for p in parent]
+        row = self._judge(parent, faster)
+        assert row["verdict"] == "improved" and row["wins"] == 10
+        # Eight wins of ten is not nine tenths.
+        mixed = faster[:8] + [p - 1.0 for p in parent[8:]]
+        assert self._judge(parent, mixed)["verdict"] == "within bound"
+        # Ties count for neither side: nine wins and a tie still pass...
+        tied = faster[:9] + parent[9:]
+        assert self._judge(parent, tied)["wins"] == 9
+        assert self._judge(parent, tied)["verdict"] == "improved"
+        # ...but a median gain inside the parent's own quartile distance
+        # does not, however many pairs it wins; nor do fewer than ten pairs.
+        hair = [p + 0.1 for p in parent]
+        row = self._judge(parent, hair)
+        assert row["wins"] == 10 and row["verdict"] == "within bound"
+        row = self._judge(parent[:9], faster[:9])
+        assert row["wins"] == 9 and row["verdict"] == "within bound"
+
+    def test_wide_interleaved_runs_are_unresolved_not_unchanged(self):
+        parent = [100.0, 140.0, 70.0, 130.0, 75.0, 135.0]
+        change = [135.0, 72.0, 128.0, 74.0, 138.0, 101.0]
+        row = self._judge(parent, change)
+        assert abs(row["worse_by"]) < 0.25
+        assert row["verdict"] == "unresolved"
+        # A shift eats into the room under the bound: 10 % spread is fine
+        # for equal medians, not for medians already 20 % apart.
+        parent = [100.0, 105.0, 95.0, 104.0, 96.0, 100.0]
+        assert self._judge(parent, list(parent))["verdict"] == "within bound"
+        lower = [v * 0.8 for v in reversed(parent)]
+        row = self._judge(parent, lower)
+        assert row["worse_by"] == pytest.approx(0.2)
+        assert row["verdict"] == "unresolved"
+
+    def test_separated_runs_resolve_despite_the_spread(self):
+        # Every run of the change better than every run of the parent: the
+        # gain is inside the parent's quartile distance, so none is
+        # claimed, but "no worse" is not in doubt.
+        parent = [4.0, 8.0, 6.0]
+        change = [3.0, 2.0, 3.5]
+        row = self._judge(parent, change, "lower", 0.05)
+        assert row["wins"] == 3 and row["verdict"] == "within bound"
+        row = self._judge([4.0, 8.0, 6.0, 5.0], [3.9, 3.0, 3.5, 5.0],
+                          "lower", 0.05)
+        assert row["verdict"] == "unresolved"  # 5.0 interleaves
+
+    def test_needs_two_pairs(self):
+        with pytest.raises(ValueError):
+            self._judge([1.0], [1.0])
+        with pytest.raises(ValueError):
+            self._judge([1.0, 2.0], [1.0])

@@ -243,8 +243,11 @@ class TestDeepPrograms:
         assert report.benchmark == name
         assert report.hks_calls == get_workload(name).hks_calls
         assert len(report.phases) == len(get_workload(name))
+        assert sum(p.hks_calls for p in report.phases) == report.hks_calls
         if backend == "rpu":
             assert report.latency_ms > 0
+            assert report.latency_ms == pytest.approx(
+                sum(p.latency_ms for p in report.phases))
 
     def test_backends_agree_on_traffic(self):
         for name in ("RESNET_BOOT", "HELR"):

@@ -114,6 +114,11 @@ class TestExtrasExperiments:
         rows = run_budget_ablation().rows
         assert rows[-1]["MP/OC"] == 1.0
         assert rows[0]["MP/OC"] > 1.5
+        # OC dominates at every budget, and at 32 MB is already near its
+        # huge-memory floor (the paper's Section IV argument, quantified).
+        assert all(row["OC_MB"] <= row["MP_MB"] for row in rows)
+        by_budget = {row["SRAM_MB"]: row["OC_MB"] for row in rows}
+        assert by_budget[32] / by_budget[256] < 1.6
 
 
 class TestCompositeWorkloads:
