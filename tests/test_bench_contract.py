@@ -4,8 +4,10 @@ The acceptance driver runs ``python3 bench/run.py --workload <name>
 --trace 0|1`` for each of the five workloads against a frozen ``bench/``.
 ``bench/test_bench_smoke.py`` covers trace 0; this is trace 1 — the run
 that patches 38 library names by dotted path (``bench/tracing.py``
-``TARGETS``) and dies with ``run_failed`` when one of them moved, which
-name resolution alone (``tests/test_bench_trace_targets.py``) cannot see.
+``TARGETS``) and dies with ``run_failed`` when one of them moved.  The
+names themselves, with their signatures, are held by the manifest
+(``tests/test_bench_api.py``); this run catches what resolution alone
+cannot see.
 
 ``--seconds 1``, not ``--smoke``: the frozen harness cannot combine
 ``--smoke`` with ``--trace`` (one smoke slice leaves no untraced half, so
