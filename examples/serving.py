@@ -7,7 +7,8 @@ Three escalating views of the plan/execute pipeline:
 2. many "tenants" submit identical plans to an :class:`EstimateService`
    — the backend runs once, every handle gets the same report;
 3. an ``asyncio`` front-end serves concurrent awaiters from one batch,
-   and a :class:`ShardPool` spreads *distinct* plans across processes.
+   and its ``workers=`` shard pool spreads *distinct* plans across
+   processes.
 
 Run:  PYTHONPATH=src python examples/serving.py
 """
@@ -17,7 +18,7 @@ import time
 
 from repro import FHESession
 from repro.api import build_plan
-from repro.serve import AsyncEstimateService, EstimateService, ShardPool
+from repro.serve import AsyncEstimateService, EstimateService
 
 
 def plan_and_execute() -> None:
@@ -59,16 +60,15 @@ def sharded_async(workers: int = 2) -> None:
     ]
 
     async def main() -> None:
-        with ShardPool(workers) as pool:
-            async with AsyncEstimateService(
-                EstimateService(pool=pool, disk_cache=False)
-            ) as service:
-                reports = await service.estimate_many(mixed)
-                for plan, report in zip(mixed, reports):
-                    print(f"  {report.benchmark:>6}: "
-                          f"{report.latency_ms:8.2f} ms  "
-                          f"(digest {plan.digest[:10]}...)")
-                print(f"  stats: {service.stats.as_row()}")
+        async with AsyncEstimateService(
+            workers=workers, disk_cache=False
+        ) as service:
+            reports = await service.estimate_many(mixed)
+            for plan, report in zip(mixed, reports):
+                print(f"  {report.benchmark:>6}: "
+                      f"{report.latency_ms:8.2f} ms  "
+                      f"(digest {plan.digest[:10]}...)")
+            print(f"  stats: {service.stats.as_row()}")
 
     asyncio.run(main())
 

@@ -29,12 +29,11 @@ import json
 import math
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.api.plan import Plan, report_to_dict
+from repro.api.plan import Plan
 from repro.errors import ParameterError
 from repro.net import protocol
 from repro.net.server import Rejection
 from repro.net.tenants import AuthError
-from repro.serve import AdmissionError
 
 if TYPE_CHECKING:
     from repro.net.server import EstimateServer
@@ -134,7 +133,7 @@ class HTTPFrontend:
         if path == "/healthz":
             if method != "GET":
                 return 405, _error_body("protocol", "healthz is GET"), None
-            return 200, {"ok": True, "draining": self.server._draining}, None
+            return 200, {"ok": True, "draining": self.server.draining}, None
 
         try:
             tenant = self.server.registry.authenticate(_token(headers))
@@ -175,22 +174,16 @@ class HTTPFrontend:
         except (ParameterError, KeyError, TypeError, ValueError) as exc:
             raise Rejection("plan", f"plan payload rejected: {exc}") from exc
         ticket = await self.server.admit_and_submit(tenant, plan)
-        try:
-            await asyncio.wait_for(ticket.event.wait(),
-                                   self.server.config.gather_timeout)
-        except asyncio.TimeoutError:
-            # The ticket stays live server-side; the client retries.
-            return (504, _error_body("timeout", "estimate did not resolve "
-                                     "in time"), None)
-        self.server._tickets.pop(ticket.id, None)
-        self.server.stats.gathered += 1
-        if ticket.error is None:
+        # The frame protocol's gather answers the ticket, so one policy
+        # decides every error kind; a timeout leaves the ticket live.
+        result = await self.server.gather_one(
+            tenant, ticket.id, self.server.config.gather_timeout)
+        if result["ok"]:
             return 200, {"ok": True, "digest": plan.digest,
-                         "report": report_to_dict(ticket.report)}, None
-        error = ticket.error
-        if isinstance(error, AdmissionError):
-            raise Rejection("admission", str(error), report=error.report)
-        raise Rejection("worker", f"{type(error).__name__}: {error}")
+                         "report": result["report"]}, None
+        error = result["error"]
+        return (STATUS_BY_KIND.get(error["kind"], 500),
+                {"ok": False, "error": error}, None)
 
 
 def _error_body(kind: str, message: str) -> Dict[str, object]:
@@ -233,11 +226,22 @@ async def _read_request(reader: asyncio.StreamReader
         if not sep:
             raise _BadRequest(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length", "0") or "0"
+    try:
+        length = int(declared)
+    except ValueError:
+        raise _BadRequest(f"Content-Length {declared!r} is not a number") \
+            from None
+    if length < 0:
+        raise _BadRequest(f"Content-Length {length} is negative")
     if length > _MAX_BODY:
         raise _BadRequest(
             f"body of {length} bytes exceeds the {_MAX_BODY}-byte limit",
             status=413,
         )
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise _BadRequest(f"body ended after {len(exc.partial)} of "
+                          f"{length} bytes") from exc
     return method, path.split("?", 1)[0], headers, body

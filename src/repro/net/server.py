@@ -154,12 +154,6 @@ class ServerStats:
     def as_row(self) -> Dict[str, int]:
         return dict(self.__dict__)
 
-    @property
-    def rejected(self) -> int:
-        return (self.rejected_rate + self.rejected_quota
-                + self.rejected_backpressure + self.rejected_admission
-                + self.rejected_shutdown + self.rejected_deadline)
-
 
 class Ticket:
     """One accepted submission: resolves exactly once, gathered at most once."""
@@ -242,6 +236,11 @@ class EstimateServer:
     @property
     def http_port(self) -> Optional[int]:
         return None if self._http is None else self._http.port
+
+    @property
+    def draining(self) -> bool:
+        """Whether new submissions are refused (shutdown under way)."""
+        return self._draining
 
     async def start(self) -> "EstimateServer":
         loop = asyncio.get_running_loop()
@@ -474,13 +473,21 @@ class EstimateServer:
         timeout = (self.config.gather_timeout if timeout is None
                    else min(float(timeout), self.config.gather_timeout))
         results = [
-            await self._gather_one(tenant, str(ticket_id), timeout)
+            await self.gather_one(tenant, str(ticket_id), timeout)
             for ticket_id in ids
         ]
         return ok_payload(req_id, results=results)
 
-    async def _gather_one(self, tenant: TenantState, ticket_id: str,
-                          timeout: float) -> Dict[str, object]:
+    async def gather_one(self, tenant: TenantState, ticket_id: str,
+                         timeout: float) -> Dict[str, object]:
+        """Wait up to ``timeout`` seconds for one ticket and answer it.
+
+        The one policy that turns a ticket into a reply, for the frame
+        protocol's ``gather`` and the HTTP adapter alike: ``{"ticket",
+        "ok": True, "report"}`` or ``{"ticket", "ok": False, "error":
+        {"kind", "message"}}``.  A timeout leaves the ticket live; a
+        resolved ticket is answered once and forgotten.
+        """
         ticket = self._tickets.get(ticket_id)
         if ticket is None:
             return self._ticket_error(

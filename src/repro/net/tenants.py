@@ -25,7 +25,7 @@ import json
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import ParameterError, ReproError
 
@@ -192,11 +192,6 @@ class TenantRegistry:
             self._states[state.name] = state
             self._public = state
 
-    @classmethod
-    def from_file(cls, path: str) -> "TenantRegistry":
-        """Load a JSON tenant list: ``[{"name": ..., "token": ...}, ...]``."""
-        return cls(load_tenant_specs(path))
-
     def authenticate(self, token: Optional[str]) -> TenantState:
         """Resolve a token to its tenant (open registries accept anything)."""
         if self.open:
@@ -208,9 +203,6 @@ class TenantRegistry:
 
     def states(self) -> List[TenantState]:
         return list(self._states.values())
-
-    def __len__(self) -> int:
-        return len(self._states)
 
 
 class FairQueue:
@@ -269,9 +261,3 @@ class FairQueue:
                 else:
                     del self._queues[tenant]
         return items
-
-    def drain_all(self) -> List[object]:
-        return self.pop_round(self._depth)
-
-    def tenants_waiting(self) -> Iterable[str]:
-        return tuple(self._queues)

@@ -18,12 +18,6 @@ Try it: ``examples/serving.py``.
 """
 
 from repro.serve.aio import AsyncEstimateService
-from repro.serve.functional import (
-    FunctionalBatch,
-    FunctionalRequest,
-    FunctionalResult,
-    group_requests,
-)
 from repro.serve.pool import (
     RemotePlanError,
     ShardPool,
@@ -46,11 +40,7 @@ __all__ = [
     "AsyncEstimateService",
     "EstimateHandle",
     "EstimateService",
-    "FunctionalBatch",
-    "FunctionalRequest",
-    "FunctionalResult",
     "REPORT_CACHE_KIND",
-    "group_requests",
     "RemotePlanError",
     "ServeError",
     "ServiceStats",

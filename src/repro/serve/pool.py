@@ -86,22 +86,9 @@ class RemotePlanError(ReproError):
 
 
 def _run_payload(payload: str) -> dict:
-    """Worker entry: JSON job in, JSON result out (module-level for mp).
-
-    Dispatches on the payload envelope: a ``"payload_kind"`` of
-    ``"functional_batch"`` routes to the stacked functional executor
-    (:mod:`repro.serve.functional`); anything else is a plan (plan JSON
-    has only ``schedule``/``workload`` top-level keys).
-    """
-    import json
-
+    """Worker entry: plan JSON in, report JSON out (module-level for mp)."""
     from repro.api.plan import Plan, report_to_dict
 
-    head = json.loads(payload)
-    if isinstance(head, dict) and head.get("payload_kind") == "functional_batch":
-        from repro.serve.functional import FunctionalBatch
-
-        return FunctionalBatch.from_json(payload).run_to_dict()
     return report_to_dict(Plan.from_json(payload).run())
 
 
@@ -329,73 +316,22 @@ class ShardPool:
         from repro.api.plan import report_from_dict
 
         plans = list(plans)
-        return self._run_batch(
-            [plan.to_json() for plan in plans],
-            [plan.name for plan in plans],
-            [plan.run for plan in plans],
-            report_from_dict,
-            requeue=requeue, return_exceptions=return_exceptions,
-            deadline=deadline,
-        )
-
-    def run_functional(
-        self, batches: Sequence, *, requeue: bool = False,
-        return_exceptions: bool = False,
-        deadline: Optional[Deadline] = None,
-    ) -> List[Union[list, ReproError]]:
-        """Execute stacked functional batches across the workers.
-
-        Each item is a :class:`~repro.serve.functional.FunctionalBatch`
-        (one group of same-level requests); each slot of the returned
-        list holds that batch's ``List[FunctionalResult]``.  Sharding
-        semantics are identical to :meth:`run_plans` — batches travel as
-        canonical JSON, are pure (safe to requeue after a worker death),
-        and distinct groups run concurrently across processes while each
-        group's B ciphertexts run as one stacked kernel pass inside its
-        worker.
-        """
-        from repro.serve.functional import results_from_dict
-
-        batches = list(batches)
-        return self._run_batch(
-            [b.to_json() for b in batches],
-            [b.name for b in batches],
-            [b.run for b in batches],
-            results_from_dict,
-            requeue=requeue, return_exceptions=return_exceptions,
-            deadline=deadline,
-        )
-
-    def _run_batch(
-        self, job_payloads: List[str], job_names: List[str],
-        job_inline: List, decode, *, requeue: bool, return_exceptions: bool,
-        deadline: Optional[Deadline] = None,
-    ) -> List:
-        """Shared dispatch/supervise/collect loop behind :meth:`run_plans`
-        and :meth:`run_functional`.
-
-        ``job_payloads`` are the wire payloads, ``job_inline[i]`` runs job
-        ``i`` in-process (the single-job shortcut), and ``decode`` turns a
-        worker's result payload back into the caller's value type.
-        """
-        if not job_payloads:
+        if not plans:
             return []
-        if len(job_payloads) == 1:
+        if len(plans) == 1:
             # Not worth a round-trip through the pool.
-            return [self._run_inline(job_inline[0], return_exceptions,
-                                     deadline)]
+            return [self._run_inline(plans[0], return_exceptions, deadline)]
         with self._lock:
             self._ensure_workers()
             batch = self._batch_seq
             self._batch_seq += 1
             payloads = {
-                (batch, i): payload
-                for i, payload in enumerate(job_payloads)
+                (batch, i): plan.to_json() for i, plan in enumerate(plans)
             }
-            names = {(batch, i): name for i, name in enumerate(job_names)}
+            names = {(batch, i): plan.name for i, plan in enumerate(plans)}
             for job in payloads:
                 self._dispatch(job, payloads[job])
-            results: Dict[int, Union[object, ReproError]] = {}
+            results: Dict[int, Union["RunReport", ReproError]] = {}
             remaining = set(payloads)
             requeues: Dict[Tuple[int, int], int] = {}
             while remaining:
@@ -428,7 +364,7 @@ class ShardPool:
                         # worker's stall clock (or park it when idle).
                         worker.busy_since = now if worker.outstanding else None
                 if result["ok"]:
-                    results[job[1]] = decode(result["report"])
+                    results[job[1]] = report_from_dict(result["report"])
                 else:
                     error = RemotePlanError(result["error"]["type"],
                                             result["error"]["message"])
@@ -436,15 +372,16 @@ class ShardPool:
                         self._abandon(remaining)
                         raise error
                     results[job[1]] = error
-            return [results[i] for i in range(len(job_payloads))]
+            return [results[i] for i in range(len(plans))]
 
-    def _run_inline(self, run, return_exceptions: bool,
+    @staticmethod
+    def _run_inline(plan: "Plan", return_exceptions: bool,
                     deadline: Optional[Deadline] = None,
-                    ) -> Union[object, ReproError]:
+                    ) -> Union["RunReport", ReproError]:
         try:
             if deadline is not None:
-                deadline.check("inline batch")
-            return run()
+                deadline.check(plan.name)
+            return plan.run()
         except DeadlineExceeded as exc:
             if return_exceptions:
                 return exc

@@ -15,8 +15,8 @@ exploits that in three layers:
    process* answering the same plan never recomputes it (the serving
    analogue of PR 4's cross-process kernel-table cache);
 3. **sharding** — distinct cold plans fan out across a
-   :class:`~repro.serve.pool.ShardPool` of worker processes when one is
-   attached.
+   :class:`~repro.serve.pool.ShardPool` of worker processes when the
+   service is built with ``workers`` > 1.
 
 The service is thread-safe (one lock around the batch and cache state);
 :mod:`repro.serve.aio` puts an ``asyncio`` front-end on top of it.
@@ -94,13 +94,6 @@ class ServiceStats:
     memory_hits: int = 0
     #: Batch-distinct digests answered from the cross-process disk cache.
     disk_hits: int = 0
-    #: Functional HKS requests submitted (separate stream from plans).
-    functional_submitted: int = 0
-    #: Stacked kernel passes executed for functional requests: each pass
-    #: serves one group of same-level submissions in one batched circuit.
-    functional_passes: int = 0
-    #: Distinct functional requests those passes carried.
-    functional_ciphertexts: int = 0
     #: Handles answered with DeadlineExceeded instead of a result.
     deadline_exceeded: int = 0
     #: Batch-distinct digests whose computation was skipped outright
@@ -114,14 +107,6 @@ class ServiceStats:
             return 0.0
         return 1.0 - (self.computed + self.failed) / self.submitted
 
-    @property
-    def batch_occupancy(self) -> float:
-        """Mean ciphertexts per stacked functional pass (B=1 means no
-        cross-ciphertext batching benefit; higher is better)."""
-        if not self.functional_passes:
-            return 0.0
-        return self.functional_ciphertexts / self.functional_passes
-
     def as_row(self) -> Dict[str, object]:
         return {
             "submitted": self.submitted,
@@ -132,10 +117,6 @@ class ServiceStats:
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "dedup_hit_rate": round(self.dedup_hit_rate, 4),
-            "functional_submitted": self.functional_submitted,
-            "functional_passes": self.functional_passes,
-            "functional_ciphertexts": self.functional_ciphertexts,
-            "batch_occupancy": round(self.batch_occupancy, 4),
             "deadline_exceeded": self.deadline_exceeded,
             "deadline_skipped": self.deadline_skipped,
         }
@@ -202,11 +183,11 @@ class EstimateService:
         Persist reports through :mod:`repro.cache` so other processes
         start warm.  Honors ``REPRO_CACHE_DIR`` (empty string disables,
         like the kernel-table cache).
-    pool:
-        Optional :class:`~repro.serve.pool.ShardPool`; distinct cold
-        plans in one batch then execute across its worker processes.
     workers:
-        Convenience: ``workers=K`` (K > 1) builds a lazy pool for you.
+        ``workers=K`` (K > 1) builds a lazy
+        :class:`~repro.serve.pool.ShardPool`: distinct cold plans in one
+        batch then execute across its K worker processes.  0 or 1 runs
+        every plan in process.
     admission:
         Static verification of each submitted plan through
         :func:`repro.analysis.analyze`: ``"strict"`` (default) rejects
@@ -216,31 +197,26 @@ class EstimateService:
         digest is analyzed at most once per service lifetime — repeat
         submissions of an admitted plan pay only a set lookup.
     stall_timeout:
-        Forwarded to the shard pool (built or passed): a live worker
-        showing no progress for this many seconds mid-batch is killed
-        and its jobs requeued.  ``None``/``0`` disables stall reaping.
+        Forwarded to the shard pool: a live worker showing no progress
+        for this many seconds mid-batch is killed and its jobs requeued.
+        ``None``/``0`` disables stall reaping.
     """
 
     def __init__(self, *, cache_size: int = 256, disk_cache: bool = True,
-                 pool: Optional["ShardPool"] = None,
                  workers: int = 0, admission: str = "strict",
                  stall_timeout: Optional[float] = None):
         if cache_size < 1:
             raise ParameterError("cache_size must be positive")
-        if pool is not None and workers:
-            raise ParameterError("pass pool= or workers=, not both")
         if admission not in ADMISSION_MODES:
             raise ParameterError(
                 f"admission must be one of {ADMISSION_MODES}, "
                 f"got {admission!r}"
             )
+        self._pool: Optional["ShardPool"] = None
         if workers > 1:
             from repro.serve.pool import ShardPool
 
-            pool = ShardPool(workers, stall_timeout=stall_timeout)
-        elif pool is not None and stall_timeout is not None:
-            pool.stall_timeout = None if stall_timeout <= 0 else stall_timeout
-        self._pool = pool
+            self._pool = ShardPool(workers, stall_timeout=stall_timeout)
         self._closed = False
         self._cache_size = cache_size
         self._disk_cache = disk_cache
@@ -250,11 +226,10 @@ class EstimateService:
         #: digest -> (plan, handles waiting on it), insertion-ordered.
         self._pending: "OrderedDict[str, List[EstimateHandle]]" = OrderedDict()
         self._pending_plans: Dict[str, Plan] = {}
-        #: Functional HKS stream: digest -> waiting handles / request.
-        self._pending_fn: "OrderedDict[str, List[EstimateHandle]]" = OrderedDict()
-        self._pending_fn_requests: Dict[str, object] = {}
         self._seen_digests: Set[str] = set()
         self._lock = threading.Lock()
+        #: Held by the one admission analysis under way (see _admit).
+        self._analysis_lock = threading.Lock()
         self.stats = ServiceStats()
 
     # -- submit / gather --------------------------------------------------------
@@ -290,41 +265,6 @@ class EstimateService:
                 waiters.append(handle)
         return handle
 
-    def submit_functional(self, request, *,
-                          deadline: Union[None, float, Deadline] = None,
-                          ) -> EstimateHandle:
-        """Queue one functional HKS request; resolved by the next
-        :meth:`gather`.
-
-        Requests are deduplicated by digest like plans (identical
-        submissions share one computation), and same-``group_key``
-        requests in a batch are coalesced into a single stacked
-        ``(B, L, N)`` kernel pass — see
-        :mod:`repro.serve.functional`.  The handle resolves with a
-        :class:`~repro.serve.functional.FunctionalResult`.
-        ``deadline`` behaves exactly as in :meth:`submit`.
-        """
-        from repro.serve.functional import FunctionalRequest
-
-        self._check_open()
-        if not isinstance(request, FunctionalRequest):
-            raise ParameterError(
-                f"submit_functional() takes a FunctionalRequest, "
-                f"got {type(request).__name__}"
-            )
-        digest = request.digest
-        handle = EstimateHandle(digest, Deadline.coerce(deadline))
-        with self._lock:
-            self.stats.functional_submitted += 1
-            waiters = self._pending_fn.get(digest)
-            if waiters is None:
-                self._pending_fn[digest] = [handle]
-                self._pending_fn_requests[digest] = request
-            else:
-                self.stats.batch_hits += 1
-                waiters.append(handle)
-        return handle
-
     def admit(self, plan: Plan) -> None:
         """Run the admission check for ``plan`` without queueing it.
 
@@ -338,9 +278,13 @@ class EstimateService:
 
     def _admit(self, plan: Plan, digest: str) -> None:
         """Statically verify ``plan`` once per digest, per the admission
-        mode.  Analysis runs outside the service lock (it is read-only
-        and pure); at worst two racing submitters analyze the same
-        digest twice."""
+        mode.  Analyses run one at a time, outside the service lock so
+        batches keep flowing.  Side by side they buy nothing (analysis
+        is Python under the GIL), and a herd of first analyses each
+        builds the same cold model tables: the bootstrap plan's sine fit
+        is a run of multi-threaded BLAS solves, and a few of those at
+        once on a loaded CPU kept a fresh server's first submits
+        unanswered for tens of seconds."""
         if self._admission == "off":
             return
         with self._lock:
@@ -348,20 +292,24 @@ class EstimateService:
                 return
         from repro.analysis import analyze
 
-        report = analyze(plan)
-        if report.errors:
-            lines = "; ".join(d.render() for d in report.errors[:3])
-            message = (
-                f"plan {digest[:12]}... rejected by static analysis "
-                f"({len(report.errors)} error(s)): {lines}"
-            )
-            if self._admission == "strict":
-                raise AdmissionError(message, report=report)
-            import warnings
+        with self._analysis_lock:
+            with self._lock:
+                if digest in self._admitted:
+                    return  # admitted while this caller waited
+            report = analyze(plan)
+            if report.errors:
+                lines = "; ".join(d.render() for d in report.errors[:3])
+                message = (
+                    f"plan {digest[:12]}... rejected by static analysis "
+                    f"({len(report.errors)} error(s)): {lines}"
+                )
+                if self._admission == "strict":
+                    raise AdmissionError(message, report=report)
+                import warnings
 
-            warnings.warn(message, stacklevel=3)
-        with self._lock:
-            self._admitted.add(digest)
+                warnings.warn(message, stacklevel=3)
+            with self._lock:
+                self._admitted.add(digest)
 
     def gather(self) -> int:
         """Drain the batch: answer every pending handle, computing each
@@ -379,15 +327,11 @@ class EstimateService:
             plans = self._pending_plans
             self._pending = OrderedDict()
             self._pending_plans = {}
-            fn_batch = self._pending_fn
-            fn_requests = self._pending_fn_requests
-            self._pending_fn = OrderedDict()
-            self._pending_fn_requests = {}
             self.stats.unique += sum(
                 1 for d in plans if d not in self._seen_digests
             )
             self._seen_digests.update(plans)
-        if not batch and not fn_batch:
+        if not batch:
             return 0
 
         to_compute: List[Plan] = []
@@ -425,70 +369,7 @@ class EstimateService:
         with self._lock:
             self.stats.deadline_exceeded += expired
             self.stats.deadline_skipped += skipped
-        return answered + self._gather_functional(fn_batch, fn_requests)
-
-    def _gather_functional(self, fn_batch, fn_requests) -> int:
-        """Drain the functional stream: coalesce same-group requests into
-        stacked passes, shard distinct groups, resolve every handle."""
-        if not fn_batch:
-            return 0
-        from repro.serve.functional import group_requests
-
-        outcome: Dict[str, object] = {}
-        live: Dict[str, object] = {}
-        skipped = 0
-        for digest, request in fn_requests.items():
-            if _all_expired(fn_batch[digest]):
-                outcome[digest] = DeadlineExceeded(
-                    "deadline expired before the functional request "
-                    f"{digest[:12]}... was computed"
-                )
-                skipped += 1
-            else:
-                live[digest] = request
-        groups = group_requests(live.values())
-        live_requests = [r for group in groups for r in group.requests]
-        deadline = _latest_deadline(fn_batch, live_requests)
-        results = self._compute_functional(groups, deadline)
-        passes = ciphertexts = 0
-        for group, result in zip(groups, results):
-            if isinstance(result, BaseException):
-                for request in group.requests:
-                    outcome[request.digest] = result
-            else:
-                passes += 1
-                ciphertexts += len(group.requests)
-                for request, res in zip(group.requests, result):
-                    outcome[request.digest] = res
-        answered, expired = _resolve_all(fn_batch, outcome)
-        with self._lock:
-            self.stats.functional_passes += passes
-            self.stats.functional_ciphertexts += ciphertexts
-            self.stats.deadline_exceeded += expired
-            self.stats.deadline_skipped += skipped
         return answered
-
-    def _compute_functional(self, groups, deadline=None):
-        """Run the stacked passes: across the shard pool when several
-        groups are ready (each group is one pure, requeue-safe payload),
-        in-process otherwise — mirroring :meth:`_compute`."""
-        if self._pool is not None and len(groups) > 1:
-            try:
-                return list(self._pool.run_functional(
-                    groups, requeue=True, return_exceptions=True,
-                    deadline=deadline,
-                ))
-            except Exception:
-                pass  # fall through to the isolated in-process path
-        results = []
-        for group in groups:
-            try:
-                if deadline is not None:
-                    deadline.check(group.name)
-                results.append(group.run())
-            except Exception as exc:
-                results.append(exc)
-        return results
 
     # -- synchronous facade -----------------------------------------------------
 
@@ -584,8 +465,7 @@ class EstimateService:
     @property
     def pending(self) -> int:
         with self._lock:
-            return (sum(len(h) for h in self._pending.values())
-                    + sum(len(h) for h in self._pending_fn.values()))
+            return sum(len(h) for h in self._pending.values())
 
     @property
     def pool(self) -> Optional["ShardPool"]:
@@ -633,13 +513,13 @@ def _all_expired(handles: List[EstimateHandle]) -> bool:
     )
 
 
-def _latest_deadline(batch, items) -> Optional[Deadline]:
-    """The loosest waiter deadline across ``items`` (anything with a
-    ``digest``), or ``None`` as soon as one waiter has no deadline (the
-    computation must then run to completion regardless)."""
+def _latest_deadline(batch, plans: Sequence[Plan]) -> Optional[Deadline]:
+    """The loosest waiter deadline across ``plans``, or ``None`` as soon
+    as one waiter has no deadline (the computation must then run to
+    completion regardless)."""
     latest: Optional[Deadline] = None
-    for item in items:
-        for handle in batch.get(item.digest, ()):
+    for plan in plans:
+        for handle in batch.get(plan.digest, ()):
             if handle.deadline is None:
                 return None
             if latest is None or \

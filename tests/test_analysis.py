@@ -497,6 +497,51 @@ class TestAdmission:
         with pytest.raises(ParameterError):
             EstimateService(admission="maybe")
 
+    def test_concurrent_admissions_analyze_one_at_a_time(self, monkeypatch):
+        """A server admits on several executor threads at once: their
+        analyses queue instead of building cold model tables side by
+        side, and a digest admitted while its caller waited is not
+        analyzed again."""
+        import threading
+        import time
+
+        import repro.analysis
+
+        real_analyze = repro.analysis.analyze
+        running, overlap, analyzed = [0], [0], []
+        count = threading.Lock()
+
+        def slow_analyze(plan):
+            with count:
+                running[0] += 1
+                overlap[0] = max(overlap[0], running[0])
+                analyzed.append(plan.digest)
+            time.sleep(0.02)  # hold the race open
+            try:
+                return real_analyze(plan)
+            finally:
+                with count:
+                    running[0] -= 1
+
+        monkeypatch.setattr(repro.analysis, "analyze", slow_analyze)
+        service = EstimateService(disk_cache=False)
+        plans = [build_plan("ARK", bandwidth_gbs=bw)
+                 for bw in (16.0, 32.0, 64.0)] * 2
+        start = threading.Barrier(len(plans))
+
+        def admit(plan):
+            start.wait()
+            service.admit(plan)
+
+        threads = [threading.Thread(target=admit, args=(plan,))
+                   for plan in plans]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert overlap[0] == 1
+        assert sorted(analyzed) == sorted({p.digest for p in plans})
+
 
 # -- codegen verification flag ----------------------------------------------------
 

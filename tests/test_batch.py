@@ -1,4 +1,4 @@
-"""Cross-ciphertext (B, L, N) batching: bit-identity and serving tests.
+"""Cross-ciphertext (B, L, N) batching: bit-identity tests.
 
 The batch axis is a pure widening: every batched operation must produce,
 for each member, *exactly* the int64 residues the unbatched code path
@@ -8,13 +8,13 @@ tolerance-based checks except the one decrypt-accuracy sanity test.
 
 Rank is the only difference between a solo and a batched ciphertext, so
 one hypothesis property holds every kernel to it (the rank-3 result is
-the stack of the rank-2 results), and two pinned digests hold both ranks
-to the outputs of the commit before the solo/batch fork was removed.
+the stack of the rank-2 results) — the MP/DC/OC dataflow executors of
+:mod:`repro.core.functional` included — and two pinned digests hold both
+ranks to the outputs of the commit before the solo/batch fork was
+removed.
 
-Also covered: located rejection of un-stackable batches, the
-no-per-``B``-tables cache guarantee (satellite of PR 8), and the serving
-path — functional HKS requests coalesced into stacked passes, sharded
-across worker processes, compared against an in-process serial run.
+Also covered: located rejection of un-stackable batches and the
+no-per-``B``-tables cache guarantee (satellite of PR 8).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.ckks.batch import (
 from repro.ckks.encrypt import Ciphertext
 from repro.ckks.keys import rotation_galois_element
 from repro.ckks.keyswitch import key_switch
+from repro.core import get_dataflow
+from repro.core.functional import execute_dataflow
 from repro.errors import ParameterError
 from repro.ntt import transform
 from repro.rns.poly import Domain, RNSPoly
@@ -147,6 +149,10 @@ class TestRankPolymorphism:
         def halves(ct):
             return [ct.c0, ct.c1]
 
+        def run_dataflow(name, poly):
+            return list(execute_dataflow(get_dataflow(name), context, poly,
+                                         relin_key, level))
+
         ops = {
             "+": lambda a, b, c: [a + b],
             "-": lambda a, b, c: [a - b],
@@ -167,6 +173,9 @@ class TestRankPolymorphism:
                     ct_of(a, b), rotation_keys).values()
                 for half in halves(ct)
             ],
+            "execute_dataflow[MP]": lambda a, b, c: run_dataflow("MP", a),
+            "execute_dataflow[DC]": lambda a, b, c: run_dataflow("DC", a),
+            "execute_dataflow[OC]": lambda a, b, c: run_dataflow("OC", a),
         }
         stacks = [RNSPoly.stack(polys) for polys in (xs, ys, cs)]
         for name, op in ops.items():
@@ -417,89 +426,6 @@ class TestCrossCommitIdentity:
         out = circuit(CipherBatch.from_vectors(ct_a),
                       CipherBatch.from_vectors(ct_b))
         assert _digest(out.member(0)) == self.CIRCUIT
-
-
-# -- functional batch + serving ------------------------------------------------
-
-
-class TestFunctionalServing:
-    def test_batch_run_matches_serial(self):
-        from repro.serve import FunctionalBatch, FunctionalRequest
-
-        batch = FunctionalBatch([
-            FunctionalRequest(
-                preset="tiny_ci", dataflow="DC", level=1,
-                seed=s, key_seed=3,
-            )
-            for s in (1, 2, 3)
-        ])
-        stacked = batch.run()
-        serial = batch.run_serial()
-        assert [r.output_digest for r in stacked] == [
-            r.output_digest for r in serial
-        ]
-        assert all(r.batch_size == 3 for r in stacked)
-
-    def test_group_key_mismatch_located(self):
-        from repro.serve import FunctionalBatch, FunctionalRequest
-
-        with pytest.raises(ParameterError, match=r"batch\[1\]"):
-            FunctionalBatch([
-                FunctionalRequest(preset="tiny_ci", level=0),
-                FunctionalRequest(preset="tiny_ci", level=1),
-            ])
-
-    def test_service_coalesces_and_shards(self):
-        from repro.serve import (
-            EstimateService,
-            FunctionalRequest,
-            group_requests,
-        )
-
-        requests = [
-            FunctionalRequest(
-                preset="tiny_ci", dataflow=df, level=1, seed=s, key_seed=5
-            )
-            for df in ("MP", "OC")
-            for s in (1, 2, 3)
-        ]
-        reference = {
-            r.request_digest: r.output_digest
-            for g in group_requests(requests)
-            for r in g.run_serial()
-        }
-        with EstimateService(workers=2, admission="off") as service:
-            handles = [service.submit_functional(r) for r in requests]
-            duplicate = service.submit_functional(requests[0])
-            answered = service.gather()
-            assert answered == len(requests) + 1
-            for handle in handles + [duplicate]:
-                result = handle.result()
-                assert result.output_digest == reference[
-                    result.request_digest
-                ]
-                assert result.batch_size == 3
-            stats = service.stats
-            assert stats.functional_submitted == len(requests) + 1
-            assert stats.functional_passes == 2
-            assert stats.functional_ciphertexts == 6
-            assert stats.batch_occupancy == pytest.approx(3.0)
-            assert stats.batch_hits == 1
-
-    def test_service_in_process_fallback_identical(self):
-        from repro.serve import EstimateService, FunctionalRequest
-
-        request = FunctionalRequest(
-            preset="tiny_ci", dataflow="OC", level=2, seed=9, key_seed=5
-        )
-        with EstimateService(admission="off") as service:
-            handle = service.submit_functional(request)
-            service.gather()
-            pooled = handle.result()
-        with EstimateService(admission="off") as service:
-            handle = service.submit_functional(request)
-            service.gather()
-            assert handle.result().output_digest == pooled.output_digest
 
 
 # -- cache sharing across B (no per-batch tables) ------------------------------

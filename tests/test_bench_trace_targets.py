@@ -5,7 +5,9 @@ run time (``bench/tracing.py``: ``TARGETS`` and ``install``).  ``bench/``
 cannot change in the PR that renames or deletes one of those names, so
 this test resolves every target the way ``install`` does — without
 patching anything — and fails in the tier-1 run, not in a traced run
-nobody started.
+nobody started.  One case per target, so the failing id names it;
+``tests/test_bench_api.py`` holds the same names to their recorded
+signatures, beside everything else of the library the harness reaches.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ from repro.net import (
     decode_frames,
     encode_frame,
     load_mix,
+    load_tenant_specs,
     parse_mix_payload,
     save_mix,
 )
@@ -202,6 +203,24 @@ class TestTenantPrimitives:
             TenantSpec(name="x", token="t", max_inflight=0)
         with pytest.raises(ParameterError):
             TenantSpec.from_dict({"name": "x", "token": "t", "nope": 1})
+
+    def test_tenant_file(self, tmp_path):
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps([
+            {"name": "a", "token": "ta", "rate": 5.0, "admin": True},
+            {"name": "b", "token": "tb", "max_inflight": 2},
+        ]))
+        assert load_tenant_specs(str(path)) == [
+            TenantSpec(name="a", token="ta", rate=5.0, admin=True),
+            TenantSpec(name="b", token="tb", max_inflight=2),
+        ]
+        path.write_text(json.dumps({"name": "a", "token": "ta"}))
+        with pytest.raises(ParameterError, match="JSON list"):
+            load_tenant_specs(str(path))
+        path.write_text(json.dumps([{"name": "a", "token": "ta",
+                                     "quota": 3}]))
+        with pytest.raises(ParameterError, match="quota"):
+            load_tenant_specs(str(path))
 
 
 class TestDigestStream:
@@ -802,6 +821,69 @@ class TestHTTPAdapter:
         assert throttled[0] == 429
         assert "retry-after:" in throttled[2].lower()
         assert ok[0] == 200
+
+    @pytest.mark.parametrize("raw, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+        (b"POST /v1/estimate HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /v1/estimate HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"POST /v1/estimate HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400),
+        (b"POST /v1/estimate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (4 * 1024 * 1024 + 1), 413),
+    ], ids=["request-line", "header", "length-not-a-number",
+            "length-negative", "body-truncated", "body-over-limit"])
+    def test_malformed_request_is_a_protocol_error(self, raw, status):
+        async def main():
+            async with EstimateServer(_server_config(http_port=0)) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.http_port)
+                writer.write(raw)
+                writer.write_eof()
+                answer = await reader.read()
+                writer.close()
+                return answer
+
+        head, _, body = run(main()).partition(b"\r\n\r\n")
+        assert int(head.split(b" ", 2)[1]) == status
+        assert json.loads(body)["error"]["kind"] == "protocol"
+
+    def test_execution_failure_has_the_frame_protocols_kind(self):
+        class FailingBackend(PlanBackendBase):
+            name = "failing-http"
+
+            def run_plan(self, plan):
+                if plan.options.bandwidth_gbs == 64.0:
+                    raise ParameterError("a library error at run time")
+                raise RuntimeError("a foreign error at run time")
+
+        register_backend(FailingBackend())
+        try:
+            async def main():
+                config = _server_config(http_port=0, admission="off")
+                kinds = []
+                async with EstimateServer(config) as server:
+                    async with EstimateClient("127.0.0.1",
+                                              server.port) as cli:
+                        for bandwidth in (64.0, 65.0):
+                            plan = build_plan("BTS1", backend="failing-http",
+                                              schedule="OC",
+                                              bandwidth_gbs=bandwidth)
+                            with pytest.raises(RemoteError) as excinfo:
+                                await cli.estimate(plan)
+                            # Failures are not cached: HTTP runs it again.
+                            status, payload, _ = await _http_request(
+                                server.http_port, "POST", "/v1/estimate",
+                                body=plan.to_dict())
+                            kinds.append((excinfo.value.kind, status,
+                                          payload["error"]["kind"]))
+                    return kinds, server.stats
+
+            kinds, stats = run(main())
+        finally:
+            del _REGISTRY["failing-http"]
+        assert kinds == [("worker", 500, "worker"),
+                         ("internal", 500, "internal")]
+        assert stats.failed == 4 and stats.gathered == 4
 
 
 # -- load harness -----------------------------------------------------------------

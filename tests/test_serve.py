@@ -318,8 +318,6 @@ class TestShardPool:
     def test_invalid_configs(self):
         with pytest.raises(ParameterError):
             ShardPool(0)
-        with pytest.raises(ParameterError):
-            EstimateService(pool=ShardPool(2), workers=2)
 
 
 @pytest.fixture()

@@ -16,10 +16,10 @@ checks it against the live library:
 * the ``repro.sched.COUNTERS`` keys the harness reads;
 * the ``server`` / ``service`` keys of the ``status`` reply it reads.
 
-Run ``python -m tools.bench_manifest`` from the repository root to
-regenerate ``tests/golden/bench_api.json`` (only when ``bench/`` itself
-changes, or a library change is *meant* to move an entry), and
-``python -m tools.bench_manifest --check`` to run the live checks.
+Run ``PYTHONPATH=src python -m tools.bench_manifest`` from the
+repository root to regenerate ``tests/golden/bench_api.json`` (only when
+``bench/`` itself changes, or a library change is *meant* to move an
+entry); ``tests/test_bench_api.py`` runs the live checks.
 """
 
 from __future__ import annotations
@@ -306,16 +306,7 @@ def render(manifest: dict) -> str:
     return json.dumps(manifest, indent=1, sort_keys=True) + "\n"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if args == ["--check"]:
-        problems = check(json.loads(MANIFEST.read_text(encoding="utf-8")))
-        for line in problems:
-            print(line)
-        return 1 if problems else 0
-    if args:
-        print("usage: python -m tools.bench_manifest [--check]")
-        return 2
+def main() -> int:
     MANIFEST.write_text(render(build()), encoding="utf-8")
     print(f"wrote {_rel(MANIFEST)}")
     return 0
