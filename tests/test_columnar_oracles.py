@@ -396,27 +396,31 @@ def _specs_of(workload):
 
 
 def estimate_digests(point: str):
-    """``{"reports": {...}, "graphs": {...}}`` for one machine point.
+    """``{"reports": {...}, "graphs": {...}, "plans": {...}}`` for one
+    machine point.
 
     Reports: SHA-256 of ``report_to_dict(build_plan(...).run())`` per
     workload x schedule.  Graphs: SHA-256 over the ``schedule_digest`` of
-    every distinct spec of a workload, per hand-written dataflow.
+    every distinct spec of a workload, per hand-written dataflow.  Plans:
+    ``build_plan(...).digest`` per workload x schedule, the content
+    address the serving tier caches reports under.
     """
     options = POINTS[point]
     config = DataflowConfig(data_sram_bytes=options["sram_mb"] * MB,
                             evk_on_chip=options["evk_on_chip"])
-    reports, graphs = {}, {}
+    reports, graphs, plans = {}, {}, {}
     for workload in WORKLOADS:
         for backend, schedule in VARIANTS:
-            report = build_plan(workload, backend=backend, schedule=schedule,
-                                **options).run()
-            reports[_report_key(workload, backend, schedule)] = _sha(
-                report_to_dict(report))
+            plan = build_plan(workload, backend=backend, schedule=schedule,
+                              **options)
+            key = _report_key(workload, backend, schedule)
+            plans[key] = plan.digest
+            reports[key] = _sha(report_to_dict(plan.run()))
         for schedule in ("MP", "DC", "OC"):
             graphs[f"{workload}/{schedule}"] = _sha([
                 schedule_digest(get_dataflow(schedule).build(spec, config))
                 for spec in _specs_of(workload)])
-    return {"reports": reports, "graphs": graphs}
+    return {"reports": reports, "graphs": graphs, "plans": plans}
 
 
 class TestGoldenDigests:
@@ -426,6 +430,7 @@ class TestGoldenDigests:
         current = estimate_digests(point)
         assert current["graphs"] == golden["graphs"]
         assert current["reports"] == golden["reports"]
+        assert current["plans"] == golden["plans"]
 
 
 # -- (d) rows, columns and JSON agree -----------------------------------------------
