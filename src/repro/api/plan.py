@@ -33,20 +33,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Type, Union
 
 if TYPE_CHECKING:
     from repro.analysis import AnalysisReport
     from repro.api.backends import EstimateOptions, RunReport, Workload
 
+from repro import codec
 from repro.errors import ParameterError
 from repro.params import BenchmarkSpec
-from repro.workloads import (
-    HEOpMix,
-    Phase,
-    WorkloadProgram,
-    resolve_workload,
-)
+from repro.workloads import WorkloadProgram, resolve_workload
 
 #: Bump when the digest payload layout changes; digests (and anything
 #: keyed by them, e.g. the serve layer's disk-cached reports) from other
@@ -57,116 +53,29 @@ PLAN_FORMAT_VERSION = 1
 PlanWorkload = Union[BenchmarkSpec, WorkloadProgram]
 
 
-# -- payload codecs -------------------------------------------------------------
+# -- payload codec ---------------------------------------------------------------
 #
-# Hand-rolled rather than dataclasses.asdict: the payload is a stable
-# wire format (digests depend on it), so every field is spelled out and
-# unknown input keys are rejected.
+# Every record is encoded by repro.codec (one policy: typed fields, unknown
+# keys rejected, floats written as floats so the digest does not depend on
+# how a number was spelled).  A plan adds only its format version and the
+# {"benchmark"|"program": ...} tag of its workload union.
 
-def _spec_to_dict(spec: BenchmarkSpec) -> Dict[str, object]:
+_WORKLOAD_TAGS: Dict[str, "Type[PlanWorkload]"] = {
+    "benchmark": BenchmarkSpec, "program": WorkloadProgram}
+_PLAN_KEYS = ("version", "backend", "schedule", "options", "workload")
+
+
+def _payload(workload: PlanWorkload, backend: str, schedule: str,
+             options: "EstimateOptions") -> Dict[str, object]:
+    """The plan payload; :meth:`Plan.to_dict` and the digest both use it."""
+    tag = "benchmark" if isinstance(workload, BenchmarkSpec) else "program"
     return {
-        "name": spec.name,
-        "log_n": spec.log_n,
-        "kl": spec.kl,
-        "kp": spec.kp,
-        "dnum": spec.dnum,
+        "version": PLAN_FORMAT_VERSION,
+        "backend": backend,
+        "schedule": schedule,
+        "options": codec.to_dict(options),
+        "workload": {tag: codec.to_dict(workload)},
     }
-
-
-def _spec_from_dict(data: Dict[str, object]) -> BenchmarkSpec:
-    return BenchmarkSpec(
-        name=str(data["name"]),
-        log_n=int(data["log_n"]),
-        kl=int(data["kl"]),
-        kp=int(data["kp"]),
-        dnum=int(data["dnum"]),
-    )
-
-
-def _mix_to_dict(mix: HEOpMix) -> Dict[str, int]:
-    return {
-        "rotations": mix.rotations,
-        "ct_multiplies": mix.ct_multiplies,
-        "pt_multiplies": mix.pt_multiplies,
-        "additions": mix.additions,
-    }
-
-
-def _mix_from_dict(data: Dict[str, object]) -> HEOpMix:
-    return HEOpMix(
-        rotations=int(data["rotations"]),
-        ct_multiplies=int(data["ct_multiplies"]),
-        pt_multiplies=int(data["pt_multiplies"]),
-        additions=int(data["additions"]),
-    )
-
-
-def _phase_to_dict(phase: Phase) -> Dict[str, object]:
-    return {
-        "label": phase.label,
-        "kind": phase.kind,
-        "spec": _spec_to_dict(phase.spec),
-        "mix": _mix_to_dict(phase.mix),
-    }
-
-
-def _phase_from_dict(data: Dict[str, object]) -> Phase:
-    return Phase(
-        label=str(data["label"]),
-        spec=_spec_from_dict(data["spec"]),
-        mix=_mix_from_dict(data["mix"]),
-        kind=str(data.get("kind", "app")),
-    )
-
-
-def _workload_to_dict(workload: PlanWorkload) -> Dict[str, object]:
-    if isinstance(workload, BenchmarkSpec):
-        return {"benchmark": _spec_to_dict(workload)}
-    return {
-        "program": {
-            "name": workload.name,
-            "description": workload.description,
-            "phases": [_phase_to_dict(p) for p in workload.phases],
-        }
-    }
-
-
-def _workload_from_dict(data: Dict[str, object]) -> PlanWorkload:
-    if "benchmark" in data:
-        return _spec_from_dict(data["benchmark"])
-    if "program" in data:
-        prog = data["program"]
-        return WorkloadProgram(
-            name=str(prog["name"]),
-            phases=tuple(_phase_from_dict(p) for p in prog["phases"]),
-            description=str(prog.get("description", "")),
-        )
-    raise ParameterError(
-        f"plan workload payload needs a 'benchmark' or 'program' key, "
-        f"got {sorted(data)}"
-    )
-
-
-def _options_to_dict(options: "EstimateOptions") -> Dict[str, object]:
-    return {
-        "bandwidth_gbs": options.bandwidth_gbs,
-        "sram_mb": options.sram_mb,
-        "evk_on_chip": options.evk_on_chip,
-        "key_compression": options.key_compression,
-        "modops_scale": options.modops_scale,
-    }
-
-
-def _options_from_dict(data: Dict[str, object]) -> "EstimateOptions":
-    from repro.api.backends import EstimateOptions
-
-    valid = set(EstimateOptions.__dataclass_fields__)
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ParameterError(
-            f"unknown estimate option(s) {unknown} in plan payload"
-        )
-    return EstimateOptions(**data)
 
 
 @lru_cache(maxsize=4096)
@@ -178,13 +87,7 @@ def _digest_for(workload: PlanWorkload, backend: str, schedule: str,
     program object, so the canonical-JSON walk is paid once per distinct
     request shape, not once per request.
     """
-    payload = {
-        "version": PLAN_FORMAT_VERSION,
-        "backend": backend,
-        "schedule": schedule,
-        "options": _options_to_dict(options),
-        "workload": _workload_to_dict(workload),
-    }
+    payload = _payload(workload, backend, schedule, options)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -257,28 +160,38 @@ class Plan:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:  # lint: allow-hand-codec
         """Full-fidelity JSON-compatible payload (see :meth:`from_dict`)."""
-        return {
-            "version": PLAN_FORMAT_VERSION,
-            "backend": self.backend,
-            "schedule": self.schedule,
-            "options": _options_to_dict(self.options),
-            "workload": _workload_to_dict(self.workload),
-        }
+        return _payload(self.workload, self.backend, self.schedule,
+                        self.options)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Plan":
-        version = int(data.get("version", PLAN_FORMAT_VERSION))
-        if version != PLAN_FORMAT_VERSION:
-            raise ParameterError(
-                f"plan payload version {version} != {PLAN_FORMAT_VERSION}"
-            )
+    def from_dict(cls, data: Dict[str, object]) -> "Plan":  # lint: allow-hand-codec
+        """Decode a payload; any malformed one raises ``ParameterError``."""
+        from repro.api.backends import EstimateOptions
+
+        if not isinstance(data, dict) or not set(data) <= set(_PLAN_KEYS):
+            raise ParameterError(f"a plan payload is an object with keys "
+                                 f"from {_PLAN_KEYS}, got {data!r:.80}")
+        version = data.get("version", PLAN_FORMAT_VERSION)
+        if type(version) is not int or version != PLAN_FORMAT_VERSION:
+            raise ParameterError(f"plan payload version {version!r:.60} != "
+                                 f"{PLAN_FORMAT_VERSION}")
+        workload, backend, schedule = (
+            data.get("workload"), data.get("backend"), data.get("schedule"))
+        if not isinstance(workload, dict) or len(workload) != 1 \
+                or next(iter(workload)) not in _WORKLOAD_TAGS:
+            raise ParameterError(f"Plan.workload needs one 'benchmark' or "
+                                 f"'program' key, got {workload!r:.60}")
+        if not (isinstance(backend, str) and isinstance(schedule, str)):
+            raise ParameterError(f"Plan.backend and Plan.schedule must be "
+                                 f"str, got {backend!r:.30}, {schedule!r:.30}")
+        ((tag, body),) = workload.items()
         return cls(
-            workload=_workload_from_dict(data["workload"]),
-            backend=str(data["backend"]),
-            schedule=str(data["schedule"]),
-            options=_options_from_dict(dict(data.get("options", {}))),
+            workload=codec.from_dict(_WORKLOAD_TAGS[tag], body),
+            backend=backend,
+            schedule=schedule,
+            options=codec.from_dict(EstimateOptions, data.get("options", {})),
         )
 
     def to_json(self) -> str:
@@ -357,62 +270,16 @@ def build_plan(workload: "Workload", *, backend: str = "rpu",
 # -- RunReport wire codec -------------------------------------------------------
 #
 # The serving layer persists reports on disk and ships them between
-# worker processes; both paths use this JSON codec so a report survives
-# the round-trip bit-identically (Python's json preserves ints exactly
-# and floats via repr, which round-trips IEEE-754 doubles).
+# worker processes; both paths use these two names, which delegate to
+# repro.codec, so a report survives the round-trip bit-identically
+# (Python's json preserves ints exactly and floats via repr, which
+# round-trips IEEE-754 doubles).
 
-def report_to_dict(report: "RunReport") -> Dict[str, object]:
-    return {
-        "benchmark": report.benchmark,
-        "backend": report.backend,
-        "schedule": report.schedule,
-        "total_bytes": report.total_bytes,
-        "data_bytes": report.data_bytes,
-        "evk_bytes": report.evk_bytes,
-        "mod_ops": report.mod_ops,
-        "num_tasks": report.num_tasks,
-        "peak_on_chip_bytes": report.peak_on_chip_bytes,
-        "spill_stores": report.spill_stores,
-        "reloads": report.reloads,
-        "latency_ms": report.latency_ms,
-        "compute_idle_fraction": report.compute_idle_fraction,
-        "hks_calls": report.hks_calls,
-        "phases": [report_to_dict(p) for p in report.phases],
-        "options": _options_to_dict(report.options),
-        "schedule_stats": (
-            None if report.schedule_stats is None
-            else report.schedule_stats.to_dict()
-        ),
-    }
+def report_to_dict(report: "RunReport") -> Dict[str, object]:  # lint: allow-hand-codec
+    return codec.to_dict(report)
 
 
-def report_from_dict(data: Dict[str, object]) -> "RunReport":
+def report_from_dict(data: Dict[str, object]) -> "RunReport":  # lint: allow-hand-codec
     from repro.api.backends import RunReport
 
-    from repro.sched.stats import ScheduleStats
-
-    latency = data.get("latency_ms")
-    idle = data.get("compute_idle_fraction")
-    hks = data.get("hks_calls")
-    raw_stats = data.get("schedule_stats")
-    return RunReport(
-        benchmark=str(data["benchmark"]),
-        backend=str(data["backend"]),
-        schedule=str(data["schedule"]),
-        total_bytes=int(data["total_bytes"]),
-        data_bytes=int(data["data_bytes"]),
-        evk_bytes=int(data["evk_bytes"]),
-        mod_ops=int(data["mod_ops"]),
-        num_tasks=int(data["num_tasks"]),
-        peak_on_chip_bytes=int(data["peak_on_chip_bytes"]),
-        spill_stores=int(data.get("spill_stores", 0)),
-        reloads=int(data.get("reloads", 0)),
-        latency_ms=None if latency is None else float(latency),
-        compute_idle_fraction=None if idle is None else float(idle),
-        hks_calls=None if hks is None else int(hks),
-        phases=tuple(report_from_dict(p) for p in data.get("phases", ())),
-        options=_options_from_dict(dict(data.get("options", {}))),
-        schedule_stats=(
-            None if raw_stats is None else ScheduleStats.from_dict(dict(raw_stats))
-        ),
-    )
+    return codec.from_dict(RunReport, data)

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro import codec
 from repro.errors import ReproError
 
 #: Environment variable holding an active plan: inline JSON (starts with
@@ -80,7 +81,7 @@ class FaultRule:
     matching visit *fires* when the first ``after`` matches have passed,
     fewer than ``max_hits`` firings have happened, and the rule's PRNG
     draw lands under ``probability``.  ``visits``/``hits`` are per-process
-    runtime state, not part of the serialized plan.
+    runtime state (``compare=False``), not part of the serialized plan.
     """
 
     point: str
@@ -111,39 +112,6 @@ class FaultRule:
                 f"probability must be in [0, 1], got {self.probability}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"point": self.point, "action": self.action}
-        if self.probability != 1.0:
-            out["probability"] = self.probability
-        if self.after:
-            out["after"] = self.after
-        if self.max_hits != 1:
-            out["max_hits"] = self.max_hits
-        if self.action == "delay":
-            out["delay_s"] = self.delay_s
-        if self.match:
-            out["match"] = self.match
-        if self.message:
-            out["message"] = self.message
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultRule":
-        try:
-            max_hits = data.get("max_hits", 1)
-            return cls(
-                point=str(data["point"]),
-                action=str(data["action"]),
-                probability=float(data.get("probability", 1.0)),
-                after=int(data.get("after", 0)),
-                max_hits=None if max_hits is None else int(max_hits),
-                delay_s=float(data.get("delay_s", 0.05)),
-                match=str(data.get("match", "")),
-                message=str(data.get("message", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"malformed fault rule: {exc}") from exc
-
 
 class FaultPlan:
     """An ordered rule set with seeded per-rule randomness.
@@ -166,22 +134,24 @@ class FaultPlan:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:  # lint: allow-hand-codec
         return {"seed": self.seed,
-                "rules": [rule.to_dict() for rule in self.rules]}
+                "rules": [codec.to_dict(rule) for rule in self.rules]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        try:
-            rules = [FaultRule.from_dict(r) for r in data.get("rules", [])]
-            seed = int(data.get("seed", 0))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ReproError(f"malformed fault plan: {exc}") from exc
-        return cls(rules, seed=seed)
+    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":  # lint: allow-hand-codec
+        rules, seed = data.get("rules", []), data.get("seed", 0)
+        if set(data) - {"rules", "seed"} or not isinstance(rules, list) \
+                or not isinstance(seed, int) or isinstance(seed, bool):
+            raise ReproError(
+                f"malformed fault plan: needs a 'rules' list and an int "
+                f"'seed', got {data!r:.80}"
+            )
+        return cls([codec.from_dict(FaultRule, r) for r in rules], seed=seed)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

@@ -23,6 +23,8 @@ import asyncio
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import codec
+from repro.analysis import AnalysisReport
 from repro.api.plan import Plan, report_from_dict
 from repro.errors import ReproError
 from repro.faults import Deadline, DeadlineExceeded
@@ -30,7 +32,6 @@ from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
     FrameError,
-    analysis_report_from_dict,
     read_frame,
     write_frame,
 )
@@ -107,7 +108,7 @@ def _raise_error(error: Dict[str, object]) -> None:
     kind = str(error.get("kind", "internal"))
     report = error.get("report")
     if report is not None:
-        report = analysis_report_from_dict(report)
+        report = codec.from_dict(AnalysisReport, report)
     cls = _ERROR_CLASSES.get(kind, RemoteError)
     raise cls(kind, str(error.get("message", "remote error")),
               retry_after=error.get("retry_after"), report=report)

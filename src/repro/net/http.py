@@ -29,6 +29,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro import codec
 from repro.api.plan import Plan
 from repro.errors import ParameterError
 from repro.net import protocol
@@ -151,8 +152,7 @@ class HTTPFrontend:
         except Rejection as rej:
             body_payload = _error_body(rej.kind, str(rej))
             if rej.report is not None:
-                body_payload["error"]["report"] = \
-                    protocol.analysis_report_to_dict(rej.report)
+                body_payload["error"]["report"] = codec.to_dict(rej.report)
             return (STATUS_BY_KIND.get(rej.kind, 500), body_payload,
                     rej.retry_after)
         return 404, _error_body("protocol", f"no such endpoint {path}"), None
@@ -171,7 +171,7 @@ class HTTPFrontend:
             payload = payload["plan"]
         try:
             plan = Plan.from_dict(payload)
-        except (ParameterError, KeyError, TypeError, ValueError) as exc:
+        except ParameterError as exc:
             raise Rejection("plan", f"plan payload rejected: {exc}") from exc
         ticket = await self.server.admit_and_submit(tenant, plan)
         # The frame protocol's gather answers the ticket, so one policy

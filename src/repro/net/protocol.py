@@ -51,7 +51,8 @@ import json
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis import AnalysisReport, Diagnostic, Severity
+from repro import codec
+from repro.analysis import AnalysisReport
 from repro.errors import ReproError
 from repro.faults import InjectedFault, fault_point
 
@@ -221,39 +222,6 @@ def error_payload(req_id: object, kind: str, message: str, *,
     if retry_after is not None:
         error["retry_after"] = round(max(0.0, float(retry_after)), 4)
     if report is not None:
-        error["report"] = analysis_report_to_dict(report)
+        error["report"] = codec.to_dict(report)
     return {"v": PROTOCOL_VERSION, "id": req_id, "ok": False, "error": error}
 
-
-# -- AnalysisReport wire codec ---------------------------------------------------
-
-def analysis_report_to_dict(report: AnalysisReport) -> Dict[str, object]:
-    """Serialize PR 6's admission diagnostics for the error frame."""
-    return {
-        "subject": report.subject,
-        "diagnostics": [
-            {
-                "severity": str(diag.severity),
-                "pass_id": diag.pass_id,
-                "location": diag.location,
-                "message": diag.message,
-                "hint": diag.hint,
-            }
-            for diag in report.diagnostics
-        ],
-    }
-
-
-def analysis_report_from_dict(data: Dict[str, object]) -> AnalysisReport:
-    """Rebuild a typed :class:`AnalysisReport` client-side."""
-    diagnostics = tuple(
-        Diagnostic(
-            severity=Severity[str(entry["severity"]).upper()],
-            pass_id=str(entry["pass_id"]),
-            location=str(entry["location"]),
-            message=str(entry["message"]),
-            hint=str(entry.get("hint", "")),
-        )
-        for entry in data.get("diagnostics", ())
-    )
-    return AnalysisReport(str(data.get("subject", "?")), diagnostics)

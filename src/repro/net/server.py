@@ -36,10 +36,10 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import codec
 from repro.api.plan import Plan, report_to_dict
 from repro.errors import ParameterError, ReproError
 from repro.faults import Deadline, DeadlineExceeded, fault_point
-from repro.net import protocol
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
@@ -456,7 +456,7 @@ class EstimateServer:
             raise Rejection("plan", "submit needs a 'plan' object payload")
         try:
             plan = Plan.from_dict(plan_payload)
-        except (ParameterError, KeyError, TypeError, ValueError) as exc:
+        except ParameterError as exc:
             raise Rejection("plan", f"plan payload rejected: {exc}") from exc
         deadline = Deadline.from_wire(frame.get("deadline_s"))
         ticket = await self.admit_and_submit(tenant, plan,
@@ -515,8 +515,7 @@ class EstimateServer:
         if isinstance(error, AdmissionError):
             payload = self._ticket_error(ticket_id, "admission", str(error))
             if error.report is not None:
-                payload["error"]["report"] = \
-                    protocol.analysis_report_to_dict(error.report)
+                payload["error"]["report"] = codec.to_dict(error.report)
             return payload
         if isinstance(error, DeadlineExceeded):
             kind = "deadline_exceeded"

@@ -27,6 +27,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
+from repro import codec
 from repro.errors import ParameterError, ReproError
 
 
@@ -64,14 +65,6 @@ class TenantSpec:
             raise ParameterError(
                 f"tenant {self.name!r}: rate and burst must be non-negative"
             )
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TenantSpec":
-        valid = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise ParameterError(f"unknown tenant field(s) {unknown}")
-        return cls(**data)  # type: ignore[arg-type]
 
 
 #: The implicit tenant of an open (no-tenants-configured) registry.  It
@@ -160,7 +153,7 @@ def load_tenant_specs(path: str) -> List[TenantSpec]:
         raise ParameterError(
             f"tenant file {path} must hold a JSON list of tenant objects"
         )
-    return [TenantSpec.from_dict(entry) for entry in data]
+    return [codec.from_dict(TenantSpec, entry) for entry in data]
 
 
 class TenantRegistry:

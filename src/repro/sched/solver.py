@@ -35,11 +35,11 @@ API layer sits above this package and calls down.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import cache as disk_cache
+from repro import codec
 from repro.core.dataflow import BuilderStats, DataflowConfig
 from repro.core.taskgraph import Kind, TaskGraph
 from repro.errors import ParameterError, ScheduleError
@@ -76,11 +76,8 @@ REORDER_IDLE_THRESHOLD = 0.10
 
 #: Observable search effort, for tests and the ``bench/`` workloads (which
 #: read deltas; nothing resets it).
-#: ``search_seconds`` covers :func:`solve` cache misses only; pipeline
-#: marginals are schedule *construction* (cached by digest), not search.
-COUNTERS: Dict[str, float] = {
+COUNTERS: Dict[str, int] = {
     "searches": 0,
-    "search_seconds": 0.0,
     "exact_evals": 0,
     "disk_hits": 0,
 }
@@ -130,18 +127,6 @@ class Objective:
     def key_parts(self) -> Tuple[object, ...]:
         return (self.metric, self.bandwidth_gbs, self.modops_scale)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"metric": self.metric, "bandwidth_gbs": self.bandwidth_gbs,
-                "modops_scale": self.modops_scale}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Objective":
-        return cls(
-            metric=str(data.get("metric", "latency")),
-            bandwidth_gbs=float(data.get("bandwidth_gbs", 64.0)),
-            modops_scale=float(data.get("modops_scale", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -156,33 +141,6 @@ class ScheduleDecision:
     considered: int
     evaluated: int
     reason: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec_name": self.spec_name,
-            "decision": self.decision.to_dict(),
-            "objective": self.objective.to_dict(),
-            "cost": self.cost,
-            "legacy_best": self.legacy_best,
-            "legacy_best_cost": self.legacy_best_cost,
-            "considered": self.considered,
-            "evaluated": self.evaluated,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScheduleDecision":
-        return cls(
-            spec_name=str(data["spec_name"]),
-            decision=HKSDecision.from_dict(dict(data["decision"])),  # type: ignore[arg-type]
-            objective=Objective.from_dict(dict(data["objective"])),  # type: ignore[arg-type]
-            cost=float(data["cost"]),
-            legacy_best=str(data["legacy_best"]),
-            legacy_best_cost=float(data["legacy_best_cost"]),
-            considered=int(data["considered"]),
-            evaluated=int(data["evaluated"]),
-            reason=str(data["reason"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -206,25 +164,6 @@ class SolvedSchedule:
     @property
     def cost(self) -> float:
         return self.record.cost
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "record": self.record.to_dict(),
-            "digest": self.digest,
-            "latency_ms": self.latency_ms,
-            "compute_idle_fraction": self.compute_idle_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SolvedSchedule":
-        latency = data.get("latency_ms")
-        idle = data.get("compute_idle_fraction")
-        return cls(
-            record=ScheduleDecision.from_dict(dict(data["record"])),  # type: ignore[arg-type]
-            digest=str(data["digest"]),
-            latency_ms=None if latency is None else float(latency),
-            compute_idle_fraction=None if idle is None else float(idle),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,21 +491,19 @@ def solve(spec: BenchmarkSpec, config: Optional[DataflowConfig] = None,
         payload = disk_cache.load_json("sched", key)
         if payload is not None:
             try:
-                hit = SolvedSchedule.from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                hit = None
+                hit = codec.from_dict(SolvedSchedule, payload)
+            except ParameterError:
+                hit = None  # foreign or corrupt entry: search again
             if hit is not None:
                 COUNTERS["disk_hits"] += 1
                 _MEMO[key] = hit
     if hit is None:
         COUNTERS["searches"] += 1
-        started = time.perf_counter()
         hit = _search(spec, config, objective)
-        COUNTERS["search_seconds"] += time.perf_counter() - started
         _MEMO[key] = hit
-        disk_cache.store_json("sched", key, hit.to_dict())
+        disk_cache.store_json("sched", key, codec.to_dict(hit))
     if _RECORDING is not None:
-        _RECORDING[key] = hit.to_dict()
+        _RECORDING[key] = codec.to_dict(hit)
     return hit
 
 
@@ -663,8 +600,8 @@ def preload_bundle(key: str) -> bool:
     try:
         for solve_k, data in entries.items():
             if solve_k not in _MEMO:
-                _MEMO[solve_k] = SolvedSchedule.from_dict(data)
-    except (KeyError, TypeError, ValueError):
+                _MEMO[solve_k] = codec.from_dict(SolvedSchedule, data)
+    except ParameterError:
         return False
     return True
 

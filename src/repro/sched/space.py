@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.dataflow import DataflowConfig
 from repro.core.stages import HKSShape
@@ -103,31 +103,6 @@ class HKSDecision:
                    f"{',md-fused' if self.moddown_fused else ',md-staged'}"
                    f"{',prefetch' if self.evk_prefetch else ''})")
         return tag + ("+reorder" if self.reordered else "")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "base": self.base,
-            "pinned_digits": self.pinned_digits,
-            "loop": self.loop,
-            "tile_towers": self.tile_towers,
-            "moddown_fused": self.moddown_fused,
-            "bconv_chunk": self.bconv_chunk,
-            "evk_prefetch": self.evk_prefetch,
-            "reordered": self.reordered,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HKSDecision":
-        return cls(
-            base=str(data.get("base", "GEN")),
-            pinned_digits=int(data.get("pinned_digits", 0)),
-            loop=str(data.get("loop", "tower")),
-            tile_towers=int(data.get("tile_towers", 0)),
-            moddown_fused=bool(data.get("moddown_fused", True)),
-            bconv_chunk=int(data.get("bconv_chunk", 0)),
-            evk_prefetch=bool(data.get("evk_prefetch", False)),
-            reordered=bool(data.get("reordered", False)),
-        )
 
 
 #: The legacy dataflows as decision-space points, in presentation order.

@@ -16,7 +16,7 @@ lower bounds: queue busy time over the span of the longer queue.  It is a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.taskgraph import TaskGraph
 from repro.rpu.config import RPUConfig
@@ -36,27 +36,6 @@ class ScheduleStats:
     #: Queue busy time / schedule span, in [0, 1].
     compute_occupancy: float = 0.0
     memory_occupancy: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "compute_tasks": self.compute_tasks,
-            "memory_tasks": self.memory_tasks,
-            "critical_path_tasks": self.critical_path_tasks,
-            "sram_high_water_bytes": self.sram_high_water_bytes,
-            "compute_occupancy": self.compute_occupancy,
-            "memory_occupancy": self.memory_occupancy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScheduleStats":
-        return cls(
-            compute_tasks=int(data.get("compute_tasks", 0)),
-            memory_tasks=int(data.get("memory_tasks", 0)),
-            critical_path_tasks=int(data.get("critical_path_tasks", 0)),
-            sram_high_water_bytes=int(data.get("sram_high_water_bytes", 0)),
-            compute_occupancy=float(data.get("compute_occupancy", 0.0)),
-            memory_occupancy=float(data.get("memory_occupancy", 0.0)),
-        )
 
     # -- composition --------------------------------------------------------------
 

@@ -403,8 +403,8 @@ class EstimateService:
                         payload.get("model_version") != REPORT_MODEL_VERSION:
                     return None  # priced by other model code: recompute
                 try:
-                    report = report_from_dict(payload["report"])
-                except (ParameterError, KeyError, TypeError, ValueError):
+                    report = report_from_dict(payload.get("report"))
+                except ParameterError:
                     return None  # foreign/corrupt payload: recompute
                 with self._lock:
                     self.stats.disk_hits += 1

@@ -118,6 +118,33 @@ class TestPlanSerialization:
         with pytest.raises(ParameterError):
             Plan.from_dict(payload)
 
+    def test_digest_ignores_how_a_number_is_spelled(self):
+        """``64`` and ``64.0`` are one request, whichever arrives first
+        (the digest memo treats the two equal options as one key)."""
+        from repro.api.plan import _digest_for
+
+        digests = set()
+        for order in ((64, 64.0), (64.0, 64)):
+            _digest_for.cache_clear()
+            digests.update(build_plan("ARK", bandwidth_gbs=spelling).digest
+                           for spelling in order)
+        payload = build_plan("ARK", bandwidth_gbs=64.0).to_dict()
+        payload["options"]["bandwidth_gbs"] = 64
+        _digest_for.cache_clear()
+        digests.add(Plan.from_dict(payload).digest)
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("field,value", (
+        ("evk_on_chip", "no"), ("sram_mb", "32"), ("log_n", "x"),
+    ))
+    def test_mistyped_fields_are_rejected(self, field, value):
+        payload = build_plan("ARK").to_dict()
+        target = (payload["workload"]["benchmark"] if field == "log_n"
+                  else payload["options"])
+        target[field] = value
+        with pytest.raises(ParameterError, match=field):
+            Plan.from_dict(payload)
+
     def test_digest_differs_for_every_priced_input(self):
         base = build_plan("BOOT", schedule="OC")
         assert base.digest != build_plan("BOOT", schedule="MP").digest

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro import codec
 from repro.api import build_plan, register_backend
 from repro.api.backends import _REGISTRY, PlanBackendBase, RunReport
 from repro.analysis import Severity
@@ -202,7 +203,7 @@ class TestTenantPrimitives:
         with pytest.raises(ParameterError):
             TenantSpec(name="x", token="t", max_inflight=0)
         with pytest.raises(ParameterError):
-            TenantSpec.from_dict({"name": "x", "token": "t", "nope": 1})
+            codec.from_dict(TenantSpec, {"name": "x", "token": "t", "nope": 1})
 
     def test_tenant_file(self, tmp_path):
         path = tmp_path / "tenants.json"

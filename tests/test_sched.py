@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import sched
+from repro import codec, sched
 from repro.analysis import analyze
 from repro.api import (
     KNOWN_SCHEDULES,
@@ -69,7 +69,7 @@ class TestDeterminism:
         a = solve(spec, DataflowConfig(), Objective())
         b = solve(spec, DataflowConfig(), Objective())
         assert a.digest == b.digest
-        assert a.to_dict() == b.to_dict()
+        assert codec.to_dict(a) == codec.to_dict(b)
 
     def test_rebuild_matches_digest(self):
         spec = get_benchmark("ARK")
@@ -186,6 +186,27 @@ class TestCaching:
         assert runs[0]["searches"] > 0
         assert runs[1]["searches"] == 0
         assert runs[1]["latency"] == runs[0]["latency"]
+
+    @pytest.mark.parametrize("fault", ({"base": "XYZ"}, {"pinned_digits": -1}))
+    def test_bad_cache_entries_are_misses(self, tmp_path, monkeypatch, fault):
+        """Valid JSON holding a bad decision, in the solve store or in a
+        plan bundle, is searched again instead of crashing the solve."""
+        from repro import cache as disk_cache
+
+        spec, config, objective = get_benchmark("ARK"), STREAMED, Objective()
+        want = codec.to_dict(solve(spec, config, objective))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        key = sched.solve_key(spec, config, objective)
+        bad = json.loads(json.dumps(want))
+        bad["record"]["decision"].update(fault)
+        disk_cache.store_json("sched", key, bad)
+        sched.solver.store_bundle("bundle", {key: bad})
+        sched.clear_memos()
+        assert sched.solver.preload_bundle("bundle") is False
+        before = dict(sched.COUNTERS)
+        assert codec.to_dict(solve(spec, config, objective)) == want
+        assert sched.COUNTERS["searches"] == before["searches"] + 1
+        assert sched.COUNTERS["disk_hits"] == before["disk_hits"]
 
     def test_objective_traffic_ignores_timing_axes(self):
         """Traffic sweeps at different bandwidths share one cache entry."""

@@ -122,7 +122,8 @@ class TestCLI:
 
 
 class TestProjectLint:
-    """tools/lint_repro.py — the REPRO004 layer-import rule."""
+    """tools/lint_repro.py — the REPRO004 layer-import and REPRO005
+    hand-codec rules."""
 
     @staticmethod
     def _rules(source, rel):
@@ -161,6 +162,24 @@ class TestProjectLint:
     def test_pragma_silences_the_finding(self):
         source = "from repro.api import Plan  # lint: allow-layer-import\n"
         assert self._rules(source, "workloads/ir.py") == []
+
+    @pytest.mark.parametrize("source", [
+        "def to_dict(self):\n    pass\n",
+        "class A:\n    @classmethod\n    def from_dict(cls, d):\n        pass\n",
+        "def report_to_dict(r):\n    pass\n",
+        "def _spec_from_dict(d):\n    pass\n",
+    ])
+    def test_hand_codecs_live_only_in_the_codec_module(self, source):
+        line = source.count("\n", 0, source.index("def ")) + 1
+        for rel in ("api/plan.py", "sched/solver.py", "net/tenants.py"):
+            assert self._rules(source, rel) == [(line, "REPRO005")]
+        assert self._rules(source, "codec.py") == []
+
+    def test_other_dict_helpers_and_the_pragma_pass(self):
+        source = ("def as_dict(x):\n    pass\n"
+                  "def to_dictionary(x):\n    pass\n"
+                  "def to_dict(x):  # lint: allow-hand-codec\n    pass\n")
+        assert self._rules(source, "api/plan.py") == []
 
     def test_the_tree_is_clean(self):
         from tools.lint_repro import main

@@ -1,7 +1,7 @@
 """Project-specific AST lint rules for the repro codebase.
 
 Run as ``python -m tools.lint_repro`` from the repository root (CI does).
-Four rules that generic linters don't know about:
+Five rules that generic linters don't know about:
 
 * **REPRO001 mutable-default** — a function parameter defaulting to a
   mutable literal (``[]``, ``{}``, ``set()``) is shared across calls;
@@ -20,6 +20,11 @@ Four rules that generic linters don't know about:
   :mod:`repro.api`; a module there importing it, at the top level or
   lazily inside a function, makes the layer above a dependency of the
   one below (the solver once reached up for the API's schedule cache).
+* **REPRO005 hand-codec** — a ``to_dict`` / ``from_dict`` (or
+  ``*_to_dict`` / ``*_from_dict``) definition outside
+  :mod:`repro.codec`.  Records are encoded by the one typed codec, so
+  every payload follows one policy; the few kept entry points carry a
+  pragma.
 
 A finding is silenced by a same-line pragma naming its rule, e.g.::
 
@@ -31,6 +36,7 @@ Exit status is 1 if any unsuppressed finding remains.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Iterator, List, NamedTuple, Optional, Tuple
@@ -48,6 +54,8 @@ RULES = {
                  "per-coefficient Python loop in an rns/ hot path"),
     "REPRO004": ("layer-import",
                  "a layer below repro.api imports it"),
+    "REPRO005": ("hand-codec",
+                 "a hand-rolled to_dict/from_dict outside repro.codec"),
 }
 
 #: Only this module may talk to backend objects directly.
@@ -58,6 +66,9 @@ COEFF_LOOP_PATHS = ("rns/",)
 
 #: REPRO004 applies to the packages the API layer is built on.
 BELOW_API_PATHS = ("core/", "rpu/", "sched/", "workloads/")
+
+#: The one module that may define record codecs (REPRO005).
+CODEC_MODULE = "codec.py"
 
 
 class Finding(NamedTuple):
@@ -211,6 +222,15 @@ def _check_layer_imports(tree: ast.AST,
                    f"a layer instead of importing it")
 
 
+def _check_hand_codecs(tree: ast.AST) -> Iterator[Tuple[int, str, str]]:
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and re.search(r"(^|_)(to|from)_dict$", node.name)):
+            yield (node.lineno, "REPRO005",
+                   f"{node.name}(): encode and decode records with "
+                   f"repro.codec.to_dict / from_dict")
+
+
 def lint_source(source: str, rel: str,
                 filename: Optional[str] = None) -> List[Tuple[int, str, str]]:
     """Unsuppressed ``(line, rule, message)`` findings of one module.
@@ -228,6 +248,8 @@ def lint_source(source: str, rel: str,
         checks.append(_check_coeff_loops(tree))
     if any(rel.startswith(prefix) for prefix in BELOW_API_PATHS):
         checks.append(_check_layer_imports(tree, rel))
+    if rel != CODEC_MODULE:
+        checks.append(_check_hand_codecs(tree))
 
     return [
         (lineno, rule, message)
