@@ -383,8 +383,9 @@ def cmd_trace(args) -> int:
     # Timeline collection needs the raw simulator; this stays a research
     # view below the facade.
     from repro.core import DataflowConfig, get_dataflow
-    from repro.rpu import RPUConfig, RPUSimulator
+    from repro.rpu import RPUSimulator
     from repro.rpu.trace_report import render_trace_summary
+    from repro.sched import HKSDecision, Objective, decision_graph, machine_for
 
     spec = get_benchmark(args.benchmark)
     config = DataflowConfig(
@@ -392,14 +393,12 @@ def cmd_trace(args) -> int:
         evk_on_chip=not args.stream_keys,
         key_compression=args.compress_keys,
     )
-    graph = get_dataflow(args.dataflow).build(spec, config)
-    machine = RPUConfig(
-        bandwidth_bytes_per_s=args.bandwidth * 1e9,
-        data_sram_bytes=args.sram_mb * MB,
-        key_sram_bytes=0 if args.stream_keys else 360 * MB,
-        modops_scale=args.modops,
-    )
-    result = RPUSimulator(machine).simulate(graph, collect_trace=True)
+    objective = Objective.latency(args.bandwidth, args.modops)
+    graph, _ = decision_graph(
+        spec, config, HKSDecision(base=get_dataflow(args.dataflow).name),
+        objective)
+    result = RPUSimulator(machine_for(config, objective)).simulate(
+        graph, collect_trace=True)
     print(render_trace_summary(
         result, title=f"{spec.name}/{args.dataflow.upper()} @ {args.bandwidth} GB/s"
     ))

@@ -1,7 +1,7 @@
 """Schedule-validity passes: the solver's output, independently checked.
 
 The ``sched`` family inspects a :class:`~repro.sched.solver.
-ScheduleArtifact` — a solved schedule bundled with its deterministically
+ScheduleArtifact` — a solved schedule paired with its deterministically
 rebuilt task graph — and re-derives the invariants every legal HKS
 schedule must satisfy, mirroring the assertions
 :func:`repro.core.analyze_dataflow` applies to the hand-written trio:

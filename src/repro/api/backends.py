@@ -305,28 +305,22 @@ class PlanBackendBase:
         schedule = plan.schedule
         if self.force_solver:
             schedule = "SOLVER"
-        solver_ctx = (self._prepare_solver(plan)
-                      if schedule == "SOLVER" else None)
-        try:
-            if isinstance(workload, BenchmarkSpec):
-                return self._spec_report(workload, schedule, plan.options)
-            # The numbers of a phase are label-free (and memoised so);
-            # only the label is stamped on per phase.
-            phase_reports = [
-                replace(
-                    self._mix_report(phase.spec, phase.mix, schedule,
-                                     plan.options),
-                    benchmark=phase.label,
-                )
-                for phase in workload.phases
-            ]
-            return _fold_phase_reports(
-                workload.name, self.name, phase_reports[0].schedule,
-                phase_reports, plan.options,
+        if isinstance(workload, BenchmarkSpec):
+            return self._spec_report(workload, schedule, plan.options)
+        # The numbers of a phase are label-free (and memoised so); only
+        # the label is stamped on per phase.
+        phase_reports = [
+            replace(
+                self._mix_report(phase.spec, phase.mix, schedule,
+                                 plan.options),
+                benchmark=phase.label,
             )
-        finally:
-            if solver_ctx is not None:
-                self._finish_solver(solver_ctx)
+            for phase in workload.phases
+        ]
+        return _fold_phase_reports(
+            workload.name, self.name, phase_reports[0].schedule,
+            phase_reports, plan.options,
+        )
 
     def _objective(self, options: EstimateOptions) -> Objective:
         """The solver objective this backend prices schedules under."""
@@ -334,22 +328,6 @@ class PlanBackendBase:
             return Objective.traffic()
         return Objective.latency(bandwidth_gbs=options.bandwidth_gbs,
                                  modops_scale=options.modops_scale)
-
-    def _prepare_solver(self, plan: "Plan") -> Tuple[str, bool]:
-        """Seed the solver memo from this plan's recorded bundle, or start
-        recording one.  A warm process (or a fresh worker against a warm
-        cache) loads every per-spec solve with a single cache read."""
-        key = sched.solver.bundle_key(plan.digest,
-                                      self._objective(plan.options))
-        loaded = sched.solver.preload_bundle(key)
-        if not loaded:
-            sched.solver.begin_recording()
-        return key, loaded
-
-    def _finish_solver(self, ctx: Tuple[str, bool]) -> None:
-        key, loaded = ctx
-        if not loaded:
-            sched.solver.store_bundle(key, sched.solver.end_recording())
 
     def _spec_report(self, spec: BenchmarkSpec, schedule: str,
                      options: EstimateOptions) -> RunReport:

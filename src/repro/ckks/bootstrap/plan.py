@@ -211,12 +211,3 @@ class BootstrapPlan:
             len(self.cts_diagonals) + 1 + ladder_depth + 1
             + len(self.stc_diagonals)
         )
-
-    def rotation_steps(self) -> List[int]:
-        """All distinct rotation steps the DFT factors need keys for."""
-        steps = set()
-        for diag in self.cts_diagonals + self.stc_diagonals:
-            babies, giants = bsgs_rotation_steps(self.num_slots, diag)
-            steps.update(babies)
-            steps.update(giants)
-        return sorted(steps)

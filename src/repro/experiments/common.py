@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core import DATAFLOWS, DataflowConfig, TaskGraph
+from repro.core import DataflowConfig, TaskGraph
 from repro.params import MB, get_benchmark
 from repro.rpu import SimResult
 from repro.sched import (
@@ -121,7 +121,3 @@ def grid_ocbase(benchmark: str, target_ms: float,
 
 def all_benchmarks() -> Tuple[str, ...]:
     return ("BTS1", "BTS2", "BTS3", "ARK", "DPRIVE")
-
-
-def all_dataflows() -> Tuple[str, ...]:
-    return tuple(DATAFLOWS)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core import DATAFLOWS
+from repro.core import DATAFLOWS, DataflowConfig
 from repro.experiments.common import build_schedule
 from repro.experiments.report import ExperimentResult
-from repro.rpu import RPUConfig, RPUSimulator
+from repro.rpu import RPUSimulator
+from repro.sched import Objective, machine_for
 
 STAGES = ("ModUp.P1", "ModUp.P2", "ModUp.P3", "ModUp.P4")
 
@@ -23,8 +24,8 @@ def stage_windows(benchmark: str, dataflow: str,
                   bandwidth_gbs: float = 64.0) -> Dict[str, Tuple[float, float]]:
     """(first start, last end) in ms for each ModUp stage."""
     graph = build_schedule(benchmark, dataflow, evk_on_chip=True)
-    config = RPUConfig(bandwidth_bytes_per_s=bandwidth_gbs * 1e9)
-    sim = RPUSimulator(config).simulate(graph, collect_trace=True)
+    machine = machine_for(DataflowConfig(), Objective.latency(bandwidth_gbs))
+    sim = RPUSimulator(machine).simulate(graph, collect_trace=True)
     windows: Dict[str, Tuple[float, float]] = {}
     for t in sim.timeline:
         for stage in STAGES:

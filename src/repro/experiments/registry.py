@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.experiments import (
     bootstrap,
@@ -52,7 +52,3 @@ def run_experiment(name: str) -> ExperimentResult:
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
     return EXPERIMENTS[key]()
-
-
-def run_all() -> List[ExperimentResult]:
-    return [runner() for runner in EXPERIMENTS.values()]

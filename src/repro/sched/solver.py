@@ -17,11 +17,10 @@ One :func:`solve` call answers "what is the best HKS schedule for this
 
 Results are content-addressed in :mod:`repro.cache` under a key that
 covers the spec, the memory configuration, the objective and
-``SCHED_VERSION``, and memoized in-process, so a warm serving process
-never searches: it loads the :class:`SolvedSchedule`, rebuilds the
-schedule deterministically, and verifies the rebuild against the stored
-digest.  Plan-level bundles (recorded during a cold ``run_plan``) let a
-fresh process pre-seed the memo with one cache read.
+``SCHED_VERSION``, and memoised in-process through :func:`~repro.sched.
+memo.model_memo`, so a warm serving process never searches: it loads the
+:class:`SolvedSchedule`, rebuilds the schedule deterministically, and
+verifies the rebuild against the stored digest.
 
 This module is also the **schedule store**: :func:`decision_graph` is the
 one place a ``(spec, config, decision)`` becomes a task graph and
@@ -168,7 +167,7 @@ class SolvedSchedule:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleArtifact:
-    """A solved schedule bundled with its rebuilt graph, for analysis.
+    """A solved schedule paired with its rebuilt graph, for analysis.
 
     The ``sched`` pass family (:mod:`repro.analysis.sched_passes`)
     validates artifacts: op-count invariance, evk/compulsory traffic
@@ -188,11 +187,6 @@ class ScheduleArtifact:
 # Keys, memo, machine
 # --------------------------------------------------------------------------
 
-_MEMO: Dict[str, SolvedSchedule] = {}
-_MARGINAL: Dict[str, float] = {}
-_RECORDING: Optional[Dict[str, Dict[str, object]]] = None
-
-
 def clear_memos() -> None:
     """Empty every in-process model memo, wherever it is defined.
 
@@ -201,8 +195,6 @@ def clear_memos() -> None:
     """
     for memo in MODEL_MEMOS:
         memo.cache_clear()
-    _MEMO.clear()
-    _MARGINAL.clear()
 
 
 def _spec_parts(spec: BenchmarkSpec) -> Tuple[object, ...]:
@@ -475,42 +467,42 @@ def _search(spec: BenchmarkSpec, config: DataflowConfig,
     )
 
 
+@model_memo
+def _solved(spec: BenchmarkSpec, config: DataflowConfig,
+            objective: Objective) -> SolvedSchedule:
+    """The content-addressed disk cache, then a timed search."""
+    key = solve_key(spec, config, objective)
+    payload = disk_cache.load_json("sched", key)
+    if payload is not None:
+        try:
+            hit = codec.from_dict(SolvedSchedule, payload)
+        except ParameterError:
+            pass  # foreign or corrupt entry: search again
+        else:
+            COUNTERS["disk_hits"] += 1
+            return hit
+    COUNTERS["searches"] += 1
+    hit = _search(spec, config, objective)
+    disk_cache.store_json("sched", key, codec.to_dict(hit))
+    return hit
+
+
 def solve(spec: BenchmarkSpec, config: Optional[DataflowConfig] = None,
           objective: Optional[Objective] = None) -> SolvedSchedule:
     """Best schedule for one (spec, config, objective); cached everywhere.
 
-    Lookup order: in-process memo, then the content-addressed disk cache,
-    then a timed search.  Either way the result lands in the memo and —
-    when a plan-level recording is active — in the current bundle.
+    Lookup order: the in-process model memo, then the content-addressed
+    disk cache, then a timed search.
     """
-    config = config if config is not None else DataflowConfig()
-    objective = objective if objective is not None else Objective()
-    key = solve_key(spec, config, objective)
-    hit = _MEMO.get(key)
-    if hit is None:
-        payload = disk_cache.load_json("sched", key)
-        if payload is not None:
-            try:
-                hit = codec.from_dict(SolvedSchedule, payload)
-            except ParameterError:
-                hit = None  # foreign or corrupt entry: search again
-            if hit is not None:
-                COUNTERS["disk_hits"] += 1
-                _MEMO[key] = hit
-    if hit is None:
-        COUNTERS["searches"] += 1
-        hit = _search(spec, config, objective)
-        _MEMO[key] = hit
-        disk_cache.store_json("sched", key, codec.to_dict(hit))
-    if _RECORDING is not None:
-        _RECORDING[key] = codec.to_dict(hit)
-    return hit
+    return _solved(spec,
+                   config if config is not None else DataflowConfig(),
+                   objective if objective is not None else Objective())
 
 
 def artifact(spec: BenchmarkSpec, config: DataflowConfig,
              objective: Objective,
              solved: SolvedSchedule) -> ScheduleArtifact:
-    """Bundle a solve with its rebuilt graph for the ``sched`` passes."""
+    """Pair a solve with its rebuilt graph for the ``sched`` passes."""
     graph, stats = solved_graph(spec, config, objective, solved)
     return ScheduleArtifact(spec=spec, config=config, solved=solved,
                             graph=graph, stats=stats)
@@ -520,6 +512,7 @@ def artifact(spec: BenchmarkSpec, config: DataflowConfig,
 # Steady-state (pipeline) pricing
 # --------------------------------------------------------------------------
 
+@model_memo
 def pipeline_marginal_ms(spec: BenchmarkSpec, config: DataflowConfig,
                          objective: Objective,
                          solved: SolvedSchedule) -> float:
@@ -530,80 +523,29 @@ def pipeline_marginal_ms(spec: BenchmarkSpec, config: DataflowConfig,
     schedule beats its busier queue, and pipelining an in-order queue
     pair never costs more than a cold call.  The lower clamp keeps
     folded busy/idle fractions consistent; the upper one preserves
-    match-or-beat for multi-call phases.  Cached by schedule digest.
+    match-or-beat for multi-call phases.  Cached on disk by schedule
+    digest: a warm process reads it instead of a two-call build.
     """
     key = disk_cache.fingerprint(
         ("sched-marginal", SCHED_VERSION, solved.digest)
         + _spec_parts(spec) + _config_parts(config) + objective.key_parts()
     )
-    hit = _MARGINAL.get(key)
-    if hit is not None:
-        return hit
     payload = disk_cache.load_json("sched-marginal", key)
     if isinstance(payload, dict) and "marginal_ms" in payload:
-        value = float(payload["marginal_ms"])  # type: ignore[arg-type]
-    else:
-        # One two-call build, one replay: call 0 is the graph's prefix.
-        graph, _, boundaries = pipeline_calls(spec, config, solved.decision,
-                                              calls=2)
-        (runtime1, compute_busy1, memory_busy1), (runtime2, _, _) = (
-            RPUSimulator(machine_for(config, objective))
-            .prefix_spans(graph, boundaries)
-        )
-        marginal_s = min(
-            max(runtime2 - runtime1, compute_busy1, memory_busy1),
-            runtime1,
-        )
-        value = marginal_s * 1e3
-        disk_cache.store_json("sched-marginal", key,
-                              {"marginal_ms": value})
-    _MARGINAL[key] = value
-    return value
-
-
-# --------------------------------------------------------------------------
-# Plan-level bundles
-# --------------------------------------------------------------------------
-
-def bundle_key(plan_digest: str, objective: Objective) -> str:
-    return disk_cache.fingerprint(
-        ("sched-bundle", SCHED_VERSION, plan_digest) + objective.key_parts()
+        return float(payload["marginal_ms"])  # type: ignore[arg-type]
+    # One two-call build, one replay: call 0 is the graph's prefix.
+    graph, _, boundaries = pipeline_calls(spec, config, solved.decision,
+                                          calls=2)
+    (runtime1, compute_busy1, memory_busy1), (runtime2, _, _) = (
+        RPUSimulator(machine_for(config, objective))
+        .prefix_spans(graph, boundaries)
     )
-
-
-def begin_recording() -> None:
-    """Start collecting every subsequent solve into a bundle."""
-    global _RECORDING
-    _RECORDING = {}
-
-
-def end_recording() -> Dict[str, Dict[str, object]]:
-    global _RECORDING
-    out = _RECORDING if _RECORDING is not None else {}
-    _RECORDING = None
-    return out
-
-
-def store_bundle(key: str, entries: Dict[str, Dict[str, object]]) -> None:
-    if entries:
-        disk_cache.store_json("sched-bundle", key, {"entries": entries})
-
-
-def preload_bundle(key: str) -> bool:
-    """Seed the memo from a recorded bundle; one disk read per plan."""
-    payload = disk_cache.load_json("sched-bundle", key)
-    if not isinstance(payload, dict):
-        return False
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        return False
-    try:
-        for solve_k, data in entries.items():
-            if solve_k not in _MEMO:
-                _MEMO[solve_k] = codec.from_dict(SolvedSchedule, data)
-    except ParameterError:
-        return False
-    return True
+    value = min(
+        max(runtime2 - runtime1, compute_busy1, memory_busy1),
+        runtime1,
+    ) * 1e3
+    disk_cache.store_json("sched-marginal", key, {"marginal_ms": value})
+    return value
 
 
 # --------------------------------------------------------------------------

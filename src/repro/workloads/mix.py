@@ -18,7 +18,14 @@ from repro.core.stages import ntt_tower_ops
 from repro.core.taskgraph import Kind, TaskGraph
 from repro.errors import ParameterError
 from repro.params import MB, BenchmarkSpec
-from repro.rpu import RPUConfig, RPUSimulator
+from repro.rpu import RPUSimulator
+from repro.sched import (
+    HKSDecision,
+    Objective,
+    decision_graph,
+    machine_for,
+    simulated,
+)
 
 
 @dataclass(frozen=True)
@@ -143,16 +150,16 @@ def hks_time_share(
 
     Every rotation and every ciphertext-ciphertext multiply triggers one
     HKS; the remaining work is modelled by :func:`build_pointwise_graph`.
+    The HKS schedule and its replay come out of :mod:`repro.sched`'s
+    store; the point-wise graphs are replayed directly.
     """
-    rpu = RPUConfig(
-        bandwidth_bytes_per_s=bandwidth_gbs * 1e9,
-        data_sram_bytes=sram_mb * MB,
-        key_sram_bytes=360 * MB if evk_on_chip else 0,
-    )
-    sim = RPUSimulator(rpu)
     config = DataflowConfig(data_sram_bytes=sram_mb * MB, evk_on_chip=evk_on_chip)
-    hks_graph = get_dataflow(dataflow).build(spec, config)
-    hks_each = sim.simulate(hks_graph).runtime_s
+    objective = Objective.latency(bandwidth_gbs)
+    rpu = machine_for(config, objective)
+    sim = RPUSimulator(rpu)
+    hks_graph, _ = decision_graph(
+        spec, config, HKSDecision(base=get_dataflow(dataflow).name), objective)
+    hks_each = simulated(hks_graph, rpu).runtime_s
 
     op_times = {
         kind: sim.simulate(build_pointwise_graph(spec, kind)).runtime_s

@@ -75,3 +75,17 @@ def test_traced_run_passes_and_reports_every_layer(traced_runs, name):
     for metric, entry in final["metrics"].items():
         assert entry["unit"] == declared[metric], metric
         assert math.isfinite(entry["value"]), (metric, entry["value"])
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_ladder_closes_with_non_negative_remainder(traced_runs, name):
+    """The named rows of a ladder never add up to more than the op's wall
+    time: the remainder, the row just above ``op wall time``, is >= 0."""
+    _code, out, _err = traced_runs[name]
+    lines = out.splitlines()
+    walls = [i for i, line in enumerate(lines)
+             if line.strip().startswith("op wall time")]
+    assert walls, out[-2000:]
+    for i in walls:
+        remainder = lines[i - 1]
+        assert float(remainder.split(" ms")[0].split()[-1]) >= 0, remainder

@@ -39,6 +39,7 @@ from repro.sched import (
     clear_memos,
     decision_graph,
     schedule_digest,
+    solver,
 )
 from repro.sched.memo import MODEL_CACHE_ENTRIES, MODEL_MEMOS
 from repro.sched.pipeline import build_pipeline, pipeline_calls
@@ -559,6 +560,9 @@ class TestBoundedModelCaches:
     def test_largest_plan_fits_four_times_and_reruns_for_free(
             self, monkeypatch):
         largest = dict(bandwidth_gbs=20.0, sram_mb=17, evk_on_chip=False)
+        # The solver's solve and marginal memos sit under the same bound.
+        assert solver._solved in MODEL_MEMOS
+        assert solver.pipeline_marginal_ms in MODEL_MEMOS
         clear_memos()
         first = build_plan("RESNET_BOOT", backend="auto", schedule="SOLVER",
                            **largest).run()

@@ -187,10 +187,21 @@ class TestCaching:
         assert runs[1]["searches"] == 0
         assert runs[1]["latency"] == runs[0]["latency"]
 
+    def test_cold_estimate_writes_solves_and_marginals_only(
+            self, tmp_path, monkeypatch):
+        """The per-solve and per-marginal entries are the solver's only
+        disk tier: a cold plan records nothing plan-level."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        sched.clear_memos()
+        estimate("BOOT", backend="auto")
+        names = [path.name for path in tmp_path.iterdir()]
+        assert not [n for n in names if n.startswith("sched-bundle-")]
+        assert [n for n in names if n.startswith("sched-marginal-")]
+
     @pytest.mark.parametrize("fault", ({"base": "XYZ"}, {"pinned_digits": -1}))
     def test_bad_cache_entries_are_misses(self, tmp_path, monkeypatch, fault):
-        """Valid JSON holding a bad decision, in the solve store or in a
-        plan bundle, is searched again instead of crashing the solve."""
+        """Valid JSON holding a bad decision in the solve store is searched
+        again instead of crashing the solve."""
         from repro import cache as disk_cache
 
         spec, config, objective = get_benchmark("ARK"), STREAMED, Objective()
@@ -200,9 +211,7 @@ class TestCaching:
         bad = json.loads(json.dumps(want))
         bad["record"]["decision"].update(fault)
         disk_cache.store_json("sched", key, bad)
-        sched.solver.store_bundle("bundle", {key: bad})
         sched.clear_memos()
-        assert sched.solver.preload_bundle("bundle") is False
         before = dict(sched.COUNTERS)
         assert codec.to_dict(solve(spec, config, objective)) == want
         assert sched.COUNTERS["searches"] == before["searches"] + 1
