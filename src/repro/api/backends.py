@@ -386,7 +386,10 @@ class PlanBackendBase:
 
         One schedule per distinct kernel, scaled by the op mix (a timed
         backend replays one HKS / one point-wise op; a real run would
-        interleave them identically in steady state).
+        interleave them identically in steady state).  Every schedule
+        prices ``k`` HKS calls as ``k`` single calls: the in-order queues
+        serialise consecutive calls (measured: a second call is never
+        cheaper than the first).
 
         Deep programs repeat the same bootstrap phases many times (HELR:
         one per training iteration), so the numbers are memoized: every
@@ -406,19 +409,6 @@ class PlanBackendBase:
                 and base.compute_idle_fraction is not None):
             latency_ms = calls * base.latency_ms
             busy_ms = latency_ms * (1.0 - base.compute_idle_fraction)
-            if schedule == "SOLVER" and calls > 1:
-                # Steady-state pricing: repeat calls pay the pipeline
-                # marginal (never above the cold single-call latency, so
-                # match-or-beat against `calls x hand-written` is
-                # preserved; never below the busier queue, so the folded
-                # idle fraction stays in range).
-                config = _dataflow_config(options)
-                objective = self._objective(options)
-                marginal = sched.pipeline_marginal_ms(
-                    spec, config, objective,
-                    sched.solve(spec, config, objective),
-                )
-                latency_ms = base.latency_ms + (calls - 1) * marginal
         simulator = RPUSimulator(_machine_of(options))
         extra_mem = extra_comp = extra_crit = 0
         for mix_field, kind in _POINTWISE_KINDS:

@@ -30,23 +30,10 @@ dependencies are known reaches the same ``finish`` column, and gets stuck
 other queue that is itself stuck) on exactly the same graphs with the same
 two heads.  ``TaskGraph.add`` only accepts backward dependencies, so built
 graphs never deadlock; the check guards hand-made and deserialized ones.
-
-The prefix argument
--------------------
-Both queues are in-order and a built graph's dependencies point backward,
-so no task's start depends on anything emitted after it: the first ``k``
-tasks of a graph finish at the same times whether or not the rest exists.
-Each queue's busy time is summed in dispatch order, so the sum over a
-queue's tasks below ``k`` is the same sequence of float additions as
-simulating the ``k``-task graph alone.  :meth:`RPUSimulator.prefix_spans`
-uses this to read ``(runtime, compute busy, memory busy)`` of several
-prefixes off one replay — how the solver prices a one-call and a two-call
-pipeline from a single two-call schedule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -219,8 +206,7 @@ class RPUSimulator:
         """Run both queues to completion; returns aggregate timing."""
         timeline: Optional[List[TaskTiming]] = [] if collect_trace else None
         durations, finish = self._replay(graph, timeline)
-        runtime, compute_busy, memory_busy = _span(
-            graph, durations, finish, len(durations))
+        runtime, compute_busy, memory_busy = _span(graph, durations, finish)
         return SimResult(
             runtime_s=runtime,
             compute_busy_s=compute_busy,
@@ -234,18 +220,6 @@ class RPUSimulator:
             timeline=timeline,
         )
 
-    def prefix_spans(
-        self, graph: TaskGraph, boundaries: Sequence[int],
-    ) -> List[Tuple[float, float, float]]:
-        """``(runtime_s, compute_busy_s, memory_busy_s)`` of the first ``b``
-        tasks of ``graph`` for each ``b`` in ``boundaries``, from one replay.
-
-        Each triple equals what :meth:`simulate` reports for the graph cut
-        after task ``b - 1`` (the prefix argument in the module docstring).
-        """
-        durations, finish = self._replay(graph)
-        return [_span(graph, durations, finish, b) for b in boundaries]
-
 
 def _busy(durations: List[float], order: Sequence[int]) -> float:
     """A queue's busy time, summed in dispatch order (an explicit loop:
@@ -257,12 +231,11 @@ def _busy(durations: List[float], order: Sequence[int]) -> float:
     return busy
 
 
-def _span(graph: TaskGraph, durations: List[float], finish: List[float],
-          boundary: int) -> Tuple[float, float, float]:
-    """Makespan, compute-busy and memory-busy time of the tasks below
-    ``boundary``; a queue is free again when its last such task ends."""
-    mem = graph.memory_order[:bisect_left(graph.memory_order, boundary)]
-    comp = graph.compute_order[:bisect_left(graph.compute_order, boundary)]
+def _span(graph: TaskGraph, durations: List[float],
+          finish: List[float]) -> Tuple[float, float, float]:
+    """Makespan, compute-busy and memory-busy time; a queue is free again
+    when its last task ends."""
+    mem, comp = graph.memory_order, graph.compute_order
     free = [finish[order[-1]] if order else 0.0 for order in (mem, comp)]
     return max(free), _busy(durations, comp), _busy(durations, mem)
 

@@ -4,9 +4,8 @@ The three hand-written dataflows (MP / DC / OC) are points in a larger
 space of legal schedules.  This package names that space
 (:mod:`~repro.sched.space`), emits any point in it through the shared
 stage kernels (:mod:`~repro.sched.generic`), re-lists compute queues
-against the dual-queue timing model (:mod:`~repro.sched.list_scheduler`),
-prices steady-state pipelining (:mod:`~repro.sched.pipeline`) and
-searches per (spec, memory config, objective) with content-addressed
+against the dual-queue timing model (:mod:`~repro.sched.list_scheduler`)
+and searches per (spec, memory config, objective) with content-addressed
 caching (:mod:`~repro.sched.solver`).  The legacy dataflows are always
 evaluated exactly, so the solved schedule matches or beats the best
 hand-written one by construction.
@@ -20,7 +19,6 @@ with :mod:`~repro.sched.memo` so :func:`clear_memos` reaches them.
 
 from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import reorder_for_latency
-from repro.sched.pipeline import build_pipeline
 from repro.sched.solver import (
     COUNTERS,
     SCHED_VERSION,
@@ -32,7 +30,6 @@ from repro.sched.solver import (
     clear_memos,
     decision_graph,
     machine_for,
-    pipeline_marginal_ms,
     schedule_digest,
     simulated,
     solve,
@@ -67,13 +64,11 @@ __all__ = [
     "ScheduleStats",
     "SolvedSchedule",
     "artifact",
-    "build_pipeline",
     "clear_memos",
     "decision_graph",
     "enumerate_decisions",
     "machine_for",
     "pin_capacity",
-    "pipeline_marginal_ms",
     "predict_cost",
     "reorder_for_latency",
     "schedule_digest",

@@ -18,15 +18,15 @@ _T = TypeVar("_T")
 #: plan (``RESNET_BOOT`` with ``schedule="SOLVER"`` on ``auto``, streamed
 #: evks at a memory-bound bandwidth) touches 57 schedules (13 specs x the
 #: three hand-written anchors, plus 18 generic candidates), 13 re-listed
-#: variants, 70 simulations (one per graph), 13 solves, 13 pipeline
-#: marginals, 59 profiles, 46 point-wise graphs and 15 mix reports; four
-#: times the largest of those, so a sweep's MP/DC/OC/SOLVER quartet or a
-#: few tenants' plans in turn never evict each other, while a long-lived
-#: server stops pinning every graph it ever built.  The graph-keyed memos
+#: variants, 70 simulations (one per graph), 13 solves, 59 profiles,
+#: 46 point-wise graphs and 15 mix reports; four times the largest of
+#: those, so a sweep's MP/DC/OC/SOLVER quartet or a few tenants' plans
+#: in turn never evict each other, while a long-lived server stops
+#: pinning every graph it ever built.  The graph-keyed memos
 #: (simulate, profile, digest) share the store's bound because an entry
 #: whose graph the store has evicted can never be asked for again — it
 #: would only keep the graph alive.  An evicted entry costs one rebuild
-#: (an evicted solve or marginal, one disk read).
+#: (an evicted solve, one disk read).
 MODEL_CACHE_ENTRIES = 4 * 70
 
 #: Every :func:`model_memo` function, in definition order.

@@ -48,7 +48,6 @@ from repro.rpu.simulator import RPUSimulator, SimResult
 from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import MAX_REORDER_TASKS, reorder_for_latency
 from repro.sched.memo import MODEL_MEMOS, model_memo
-from repro.sched.pipeline import pipeline_calls
 from repro.sched.space import (
     HKSDecision,
     compute_seconds,
@@ -506,46 +505,6 @@ def artifact(spec: BenchmarkSpec, config: DataflowConfig,
     graph, stats = solved_graph(spec, config, objective, solved)
     return ScheduleArtifact(spec=spec, config=config, solved=solved,
                             graph=graph, stats=stats)
-
-
-# --------------------------------------------------------------------------
-# Steady-state (pipeline) pricing
-# --------------------------------------------------------------------------
-
-@model_memo
-def pipeline_marginal_ms(spec: BenchmarkSpec, config: DataflowConfig,
-                         objective: Objective,
-                         solved: SolvedSchedule) -> float:
-    """Marginal latency of one more back-to-back HKS call, in ms.
-
-    ``sim(2 calls) - sim(1 call)`` on the pipeline schedule, clamped to
-    ``[max(compute busy, memory busy), single-call runtime]``: no
-    schedule beats its busier queue, and pipelining an in-order queue
-    pair never costs more than a cold call.  The lower clamp keeps
-    folded busy/idle fractions consistent; the upper one preserves
-    match-or-beat for multi-call phases.  Cached on disk by schedule
-    digest: a warm process reads it instead of a two-call build.
-    """
-    key = disk_cache.fingerprint(
-        ("sched-marginal", SCHED_VERSION, solved.digest)
-        + _spec_parts(spec) + _config_parts(config) + objective.key_parts()
-    )
-    payload = disk_cache.load_json("sched-marginal", key)
-    if isinstance(payload, dict) and "marginal_ms" in payload:
-        return float(payload["marginal_ms"])  # type: ignore[arg-type]
-    # One two-call build, one replay: call 0 is the graph's prefix.
-    graph, _, boundaries = pipeline_calls(spec, config, solved.decision,
-                                          calls=2)
-    (runtime1, compute_busy1, memory_busy1), (runtime2, _, _) = (
-        RPUSimulator(machine_for(config, objective))
-        .prefix_spans(graph, boundaries)
-    )
-    value = min(
-        max(runtime2 - runtime1, compute_busy1, memory_busy1),
-        runtime1,
-    ) * 1e3
-    disk_cache.store_json("sched-marginal", key, {"marginal_ms": value})
-    return value
 
 
 # --------------------------------------------------------------------------

@@ -34,9 +34,11 @@ primitives: :meth:`reap` for idle-time health checks and
 
 from __future__ import annotations
 
+import faulthandler
 import multiprocessing
 import os
 import queue as queue_mod
+import signal
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -97,7 +99,11 @@ def _worker_main(task_q, result_q) -> None:
 
     Per-plan failures are reported as structured error results — a bad
     plan must never take the worker (let alone the batch) down with it.
+    ``kill -USR1 <pid>`` dumps every thread's stack to stderr, so a hung
+    worker can be read without being killed.
     """
+    if hasattr(signal, "SIGUSR1"):
+        faulthandler.register(signal.SIGUSR1, all_threads=True)
     while True:
         item = task_q.get()
         if item is None:

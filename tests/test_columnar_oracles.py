@@ -42,7 +42,6 @@ from repro.sched import (
     solver,
 )
 from repro.sched.memo import MODEL_CACHE_ENTRIES, MODEL_MEMOS
-from repro.sched.pipeline import build_pipeline, pipeline_calls
 from repro.sched.space import HKSDecision
 from repro.workloads import resolve_workload
 
@@ -223,47 +222,6 @@ class TestSimulatorOracle:
             else:
                 comp += d
         assert lower_bounds(graph, cfg) == (mem, comp)
-
-    @given(graph=two_queue_dags(), cfg=machine_points,
-           cut=st.integers(0, 40))
-    @settings(max_examples=100, deadline=None)
-    def test_prefix_spans_equal_simulating_the_prefix(self, graph, cfg, cut):
-        cut = min(cut, len(graph))
-        prefix = TaskGraph("prefix")
-        for t in graph.tasks[:cut]:
-            prefix.add(t.kind, bytes_moved=t.bytes_moved, mod_muls=t.mod_muls,
-                       mod_adds=t.mod_adds, deps=t.deps, label=t.label,
-                       traffic_tag=t.traffic_tag)
-        sim = RPUSimulator(cfg)
-        spans = sim.prefix_spans(graph, [cut, len(graph)])
-        for span, whole in zip(spans, (sim.simulate(prefix),
-                                       sim.simulate(graph))):
-            assert span == (whole.runtime_s, whole.compute_busy_s,
-                            whole.memory_busy_s)
-
-
-class TestPipelinePrefix:
-    @pytest.mark.parametrize("base", ["MP", "DC", "OC"])
-    @pytest.mark.parametrize("sram_mb, evk_on_chip",
-                             [(32, True), (8, False)])
-    def test_call_zero_is_the_prefix_of_the_two_call_graph(
-            self, base, sram_mb, evk_on_chip):
-        spec = BenchmarkSpec("PIPE", log_n=13, kl=8, kp=3, dnum=3)
-        config = DataflowConfig(data_sram_bytes=sram_mb * MB // 8,
-                                evk_on_chip=evk_on_chip)
-        decision = HKSDecision(base=base)
-        one, _ = build_pipeline(spec, config, decision, calls=1)
-        two, stats, boundaries = pipeline_calls(spec, config, decision, 2)
-        assert boundaries == [len(one), len(two)]
-        head = two.to_json()["tasks"][:len(one)]
-        assert head == one.to_json()["tasks"]
-        sim = RPUSimulator(RPUConfig(bandwidth_bytes_per_s=16e9))
-        first, both = sim.prefix_spans(two, boundaries)
-        sim1, sim2 = sim.simulate(one), sim.simulate(two)
-        assert first == (sim1.runtime_s, sim1.compute_busy_s,
-                         sim1.memory_busy_s)
-        assert both == (sim2.runtime_s, sim2.compute_busy_s,
-                        sim2.memory_busy_s)
 
 
 # -- (b) the builder oracle -------------------------------------------------------
@@ -560,9 +518,8 @@ class TestBoundedModelCaches:
     def test_largest_plan_fits_four_times_and_reruns_for_free(
             self, monkeypatch):
         largest = dict(bandwidth_gbs=20.0, sram_mb=17, evk_on_chip=False)
-        # The solver's solve and marginal memos sit under the same bound.
+        # The solver's solve memo sits under the same bound.
         assert solver._solved in MODEL_MEMOS
-        assert solver.pipeline_marginal_ms in MODEL_MEMOS
         clear_memos()
         first = build_plan("RESNET_BOOT", backend="auto", schedule="SOLVER",
                            **largest).run()

@@ -21,6 +21,7 @@ from repro.analysis import analyze
 from repro.api import (
     KNOWN_SCHEDULES,
     SCHEDULES,
+    EstimateOptions,
     build_plan,
     estimate,
     report_from_dict,
@@ -28,13 +29,12 @@ from repro.api import (
 )
 from repro.core.dataflow import DataflowConfig
 from repro.errors import ParameterError
-from repro.params import BENCHMARKS, MB, get_benchmark
+from repro.params import BENCHMARKS, MB, BenchmarkSpec, get_benchmark
 from repro.sched import (
     HELR_DECISION,
     RESNET_DECISION,
     HKSDecision,
     Objective,
-    build_pipeline,
     enumerate_decisions,
     pin_capacity,
     schedule_digest,
@@ -43,6 +43,7 @@ from repro.sched import (
 )
 from repro.sched.generic import DecisionDataflow
 from repro.sched.space import LEGACY_DECISIONS, ProgramDecision
+from repro.workloads import HEOpMix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -187,16 +188,15 @@ class TestCaching:
         assert runs[1]["searches"] == 0
         assert runs[1]["latency"] == runs[0]["latency"]
 
-    def test_cold_estimate_writes_solves_and_marginals_only(
-            self, tmp_path, monkeypatch):
-        """The per-solve and per-marginal entries are the solver's only
-        disk tier: a cold plan records nothing plan-level."""
+    def test_cold_estimate_writes_solves_only(self, tmp_path, monkeypatch):
+        """The per-solve entries are the solver's only disk tier: a cold
+        plan records nothing plan-level and no per-call marginal."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         sched.clear_memos()
         estimate("BOOT", backend="auto")
-        names = [path.name for path in tmp_path.iterdir()]
-        assert not [n for n in names if n.startswith("sched-bundle-")]
-        assert [n for n in names if n.startswith("sched-marginal-")]
+        # Entries are named ``{kind}-{key}.{ext}``.
+        kinds = {path.name.rsplit("-", 1)[0] for path in tmp_path.iterdir()}
+        assert kinds == {"sched"}
 
     @pytest.mark.parametrize("fault", ({"base": "XYZ"}, {"pinned_digits": -1}))
     def test_bad_cache_entries_are_misses(self, tmp_path, monkeypatch, fault):
@@ -283,6 +283,44 @@ class TestPlanIntegration:
             build_plan("ARK", backend="rpu", schedule="BOGUS")
 
 
+class TestPhasePricing:
+    #: BOOT's first CoeffToSlot phase: 62 rotations on a memory-bound
+    #: machine whose solver winner is a re-listed OC schedule.
+    SPEC = BenchmarkSpec("BOOT", log_n=16, kl=24, kp=6, dnum=4)
+    OPTIONS = EstimateOptions(bandwidth_gbs=12.8, sram_mb=32,
+                              evk_on_chip=False)
+    CALLS = 62
+
+    @pytest.mark.parametrize("schedule", ("SOLVER",) + SCHEDULES)
+    @pytest.mark.parametrize("backend", ("rpu", "auto"))
+    def test_k_calls_cost_k_single_calls(self, backend, schedule):
+        """One rule for every schedule, the re-listed winner included."""
+        from repro.api.backends import (
+            _dataflow_config,
+            _machine_of,
+            _pointwise_graph,
+            get_backend,
+        )
+        from repro.rpu.simulator import RPUSimulator
+
+        priced = get_backend(backend)
+        options, k = self.OPTIONS, self.CALLS
+        solved = solve(self.SPEC, _dataflow_config(options),
+                       priced._objective(options))
+        assert solved.decision == HKSDecision(base="OC", reordered=True)
+        single = priced._spec_report(self.SPEC, schedule, options)
+        report = priced._mix_report(
+            self.SPEC, HEOpMix(rotations=k, ct_multiplies=0,
+                               pt_multiplies=0, additions=0),
+            schedule, options)
+        # Every rotation also permutes its ciphertext: that point-wise
+        # share is added after the key switches, in the same order.
+        permute = RPUSimulator(_machine_of(options)).simulate(
+            _pointwise_graph(self.SPEC, "automorphism")).runtime_ms
+        assert report.hks_calls == k
+        assert report.latency_ms == k * single.latency_ms + k * permute
+
+
 class TestDecisionSpace:
     def test_enumeration_leads_with_legacy_trio(self):
         decisions = enumerate_decisions(get_benchmark("ARK"), STREAMED)
@@ -304,32 +342,6 @@ class TestDecisionSpace:
         assert ProgramDecision().segment_depth(2) == 1
         assert any("segment depth 7" in line
                    for line in RESNET_DECISION.explain(10))
-
-
-class TestPipeline:
-    def test_two_calls_double_the_work(self):
-        spec = get_benchmark("ARK")
-        config = DataflowConfig()
-        decision = LEGACY_DECISIONS[2]
-        g1, _ = build_pipeline(spec, config, decision, calls=1)
-        g2, _ = build_pipeline(spec, config, decision, calls=2)
-        assert len(g2) == 2 * len(g1)
-        assert g2.total_mod_ops() == 2 * g1.total_mod_ops()
-        g2.validate()
-
-    def test_rejects_zero_calls(self):
-        with pytest.raises(ParameterError):
-            build_pipeline(get_benchmark("ARK"), DataflowConfig(),
-                           LEGACY_DECISIONS[0], calls=0)
-
-    def test_marginal_bounded_by_single_call(self):
-        spec = get_benchmark("ARK")
-        config = DataflowConfig()
-        objective = Objective()
-        solved = solve(spec, config, objective)
-        marginal = sched.pipeline_marginal_ms(spec, config, objective,
-                                              solved)
-        assert 0 < marginal <= solved.latency_ms
 
 
 class TestReorder:
