@@ -320,6 +320,27 @@ class TestPhasePricing:
         assert report.hks_calls == k
         assert report.latency_ms == k * single.latency_ms + k * permute
 
+    @pytest.mark.parametrize("backend", ("rpu", "auto"))
+    def test_a_reordered_winner_keeps_its_gain_on_every_call(self, backend):
+        """SOLVER beats the plain OC listing by the same margin on each of
+        the k calls, not on the first call only."""
+        from repro.api.backends import get_backend
+
+        priced = get_backend(backend)
+        options, k = self.OPTIONS, self.CALLS
+        mix = HEOpMix(rotations=k, ct_multiplies=0, pt_multiplies=0,
+                      additions=0)
+        single = {schedule: priced._spec_report(
+            self.SPEC, schedule, options).latency_ms
+            for schedule in ("SOLVER", "OC")}
+        phase = {schedule: priced._mix_report(
+            self.SPEC, mix, schedule, options).latency_ms
+            for schedule in ("SOLVER", "OC")}
+        gain = single["OC"] - single["SOLVER"]
+        assert gain > 0
+        assert phase["OC"] - phase["SOLVER"] == pytest.approx(k * gain,
+                                                              rel=1e-9)
+
 
 class TestDecisionSpace:
     def test_enumeration_leads_with_legacy_trio(self):

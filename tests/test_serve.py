@@ -413,6 +413,25 @@ class TestPoolSupervision:
                      for n in ("BTS1", "ARK")]
             assert pool.run_plans(plans) == [p.run() for p in plans]
 
+    def test_sigusr1_dumps_stacks_and_keeps_the_worker(self, capfd):
+        plans = [build_plan(n, backend="rpu", schedule="OC")
+                 for n in ("BTS1", "ARK")]
+        with ShardPool(2) as pool:
+            # A first batch puts every worker inside its loop, where the
+            # handler is installed.
+            expected = pool.run_plans(plans)
+            pids = pool.worker_pids()
+            for pid in pids:
+                os.kill(pid, signal.SIGUSR1)
+            err, deadline = "", time.monotonic() + 10
+            while err.count("in _worker_main") < len(pids):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+                err += capfd.readouterr().err
+            assert pool.run_plans(plans) == expected
+            assert pool.worker_pids() == pids
+            assert pool.deaths == 0
+
     def test_reap_respawns_idle_dead_workers(self):
         with ShardPool(2) as pool:
             pids = pool.worker_pids()
