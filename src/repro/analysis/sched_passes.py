@@ -120,13 +120,13 @@ def check_sram_budget(art: "ScheduleArtifact",
 def check_decision_legal(art: "ScheduleArtifact",
                          ctx: AnalysisContext) -> Iterator[Diagnostic]:
     from repro.sched.solver import schedule_digest
-    from repro.sched.space import pin_capacity
+    from repro.core.hks_ops import pin_capacity
 
     spec, config = art.spec, art.config
     decision = art.solved.decision
     subject = f"schedule {spec.name}"
     if not decision.is_legacy:
-        capacity = pin_capacity(spec, config)
+        capacity = pin_capacity(spec, config.data_sram_bytes)
         if min(decision.pinned_digits, spec.dnum) > capacity:
             yield error(
                 "sched.decision-legal", subject,

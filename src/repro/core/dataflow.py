@@ -19,6 +19,7 @@ model, which is the paper's central methodological point.
 from __future__ import annotations
 
 import abc
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -75,15 +76,36 @@ class _Value:
 
 @dataclass
 class BuilderStats:
-    """Aggregates the builder tracks while emitting a schedule."""
+    """Aggregates the builder tracks while emitting a schedule.
+
+    ``evictions`` counts values pushed off-chip to make room, clean ones
+    included.  A build with none never found ``used + nbytes`` above its
+    budget, so it emits the same graph at every budget of at least
+    ``peak_bytes`` that leaves the emitter's budget-derived integers
+    (:func:`~repro.core.hks_ops.pin_capacity`, :func:`~repro.core.hks_ops.
+    bconv_chunk_len`) unchanged.
+    """
 
     peak_bytes: int = 0
     spill_stores: int = 0
     reloads: int = 0
+    evictions: int = 0
 
 
 class ScheduleBuilder:
-    """Emits a :class:`TaskGraph` under an on-chip memory budget."""
+    """Emits a :class:`TaskGraph` under an on-chip memory budget.
+
+    Eviction candidates sit in a heap keyed ``(priority, last_use, seq)``
+    with lazy invalidation.  An entry goes in when a value is admitted or
+    its priority changes; a touch only raises ``last_use``, so each
+    resident value keeps an entry at or before its current key.  An out
+    of date top entry is dropped (the value left the chip) or re-filed
+    under the current key, until the top is current: then no resident
+    value's key is smaller.  Tasks are appended through
+    :meth:`TaskGraph._append`: every dependency the builder records is an
+    earlier task, and :meth:`Dataflow.build_with_stats` validates the
+    finished graph once.
+    """
 
     def __init__(self, name: str, budget_bytes: int):
         if budget_bytes <= 0:
@@ -94,6 +116,9 @@ class ScheduleBuilder:
         self.values: Dict[str, _Value] = {}
         #: The values with ``on_chip`` set — the only eviction candidates.
         self._resident: Set[_Value] = set()
+        #: ``(priority, last_use, seq, value)``: each resident value has an
+        #: entry at or before its current key.
+        self._victims: List[Tuple[int, int, int, _Value]] = []
         self.stats = BuilderStats()
         self._clock = 0
         self._defined = 0
@@ -118,7 +143,10 @@ class ScheduleBuilder:
         v.freed = True
 
     def set_priority(self, name: str, priority: int) -> None:
-        self._get(name).priority = priority
+        v = self._get(name)
+        v.priority = priority
+        if v.on_chip:
+            self._push(v)
 
     def is_resident(self, name: str) -> bool:
         v = self.values.get(name)
@@ -128,32 +156,34 @@ class ScheduleBuilder:
 
     def touch(self, name: str) -> List[int]:
         """Ensure a value is on-chip; returns dependency task indices."""
-        return self._touch(self._get(name))
+        deps: List[int] = []
+        self._touch(self._get(name), deps)
+        return deps
 
-    def _touch(self, v: _Value) -> List[int]:
+    def _touch(self, v: _Value, deps: List[int]) -> None:
+        """Make ``v`` resident, appending what a reader must wait for."""
         self._clock += 1
         v.last_use = self._clock
         if v.on_chip:
-            return [v.producer] if v.producer >= 0 else []
+            if v.producer >= 0:
+                deps.append(v.producer)
+            return
         if not v.in_dram:
             raise MemoryModelError(
                 f"value {v.name!r} is neither on-chip nor in DRAM (lost)"
             )
-        deps = self._make_room(v.nbytes)
+        load_deps = self._make_room(v.nbytes)
         if v.store_task >= 0:
-            deps.append(v.store_task)
+            load_deps.append(v.store_task)
             self.stats.reloads += 1
-        load = self.graph.add(
-            Kind.LOAD,
-            bytes_moved=v.nbytes,
-            deps=deps,
-            label=f"load {v.name}",
-            traffic_tag=v.traffic_tag,
+        load = self.graph._append(
+            Kind.LOAD, True, v.nbytes, 0, 0, _normalised(load_deps),
+            f"load {v.name}", v.traffic_tag,
         )
         self._admit(v)
         v.dirty = False
         v.producer = load
-        return [load]
+        deps.append(load)
 
     def compute(
         self,
@@ -170,18 +200,20 @@ class ScheduleBuilder:
         ``outputs`` pairs names with byte sizes; an output that already
         exists on-chip (an accumulator) is updated in place.
         """
-        inputs = list(inputs)
         deps: List[int] = list(extra_deps)
         locked: List[_Value] = []
+        values = self.values
         try:
             for name in inputs:
-                v = self._get(name)
-                deps.extend(self._touch(v))
+                v = values.get(name)
+                if v is None or v.freed:
+                    v = self._get(name)  # raises
+                self._touch(v, deps)
                 v.locked = True
                 locked.append(v)
             out_values: List[_Value] = []
             for name, nbytes in outputs:
-                v = self.values.get(name)
+                v = values.get(name)
                 if v is None or v.freed:
                     v = self._define(name, nbytes)
                     v.priority = output_priority
@@ -193,20 +225,18 @@ class ScheduleBuilder:
                 v.locked = True
                 locked.append(v)
                 out_values.append(v)
-            task = self.graph.add(
-                kind,
-                mod_muls=ops.muls,
-                mod_adds=ops.adds,
-                deps=deps,
-                label=label,
+            task = self.graph._append(
+                kind, False, 0, ops.muls, ops.adds, _normalised(deps),
+                label, DATA_TAG,
             )
             self._clock += 1
+            clock = self._clock
             for v in out_values:
                 v.dirty = True
                 v.in_dram = False
                 v.producer = task
                 v.store_task = -1
-                v.last_use = self._clock
+                v.last_use = clock
             return task
         finally:
             for v in locked:
@@ -217,13 +247,10 @@ class ScheduleBuilder:
         v = self._get(name)
         if not v.on_chip:
             raise MemoryModelError(f"cannot write back off-chip value {name!r}")
-        deps = [v.producer] if v.producer >= 0 else []
-        store = self.graph.add(
-            Kind.STORE,
-            bytes_moved=v.nbytes,
-            deps=deps,
-            label=f"store {name}",
-            traffic_tag=v.traffic_tag,
+        store = self.graph._append(
+            Kind.STORE, True, v.nbytes, 0, 0,
+            (v.producer,) if v.producer >= 0 else (),
+            f"store {name}", v.traffic_tag,
         )
         v.dirty = False
         v.in_dram = True
@@ -248,12 +275,10 @@ class ScheduleBuilder:
                     "are locked by the current operation"
                 )
             if victim.dirty:
-                store = self.graph.add(
-                    Kind.STORE,
-                    bytes_moved=victim.nbytes,
-                    deps=[victim.producer] if victim.producer >= 0 else [],
-                    label=f"spill {victim.name}",
-                    traffic_tag=victim.traffic_tag,
+                store = self.graph._append(
+                    Kind.STORE, True, victim.nbytes, 0, 0,
+                    (victim.producer,) if victim.producer >= 0 else (),
+                    f"spill {victim.name}", victim.traffic_tag,
                 )
                 victim.dirty = False
                 victim.in_dram = True
@@ -261,19 +286,28 @@ class ScheduleBuilder:
                 self.stats.spill_stores += 1
                 deps.append(store)
             self._release(victim)
+            self.stats.evictions += 1
         return deps
 
     def _pick_victim(self) -> Optional[_Value]:
         """The unlocked resident value with the lowest priority, least
-        recently used, earliest defined."""
+        recently used, earliest defined: the top current heap entry."""
+        heap = self._victims
+        locked = []
         victim: Optional[_Value] = None
-        best = (0, 0, 0)
-        for v in self._resident:
-            if v.locked:
-                continue
-            key = (v.priority, v.last_use, v.seq)
-            if victim is None or key < best:
-                victim, best = v, key
+        while heap:
+            priority, last_use, seq, v = heap[0]
+            if not v.on_chip:
+                heapq.heappop(heap)
+            elif v.priority != priority or v.last_use != last_use:
+                heapq.heapreplace(heap, (v.priority, v.last_use, seq, v))
+            elif v.locked:
+                locked.append(heapq.heappop(heap))
+            else:
+                victim = v
+                break
+        for entry in locked:
+            heapq.heappush(heap, entry)
         return victim
 
     # -- residency ----------------------------------------------------------------
@@ -284,9 +318,22 @@ class ScheduleBuilder:
         v = self.values[name] = _Value(name, nbytes, self._defined)
         return v
 
+    def _push(self, v: _Value) -> None:
+        """File resident ``v`` under its current key.  Entries of values
+        that left the chip are dropped wholesale once they outnumber the
+        resident values."""
+        heap = self._victims
+        if len(heap) > 2 * len(self._resident) + 64:
+            heap[:] = [(r.priority, r.last_use, r.seq, r)
+                       for r in self._resident]  # v among them
+            heapq.heapify(heap)
+        else:
+            heapq.heappush(heap, (v.priority, v.last_use, v.seq, v))
+
     def _admit(self, v: _Value) -> None:
         v.on_chip = True
         self._resident.add(v)
+        self._push(v)
         self.used += v.nbytes
         if self.used > self.stats.peak_bytes:
             self.stats.peak_bytes = self.used
@@ -303,6 +350,14 @@ class ScheduleBuilder:
         if v.freed:
             raise MemoryModelError(f"use after free of value {name!r}")
         return v
+
+
+def _normalised(deps: List[int]) -> Tuple[int, ...]:
+    """A dependency list as the sorted, de-duplicated tuple the graph's
+    ``deps`` column holds."""
+    if len(deps) < 2:
+        return tuple(deps)
+    return tuple(sorted(set(deps)))
 
 
 class Dataflow(abc.ABC):

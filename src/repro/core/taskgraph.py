@@ -34,10 +34,11 @@ and per-queue task counts are O(1).  Everything that walks a schedule
 (simulator, builder statistics, digests, the list scheduler, the analysis
 passes) reads the columns; :class:`Task` is a row *view* built on demand
 by ``graph.tasks[i]`` / iteration, for tools and tests that want one task
-as an object.  :meth:`TaskGraph.add` is the only writer that keeps columns
-and totals consistent; code that mutates a column by hand (the analysis
-tests do, to manufacture corrupt graphs) gets what ``graph.structure``
-reports.
+as an object.  :meth:`TaskGraph.add` (and its unchecked core
+``_append``, for writers that validate once at the end) is the only
+writer that keeps columns and totals consistent; code that mutates a
+column by hand (the analysis tests do, to manufacture corrupt graphs)
+gets what ``graph.structure`` reports.
 """
 
 from __future__ import annotations
@@ -227,7 +228,25 @@ class TaskGraph:
                     raise ScheduleError(
                         f"task {index} ({label!r}) depends on invalid task {d}"
                     )
-        memory = kind.queue is _MEMORY
+        return self._append(kind, kind.queue is _MEMORY, bytes_moved,
+                            mod_muls, mod_adds, norm, label, traffic_tag)
+
+    def _append(
+        self,
+        kind: Kind,
+        memory: bool,
+        bytes_moved: int,
+        mod_muls: int,
+        mod_adds: int,
+        deps: Tuple[int, ...],
+        label: str,
+        traffic_tag: str,
+    ) -> int:
+        """:meth:`add` for writers whose ``deps`` are already a sorted,
+        de-duplicated tuple of earlier tasks and whose ``memory`` flag is
+        ``kind.queue is Queue.MEMORY`` (the schedule builder and the list
+        scheduler, which validate the finished graph once)."""
+        index = len(self.kinds)
         if memory:
             if bytes_moved <= 0:
                 raise ScheduleError(f"memory task {label!r} must move bytes")
@@ -245,7 +264,7 @@ class TaskGraph:
         self.bytes_moved.append(bytes_moved)
         self.mod_muls.append(mod_muls)
         self.mod_adds.append(mod_adds)
-        self.deps.append(norm)
+        self.deps.append(deps)
         self.labels.append(label)
         self.traffic_tags.append(traffic_tag)
         return index

@@ -17,6 +17,7 @@ it: the API layer calls down into the schedule store
 with :mod:`~repro.sched.memo` so :func:`clear_memos` reaches them.
 """
 
+from repro.core.hks_ops import pin_capacity
 from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import reorder_for_latency
 from repro.sched.solver import (
@@ -44,7 +45,6 @@ from repro.sched.space import (
     HKSDecision,
     ProgramDecision,
     enumerate_decisions,
-    pin_capacity,
     predict_cost,
 )
 from repro.sched.stats import ScheduleStats

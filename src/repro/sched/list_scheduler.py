@@ -8,7 +8,11 @@ compute queue with a priority-worklist greedy (the
 ``BlockBoundedListScheduler`` idiom: rank by longest weighted path to the
 sink, dispatch the candidate that can start earliest on its resource),
 keeping the memory queue's relative order — and therefore the schedule's
-traffic, residency footprint and spill structure — untouched.
+traffic, residency footprint and spill structure — untouched.  Ready
+compute tasks wait in two heaps (startable when the compute queue frees,
+and waiting on a dependency), so a step costs O(log n) rather than a scan
+of the ready set; ``tests/test_columnar_oracles.py`` keeps the scan as
+the oracle the heaps must match task for task.
 
 Correctness: explicit dependency edges carry all value-flow and
 read-modify-write ordering (the builder records producer edges for
@@ -19,13 +23,21 @@ additionally runs the analysis passes before adopting a reordering.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import heapq
+from typing import List, Optional, Tuple
 
 from repro.core.taskgraph import TaskGraph
 from repro.rpu.config import RPUConfig
 from repro.rpu.simulator import RPUSimulator
 
-#: Graphs larger than this are not worth the O(n * ready-set) greedy.
+#: Graphs larger than this are not re-listed.  The cap once bounded the
+#: scan-based greedy's O(n x ready-set) cost; the heaps made that cheap,
+#: but the cap stays because it is part of the solver's model: above it
+#: a winner is never re-listed, and lifting it would let SOLVER adopt
+#: re-listings there, moving those reports.  No registered workload's
+#: MP/DC/OC graph reaches it at 16-128 MB (the largest, BTS2's MP at
+#: 17 MB with streamed keys, has 5,476 tasks); at 8 MB BTS2's and BTS3's
+#: MP graphs with streamed keys do (6,436 and 7,331).
 MAX_REORDER_TASKS = 6000
 
 
@@ -62,12 +74,25 @@ def reorder_for_latency(graph: TaskGraph,
     emitted spill/reload structure are preserved exactly; only compute
     dispatch order (and dependency indices) change.  The caller decides
     adoption by re-simulating.
+
+    Each step dispatches the candidate with the least ``(start, -rank,
+    index)``: the memory queue's head once its deps are done, or a ready
+    compute task.  A ready compute task's dependencies are finished, so
+    its ready time ``r`` is fixed and it starts at ``max(free, r)`` where
+    ``free`` is when the compute queue frees.  Two heaps hold them:
+    ``now`` the tasks with ``r <= free`` (all start at ``free``, so keyed
+    ``(-rank, index)``) and ``later`` the rest, keyed ``(r, -rank,
+    index)``.  ``free`` only grows, so tasks move from ``later`` to ``now``
+    and never back; the compute candidate is the top of ``now`` if any,
+    else the top of ``later``.  That is the task a scan of every
+    candidate picks, in O(log n) a step.
     """
     n = len(graph)
     if n == 0 or n > MAX_REORDER_TASKS:
         return None
     durations = RPUSimulator(machine).durations(graph)
     rank = _sink_priorities(graph, durations)
+    neg_rank = [-r for r in rank]
 
     memory_order = graph.memory_order
     is_memory = graph.is_memory
@@ -78,58 +103,71 @@ def reorder_for_latency(graph: TaskGraph,
         for d in deps:
             dependents[d].append(i)
 
-    ready_compute: List[int] = [
-        i for i in graph.compute_order if pending_deps[i] == 0
-    ]
-    mem_pos = 0
     finish = [0.0] * n
-    free = {True: 0.0, False: 0.0}  # keyed by the queue flag
+    free_memory = free_compute = 0.0
+    now: List[Tuple[float, int]] = []
+    later: List[Tuple[float, float, int]] = []
+    for i in graph.compute_order:
+        if pending_deps[i] == 0:
+            now.append((neg_rank[i], i))  # no deps: ready at 0.0 <= free
+    heapq.heapify(now)
+    mem_pos = 0
+    mem_count = len(memory_order)
     order: List[int] = []
 
-    def start_time(i: int) -> float:
-        deps_ready = max((finish[d] for d in all_deps[i]), default=0.0)
-        return max(free[is_memory[i]], deps_ready)
-
     while len(order) < n:
-        candidates: List[int] = []
-        if mem_pos < len(memory_order):
+        while later and later[0][0] <= free_compute:
+            _, key, i = heapq.heappop(later)
+            heapq.heappush(now, (key, i))
+        if now:
+            key, i = now[0]
+            best = (free_compute, key, i)
+        elif later:
+            best = later[0]
+        else:
+            best = None
+        if mem_pos < mem_count:
             head = memory_order[mem_pos]
             if pending_deps[head] == 0:
-                candidates.append(head)
-        candidates.extend(ready_compute)
-        if not candidates:
+                ready = max((finish[d] for d in all_deps[head]), default=0.0)
+                cand = (max(free_memory, ready), neg_rank[head], head)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
             return None  # cannot happen on a valid graph; bail safely
-        # Earliest achievable start wins; break ties toward the task with
-        # the most serialized work behind it, then original order (this
-        # keeps the result deterministic and the no-stall case stable).
-        best = min(candidates, key=lambda i: (start_time(i), -rank[i], i))
-        s = start_time(best)
-        finish[best] = s + durations[best]
-        free[is_memory[best]] = finish[best]
-        order.append(best)
-        if is_memory[best]:
+        start, _, chosen = best
+        end = finish[chosen] = start + durations[chosen]
+        order.append(chosen)
+        if is_memory[chosen]:
+            free_memory = end
             mem_pos += 1
         else:
-            ready_compute.remove(best)
-        for dep in dependents[best]:
+            free_compute = end
+            heapq.heappop(now if now and now[0][1] == chosen else later)
+        for dep in dependents[chosen]:
             pending_deps[dep] -= 1
             if pending_deps[dep] == 0 and not is_memory[dep]:
-                ready_compute.append(dep)
+                ready = max(finish[d] for d in all_deps[dep])
+                if ready <= free_compute:
+                    heapq.heappush(now, (neg_rank[dep], dep))
+                else:
+                    heapq.heappush(later, (ready, neg_rank[dep], dep))
 
     if order == list(range(n)):
         return None  # nothing changed
 
-    remap = {old: new for new, old in enumerate(order)}
+    remap = [0] * n
+    for new, old in enumerate(order):
+        remap[old] = new
     out = TaskGraph(graph.name)
+    kinds, bytes_moved = graph.kinds, graph.bytes_moved
+    mod_muls, mod_adds = graph.mod_muls, graph.mod_adds
+    labels, tags = graph.labels, graph.traffic_tags
     for old in order:
-        out.add(
-            graph.kinds[old],
-            bytes_moved=graph.bytes_moved[old],
-            mod_muls=graph.mod_muls[old],
-            mod_adds=graph.mod_adds[old],
-            deps=[remap[d] for d in all_deps[old]],
-            label=graph.labels[old],
-            traffic_tag=graph.traffic_tags[old],
+        out._append(
+            kinds[old], is_memory[old], bytes_moved[old], mod_muls[old],
+            mod_adds[old], tuple(sorted([remap[d] for d in all_deps[old]])),
+            labels[old], tags[old],
         )
     out.validate()
     return out

@@ -22,7 +22,11 @@ _T = TypeVar("_T")
 #: 46 point-wise graphs and 15 mix reports; four times the largest of
 #: those, so a sweep's MP/DC/OC/SOLVER quartet or a few tenants' plans
 #: in turn never evict each other, while a long-lived server stops
-#: pinning every graph it ever built.  The graph-keyed memos
+#: pinning every graph it ever built.  The bound counts graphs, not
+#: keys' worth of graphs: no entry holds more than one (the store's
+#: cross-budget slots, ``solver._evict_free``, hold one evict-free graph
+#: or none), and a graph served to several budgets is one object under
+#: each of their keys.  The graph-keyed memos
 #: (simulate, profile, digest) share the store's bound because an entry
 #: whose graph the store has evicted can never be asked for again — it
 #: would only keep the graph alive.  An evicted entry costs one rebuild

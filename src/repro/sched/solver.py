@@ -40,6 +40,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro import cache as disk_cache
 from repro import codec
 from repro.core.dataflow import BuilderStats, DataflowConfig
+from repro.core.hks_ops import bconv_chunk_len, max_bconv_sources, pin_capacity
 from repro.core.taskgraph import Kind, TaskGraph
 from repro.errors import ParameterError, ScheduleError
 from repro.params import MB, BenchmarkSpec
@@ -271,15 +272,47 @@ def schedule_digest(graph: TaskGraph) -> str:
 # --------------------------------------------------------------------------
 
 @model_memo
+def _evict_free(spec: BenchmarkSpec, evk_on_chip: bool, key_compression: bool,
+                decision: HKSDecision, pins: int, chunk: int,
+                ) -> List[Tuple[TaskGraph, BuilderStats]]:
+    """A slot for the one evict-free build of this key, once one is made.
+
+    The key is everything a build reads except the budget's eviction
+    comparisons: the budget enters only through the pin count and the
+    BConv chunk length.  A build that evicted nothing never found
+    ``used + nbytes`` above its budget, so it is the same graph, with the
+    same stats, at every budget of at least its ``peak_bytes`` with this
+    key; and a build at a budget below that peak must evict, so a key has
+    at most one such graph.
+    """
+    return []
+
+
+@model_memo
 def _built(spec: BenchmarkSpec, config: DataflowConfig,
            decision: HKSDecision) -> Tuple[TaskGraph, BuilderStats]:
-    """The schedule store: one build per (spec, config, decision).
+    """The schedule store: one build per (spec, config, decision), and one
+    per evict-free graph across budgets.
 
     Schedules depend only on the memory configuration, never on bandwidth
     or MODOPS, so a sweep over machine points, the solver's anchors and
-    every backend share one graph object per key.
+    every backend share one graph object per key.  A budget that an
+    evict-free build of the same :func:`_evict_free` key fits gets that
+    very graph object, so its digest, simulations and profiles are memo
+    hits too.
     """
-    return DecisionDataflow(decision).build_with_stats(spec, config)
+    budget = config.data_sram_bytes
+    slot = _evict_free(
+        spec, config.evk_on_chip, config.key_compression, decision,
+        pin_capacity(spec, budget),
+        bconv_chunk_len(spec, budget, max_bconv_sources(spec)),
+    )
+    if slot and slot[0][1].peak_bytes <= budget:
+        return slot[0]
+    built = DecisionDataflow(decision).build_with_stats(spec, config)
+    if built[1].evictions == 0:
+        slot[:] = [built]
+    return built
 
 
 @model_memo

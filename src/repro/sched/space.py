@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.core.dataflow import DataflowConfig
+from repro.core.hks_ops import pin_capacity
 from repro.core.stages import HKSShape
 from repro.errors import ParameterError
 from repro.params import BenchmarkSpec
@@ -179,25 +180,6 @@ RESNET_DECISION = ProgramDecision(num_bootstraps=2)
 HELR_DECISION = ProgramDecision(max_segment_depth=5)
 
 
-def pin_capacity(spec: BenchmarkSpec, config: DataflowConfig) -> int:
-    """How many digit-size prefixes of INTT outputs fit on-chip.
-
-    Mirrors :meth:`repro.core.hks_ops.HKSEmitter.max_pinned_digits` (same
-    2-tower working margin) without building a schedule, so the
-    enumerator can prune infeasible pin counts for free.
-    """
-    margin_towers = 2
-    avail = config.data_sram_bytes // spec.tower_bytes - margin_towers
-    pinned = 0
-    used = 0
-    for size in spec.digit_sizes:
-        if used + size > avail:
-            break
-        used += size
-        pinned += 1
-    return pinned
-
-
 def enumerate_decisions(spec: BenchmarkSpec,
                         config: DataflowConfig) -> List[HKSDecision]:
     """The deterministic candidate list for one (spec, memory config).
@@ -211,7 +193,7 @@ def enumerate_decisions(spec: BenchmarkSpec,
     """
     out: List[HKSDecision] = list(LEGACY_DECISIONS)
     seen = set(out)
-    capacity = pin_capacity(spec, config)
+    capacity = pin_capacity(spec, config.data_sram_bytes)
     pin_options: List[int] = []
     for pins in (spec.dnum, spec.dnum - 1, max(spec.dnum - 2, 0), 0):
         pins = max(0, min(pins, spec.dnum, capacity))
@@ -275,9 +257,9 @@ def predict_cost(spec: BenchmarkSpec, config: DataflowConfig,
     elif decision.base == "DC":
         live = spec.kl + 2 * spec.extended_towers + max(spec.digit_sizes)
     else:  # OC and GEN: pinned icoefs + accumulators + transients
-        pins = (min(spec.dnum - 1, pin_capacity(spec, config))
-                if decision.base == "OC" else
-                min(decision.pinned_digits, pin_capacity(spec, config)))
+        capacity = pin_capacity(spec, config.data_sram_bytes)
+        pins = (min(spec.dnum - 1, capacity) if decision.base == "OC"
+                else min(decision.pinned_digits, capacity))
         live = (sum(spec.digit_sizes[:pins]) + 2 * spec.extended_towers
                 + max(decision.tile_towers, 4))
     overshoot_towers = max(0, live - budget_towers)

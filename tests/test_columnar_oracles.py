@@ -10,6 +10,9 @@ new code to the implementation it replaced:
 * the scan-every-value victim search lives here as a builder subclass,
   and random builder programs under tight budgets must evict the same
   victims and emit the same graph;
+* the scan-every-candidate list scheduler lives here as a function, and
+  the heap-driven one must re-list random DAGs and the golden points'
+  MP/DC/OC graphs into the same graph (or decline the same ones);
 * report and schedule digests of the registered workloads are pinned to
   values computed **at the parent commit** (``golden/estimate_digests.json``);
 * row views, columns and the JSON form agree.
@@ -21,13 +24,14 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import build_plan
 from repro.api.plan import report_to_dict
 from repro.core import DataflowConfig, get_dataflow
 from repro.core.dataflow import Dataflow, ScheduleBuilder
+from repro.core.hks_ops import bconv_chunk_len, max_bconv_sources, pin_capacity
 from repro.core.stages import OpCount
 from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, Queue, TaskGraph
 from repro.errors import MemoryModelError, SimulationError
@@ -41,8 +45,14 @@ from repro.sched import (
     schedule_digest,
     solver,
 )
+from repro.sched.list_scheduler import (
+    MAX_REORDER_TASKS,
+    _sink_priorities,
+    reorder_for_latency,
+)
 from repro.sched.memo import MODEL_CACHE_ENTRIES, MODEL_MEMOS
-from repro.sched.space import HKSDecision
+from repro.sched.generic import DecisionDataflow
+from repro.sched.space import HKSDecision, enumerate_decisions
 from repro.workloads import resolve_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "estimate_digests.json"
@@ -392,6 +402,118 @@ class TestGoldenDigests:
         assert current["plans"] == golden["plans"]
 
 
+# -- (c2) the list-scheduler oracle --------------------------------------------------
+
+
+def scan_reorder_for_latency(graph, machine):
+    """The list scheduler as it was first written: every step scans the
+    memory head and every ready compute task for the least ``(start,
+    -rank, index)``, then rebuilds through the checked ``TaskGraph.add``."""
+    n = len(graph)
+    if n == 0 or n > MAX_REORDER_TASKS:
+        return None
+    durations = RPUSimulator(machine).durations(graph)
+    rank = _sink_priorities(graph, durations)
+
+    memory_order = graph.memory_order
+    is_memory = graph.is_memory
+    all_deps = graph.deps
+    pending_deps = [len(deps) for deps in all_deps]
+    dependents = [[] for _ in range(n)]
+    for i, deps in enumerate(all_deps):
+        for d in deps:
+            dependents[d].append(i)
+
+    ready_compute = [i for i in graph.compute_order if pending_deps[i] == 0]
+    mem_pos = 0
+    finish = [0.0] * n
+    free = {True: 0.0, False: 0.0}  # keyed by the queue flag
+    order = []
+
+    def start_time(i):
+        deps_ready = max((finish[d] for d in all_deps[i]), default=0.0)
+        return max(free[is_memory[i]], deps_ready)
+
+    while len(order) < n:
+        candidates = []
+        if mem_pos < len(memory_order):
+            head = memory_order[mem_pos]
+            if pending_deps[head] == 0:
+                candidates.append(head)
+        candidates.extend(ready_compute)
+        if not candidates:
+            return None
+        best = min(candidates, key=lambda i: (start_time(i), -rank[i], i))
+        s = start_time(best)
+        finish[best] = s + durations[best]
+        free[is_memory[best]] = finish[best]
+        order.append(best)
+        if is_memory[best]:
+            mem_pos += 1
+        else:
+            ready_compute.remove(best)
+        for dep in dependents[best]:
+            pending_deps[dep] -= 1
+            if pending_deps[dep] == 0 and not is_memory[dep]:
+                ready_compute.append(dep)
+
+    if order == list(range(n)):
+        return None
+
+    remap = {old: new for new, old in enumerate(order)}
+    out = TaskGraph(graph.name)
+    for old in order:
+        out.add(
+            graph.kinds[old],
+            bytes_moved=graph.bytes_moved[old],
+            mod_muls=graph.mod_muls[old],
+            mod_adds=graph.mod_adds[old],
+            deps=[remap[d] for d in all_deps[old]],
+            label=graph.labels[old],
+            traffic_tag=graph.traffic_tags[old],
+        )
+    out.validate()
+    return out
+
+
+def _same_reorder(graph, machine):
+    heap = reorder_for_latency(graph, machine)
+    scan = scan_reorder_for_latency(graph, machine)
+    if scan is None:
+        return heap is None
+    return (heap is not None and heap.to_json() == scan.to_json()
+            and heap.memory_order == scan.memory_order
+            and heap.compute_order == scan.compute_order
+            and heap.total_bytes() == scan.total_bytes()
+            and heap.total_mod_ops() == scan.total_mod_ops())
+
+
+class TestReorderOracle:
+    @given(graph=two_queue_dags(), cfg=machine_points)
+    @settings(max_examples=300, deadline=None)
+    def test_heap_reorder_is_the_scan_reorder(self, graph, cfg):
+        assert _same_reorder(graph, cfg)
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_golden_point_graphs_reorder_identically(self, point):
+        options = POINTS[point]
+        config = DataflowConfig(data_sram_bytes=options["sram_mb"] * MB,
+                                evk_on_chip=options["evk_on_chip"])
+        objective = Objective.latency(options["bandwidth_gbs"],
+                                      options["modops_scale"])
+        machine = solver.machine_for(config, objective)
+        specs = dict.fromkeys(
+            spec for workload in WORKLOADS for spec in _specs_of(workload))
+        changed = 0
+        for spec in specs:
+            for schedule in ("MP", "DC", "OC"):
+                graph, _ = decision_graph(
+                    spec, config, HKSDecision(base=schedule), objective)
+                assert _same_reorder(graph, machine), (spec.name, schedule)
+                changed += reorder_for_latency(graph, machine) is not None
+        assert changed  # the comparison covers real re-listings
+
+
 # -- (d) rows, columns and JSON agree -----------------------------------------------
 
 
@@ -512,6 +634,86 @@ class TestOneScheduleStore:
                                        HKSDecision(base=schedule), Objective())
             direct = get_dataflow(schedule).build(spec, config)
             assert schedule_digest(stored) == schedule_digest(direct)
+
+
+@st.composite
+def reuse_cases(draw):
+    """A small spec, one of its decisions, an evk placement and two
+    budgets (whole towers plus a few stray bytes)."""
+    kl = draw(st.integers(2, 8))
+    # Digit counts whose ceil(kl / dnum)-tower digits leave none empty.
+    dnum = draw(st.sampled_from([
+        dnum for dnum in (1, 2, 3)
+        if dnum <= kl and (dnum - 1) * -(-kl // dnum) < kl]))
+    spec = BenchmarkSpec("REUSE", log_n=draw(st.integers(10, 11)), kl=kl,
+                         kp=draw(st.integers(1, 3)), dnum=dnum)
+    evk_on_chip = draw(st.booleans())
+    budgets = [draw(st.integers(6, 48)) * spec.tower_bytes
+               + draw(st.integers(0, spec.tower_bytes - 1)) for _ in range(2)]
+    decisions = enumerate_decisions(
+        spec, DataflowConfig(data_sram_bytes=budgets[0],
+                             evk_on_chip=evk_on_chip))
+    return spec, draw(st.sampled_from(decisions)), evk_on_chip, budgets
+
+
+def _store_key(spec, budget):
+    return (pin_capacity(spec, budget),
+            bconv_chunk_len(spec, budget, max_bconv_sources(spec)))
+
+
+class TestBudgetReuse:
+    @given(case=reuse_cases())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_a_served_graph_is_the_graph_a_fresh_build_makes(self, case):
+        spec, decision, evk_on_chip, (first, second) = case
+        configs = [DataflowConfig(data_sram_bytes=b, evk_on_chip=evk_on_chip)
+                   for b in (first, second)]
+        clear_memos()
+        try:
+            graph, stats = decision_graph(spec, configs[0], decision,
+                                          Objective())
+            fresh, fresh_stats = DecisionDataflow(decision).build_with_stats(
+                spec, configs[1])
+        except MemoryModelError:
+            assume(False)  # a budget the working set cannot fit
+        served, served_stats = decision_graph(spec, configs[1], decision,
+                                              Objective())
+        if served is graph:
+            assert served.to_json() == fresh.to_json()
+            assert served_stats == fresh_stats
+        if second < stats.peak_bytes:
+            assert served is not graph
+        # Reuse is not only safe but taken whenever its rule allows it
+        # (one budget twice is the exact memo's hit).
+        reusable = first == second or (
+            stats.evictions == 0 and second >= stats.peak_bytes
+            and _store_key(spec, first) == _store_key(spec, second))
+        assert (served is graph) == reusable
+
+    def test_one_band_builds_an_evict_free_spec_once_per_decision(
+            self, monkeypatch):
+        """Four sizes of the benchmark sweep's top SRAM band: ARK never
+        evicts there, so each decision is built at the first size only."""
+        spec = resolve_workload("ARK")
+        clear_memos()
+        built = []
+        build = Dataflow.build_with_stats
+        monkeypatch.setattr(
+            Dataflow, "build_with_stats",
+            lambda self, spec, config: built.append(self.decision)
+            or build(self, spec, config))
+        graphs = {}
+        for sram_mb in (120, 121, 122, 123):
+            config = DataflowConfig(data_sram_bytes=sram_mb * MB)
+            decisions = enumerate_decisions(spec, config)
+            for decision in decisions:
+                graph, stats = decision_graph(spec, config, decision,
+                                              Objective())
+                assert stats.evictions == 0
+                assert graphs.setdefault(decision, graph) is graph
+        assert sorted(built, key=repr) == sorted(graphs, key=repr)
+        assert len(built) == len(decisions)
 
 
 class TestBoundedModelCaches:

@@ -120,7 +120,7 @@ class TestLegality:
         from repro.core.stages import HKSShape
 
         spec = get_benchmark("ARK")
-        capacity = pin_capacity(spec, STREAMED)
+        capacity = pin_capacity(spec, STREAMED.data_sram_bytes)
         decision = HKSDecision(base="GEN", loop="digit",
                                pinned_digits=min(2, capacity))
         graph, _ = DecisionDataflow(decision).build_with_stats(spec, STREAMED)
@@ -352,7 +352,8 @@ class TestDecisionSpace:
         spec = get_benchmark("ARK")
         small = DataflowConfig(data_sram_bytes=8 * MB, evk_on_chip=False)
         large = DataflowConfig(data_sram_bytes=64 * MB, evk_on_chip=False)
-        assert 0 <= pin_capacity(spec, small) <= pin_capacity(spec, large)
+        assert 0 <= pin_capacity(spec, small.data_sram_bytes) \
+            <= pin_capacity(spec, large.data_sram_bytes)
 
     def test_shared_program_decisions_match_builders(self):
         assert RESNET_DECISION.num_bootstraps == 2

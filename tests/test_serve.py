@@ -349,6 +349,23 @@ def _sleepy_plans(n):
                        bandwidth_gbs=64.0 + i) for i in range(n)]
 
 
+def _one_dump(capfd, marker: str, timeout_s: float = 10.0,
+              quiet_s: float = 0.2) -> str:
+    """Stderr until a ``faulthandler`` dump holding ``marker`` has arrived
+    and nothing more has for ``quiet_s``: a dump is written in one burst,
+    so the quiet means it is complete."""
+    err, deadline = "", time.monotonic() + timeout_s
+    last = time.monotonic()
+    while marker not in err or time.monotonic() - last < quiet_s:
+        assert time.monotonic() < deadline, err
+        time.sleep(0.05)
+        chunk = capfd.readouterr().err
+        if chunk:
+            err += chunk
+            last = time.monotonic()
+    return err
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
@@ -421,13 +438,13 @@ class TestPoolSupervision:
             # handler is installed.
             expected = pool.run_plans(plans)
             pids = pool.worker_pids()
+            # One worker at a time: two dumps written at once interleave
+            # on the shared stderr and can split a frame line apart.
+            dumps = []
             for pid in pids:
                 os.kill(pid, signal.SIGUSR1)
-            err, deadline = "", time.monotonic() + 10
-            while err.count("in _worker_main") < len(pids):
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-                err += capfd.readouterr().err
+                dumps.append(_one_dump(capfd, "in _worker_main"))
+            assert all("in _worker_main" in dump for dump in dumps)
             assert pool.run_plans(plans) == expected
             assert pool.worker_pids() == pids
             assert pool.deaths == 0

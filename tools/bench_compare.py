@@ -14,8 +14,29 @@ run one after the other, the two checkouts taking turns to go first,
 both sides of a pair on the same seed.  The directory names are the same
 length on purpose: ``fhe_hks_batch``'s ``peak_rss_mb`` reads 108.8, 111.6
 or 114.4 MB (+-0.15 within a directory, bound 5 %) for the same code
-depending on nothing but the length of the checkout's path.  For
-every (workload, end-to-end metric) it prints both medians, how much
+depending on nothing but the length of the checkout's path.
+
+That step is glibc's dynamic mmap threshold.  Freeing an mmapped block
+raises the threshold to that block's size (and the trim threshold to
+twice it), so which of the functional
+path's big numpy buffers are later served from the heap, and stay
+resident, depends on the heap's layout when they are freed.  Anything
+that moves that layout moves the reading between ~109 and ~114 MB
+(+4.8 %): the checkout path's length (it is in every module's
+``__file__`` and in ``sys.path``), and edits to any module that ``from
+repro import FHESession`` imports, which is the whole estimate stack.
+Measured on the same code: a 10-character checkout path read 109.1 MB
+and a 17-character one 114.4 MB; with ``MALLOC_MMAP_THRESHOLD_=131072``
+in the environment (a fixed threshold) both read 102.9 MB.  At one path,
+adding a module-level list of 1,024 formatted names to
+``core/hks_ops.py`` and nothing else moved the reading from 109.2 to
+113.6 MB, and a second such list to 110.4 MB.  So a step of that size in
+this metric, with no change to the functional path, is layout, not
+memory the change holds.  Lasting fixes: a benchmark change that fixes
+the threshold for every side, or pass-scoped buffers in the functional
+path that leave no large ``free`` to move it (ROADMAP item 5(d)).
+
+For every (workload, end-to-end metric) it prints both medians, how much
 worse the change's is, the parent's quartile distance, the pairs the
 change won or tied, and a verdict (see :func:`judge`); then every run
 made.  Exits 1 if any verdict is ``worse``.
