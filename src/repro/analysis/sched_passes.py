@@ -4,7 +4,7 @@ The ``sched`` family inspects a :class:`~repro.sched.solver.
 ScheduleArtifact` — a solved schedule paired with its deterministically
 rebuilt task graph — and re-derives the invariants every legal HKS
 schedule must satisfy, mirroring the assertions
-:func:`repro.core.analyze_dataflow` applies to the hand-written trio:
+:func:`repro.core.analyze_dataflow` applies to MP, DC and OC:
 
 * compute work equals the dataflow-independent stage algebra (plus the
   key-regeneration passes when streamed keys are seed-compressed),

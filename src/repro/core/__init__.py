@@ -1,24 +1,30 @@
-"""CiFlow core: HKS stage algebra, task graphs, and the three dataflows."""
+"""CiFlow core: HKS stage algebra, task graphs, and the one schedule
+emitter whose named decisions are the paper's three dataflows."""
+
+from functools import partial
 
 from repro.core.analysis import (
     DataflowReport,
     analyze_dataflow,
     minimum_mp_working_set_bytes,
 )
-from repro.core.dataflow import Dataflow, DataflowConfig, ScheduleBuilder
-from repro.core.digit_centric import DigitCentric
-from repro.core.max_parallel import MaxParallel
-from repro.core.output_centric import OutputCentric
+from repro.core.dataflow import (
+    LEGACY_DECISIONS,
+    Dataflow,
+    DataflowConfig,
+    HKSDecision,
+    ScheduleBuilder,
+)
 from repro.core.stages import HKSShape, OpCount, ntt_tower_ops
 from repro.core.taskgraph import DATA_TAG, EVK_TAG, Kind, Queue, Task, TaskGraph
 from repro.core.traffic import classify_buffer, traffic_by_class, traffic_rows
 
 #: Registry of the three paper dataflows, in presentation order.
-DATAFLOWS = {
-    "MP": MaxParallel(),
-    "DC": DigitCentric(),
-    "OC": OutputCentric(),
-}
+DATAFLOWS = {d.base: Dataflow(d) for d in LEGACY_DECISIONS}
+
+#: The historic class names: each builds its named decision's dataflow.
+MaxParallel, DigitCentric, OutputCentric = (
+    partial(Dataflow, d) for d in LEGACY_DECISIONS)
 
 
 def get_dataflow(name: str) -> Dataflow:
@@ -37,8 +43,10 @@ __all__ = [
     "DataflowReport",
     "DigitCentric",
     "EVK_TAG",
+    "HKSDecision",
     "HKSShape",
     "Kind",
+    "LEGACY_DECISIONS",
     "MaxParallel",
     "OpCount",
     "OutputCentric",

@@ -1,8 +1,11 @@
-"""Dataflow scheduler base: on-chip residency tracking + schedule builder.
+"""The HKS schedule emitter: one memory model, one decision-driven order.
 
-A dataflow (MP / DC / OC) is a *generation order* for HKS work.  The
-builder below turns that order into the paper's two in-order task queues
-while enforcing a hard on-chip data-memory budget:
+A dataflow is a *generation order* for HKS work.  :class:`Dataflow`
+takes that order from one :class:`HKSDecision`: the paper's three
+dataflows (MP / DC / OC) are its named points, and the solver's generic
+family fills the space around them.  The builder below turns the order
+into the paper's two in-order task queues while enforcing a hard on-chip
+data-memory budget:
 
 * every operand of a compute task must be resident on-chip — touching an
   off-chip value emits a ``LOAD``;
@@ -11,21 +14,21 @@ while enforcing a hard on-chip data-memory budget:
   no up-to-date DRAM copy (a *spill*);
 * spilled values are transparently reloaded at next use.
 
-The traffic difference between the three dataflows is therefore an
-*emergent* property of their operation orders under one shared memory
-model, which is the paper's central methodological point.
+The traffic difference between the dataflows is therefore an *emergent*
+property of their operation orders under one shared memory model, which
+is the paper's central methodological point.
 """
 
 from __future__ import annotations
 
-import abc
 import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.hks_ops import HALVES, PRI_ICOEF, PRI_ICOEF_LAST, HKSEmitter
 from repro.core.stages import OpCount
 from repro.core.taskgraph import DATA_TAG, Kind, TaskGraph
-from repro.errors import MemoryModelError
+from repro.errors import MemoryModelError, ParameterError
 from repro.params import MB, BenchmarkSpec
 
 
@@ -47,6 +50,75 @@ class DataflowConfig:
     data_sram_bytes: int = 32 * MB
     evk_on_chip: bool = True
     key_compression: bool = False
+
+
+#: Loop orders of the pinned sweep: output-tower-major or digit-major.
+LOOP_ORDERS = ("tower", "digit")
+
+#: Decision bases: the paper's three dataflows plus the generic family.
+DECISION_BASES = ("MP", "DC", "OC", "GEN")
+
+
+@dataclass(frozen=True)
+class HKSDecision:
+    """One candidate schedule for a single HKS under one memory config.
+
+    ``base`` names the order: ``"MP"`` and ``"DC"`` are the paper's
+    stage-major orders, ``"OC"`` is the pinned sweep at its own pin count
+    (``dnum - 1``, at least 1), and ``"GEN"`` is the pinned sweep with the
+    remaining knobs.  ``pinned_digits`` may exceed OC's ``dnum - 1`` —
+    full pinning is a real candidate the paper's dataflows never try.
+    ``tile_towers == 0`` means pure output-tower order (one tower at a
+    time); a positive tile runs the ModUp stages stage-major inside tiles
+    of that many extended towers, interpolating between OC (tile 1) and
+    MP (tile = all).  ``reordered`` marks a schedule post-processed by the
+    list scheduler.
+    """
+
+    base: str = "GEN"
+    pinned_digits: int = 0
+    loop: str = "tower"
+    tile_towers: int = 0
+    moddown_fused: bool = True
+    bconv_chunk: int = 0
+    evk_prefetch: bool = False
+    reordered: bool = False
+
+    def __post_init__(self) -> None:
+        if self.base not in DECISION_BASES:
+            raise ParameterError(
+                f"unknown decision base {self.base!r}; "
+                f"choose from {DECISION_BASES}"
+            )
+        if self.loop not in LOOP_ORDERS:
+            raise ParameterError(
+                f"unknown loop order {self.loop!r}; choose from {LOOP_ORDERS}"
+            )
+        if self.pinned_digits < 0 or self.tile_towers < 0 or self.bconv_chunk < 0:
+            raise ParameterError("decision counts must be non-negative")
+
+    @property
+    def is_legacy(self) -> bool:
+        return self.base != "GEN"
+
+    def summary(self) -> str:
+        """Short human-readable form for tables and ``--explain``."""
+        if self.is_legacy:
+            tag = self.base
+        else:
+            tag = (f"GEN(pin={self.pinned_digits},{self.loop}"
+                   f"{',tile=' + str(self.tile_towers) if self.tile_towers else ''}"
+                   f"{',md-fused' if self.moddown_fused else ',md-staged'}"
+                   f"{',prefetch' if self.evk_prefetch else ''})")
+        return tag + ("+reorder" if self.reordered else "")
+
+
+#: The paper's dataflows as decision-space points, in presentation order.
+LEGACY_DECISIONS: Tuple[HKSDecision, ...] = (
+    HKSDecision(base="MP"),
+    HKSDecision(base="DC"),
+    HKSDecision(base="OC"),
+)
 
 
 @dataclass(eq=False)
@@ -360,13 +432,256 @@ def _normalised(deps: List[int]) -> Tuple[int, ...]:
     return tuple(sorted(set(deps)))
 
 
-class Dataflow(abc.ABC):
-    """Base class for the three CiFlow dataflows."""
+# -- the orders ---------------------------------------------------------------------
+#
+# ``em`` is an :class:`~repro.core.hks_ops.HKSEmitter` (producing a
+# performance schedule) or a :class:`~repro.core.functional.
+# FunctionalEmitter` (executing the same order on real RNS data): the
+# orders are shared, which is what makes the functional equivalence tests
+# meaningful.
 
-    #: Short id used in reports ("MP", "DC", "OC").
-    name: str = "?"
-    #: Long name as used in the paper.
-    title: str = ""
+
+def max_parallel(em) -> None:
+    """Max-Parallel (MP), paper Section IV-A: P1 for all, P2 for all, ...
+
+    Stage by stage over *all* towers: every input tower is INTT'd, then
+    every digit is fully base-converted, then everything is NTT'd, and so
+    on.  This maximizes kernel-level parallelism (any two tasks within a
+    stage are independent) but materializes the entire intermediate state
+    of each stage at once, so under a finite on-chip budget the BConv
+    expansion and the extended digits thrash through SRAM.  MP is the
+    baseline used by prior accelerators (Cheetah, HEAX).
+    """
+    # ModUp P1: INTT every input tower.
+    for t in range(em.kl):
+        em.intt_input(t)
+
+    # ModUp P2: full BConv expansion of every digit.
+    for d in range(em.dnum):
+        for j in em.all_ext():
+            if em.digit_of[j] != d:
+                em.bconv(d, j)
+
+    # ModUp P3: NTT every converted tower.
+    for d in range(em.dnum):
+        for j in em.all_ext():
+            if em.digit_of[j] != d:
+                em.ntt_ext(d, j)
+    for d in range(em.dnum):
+        em.free_digit_icoef(d)
+
+    # ModUp P4 + P5: apply the key digit by digit, accumulating.
+    for d in range(em.dnum):
+        for j in em.all_ext():
+            em.mulkey(d, j)
+
+    # ModDown, stage-ordered as well (one result polynomial at a time).
+    moddown_staged(em)
+
+
+def digit_centric(em) -> None:
+    """Digit-Centric (DC), paper Section IV-B: all of P1-P5 for digit d,
+    then digit d+1.
+
+    "One digit at a time": each digit is loaded, INTT'd, fully expanded
+    (P2 over all its target towers), NTT'd and multiplied with its evk
+    slice before the next digit is touched.  Within a digit the schedule
+    is still stage-ordered, so the digit's full ``beta``-tower expansion
+    is live at once — smaller than MP's all-digit expansion, larger than
+    OC's single output tower.  The per-digit partial products accumulate
+    into ``acc``, which spills under small budgets (the paper: partial
+    products "can either be stored on-chip for later reduction ... or
+    sent off-chip").  This mirrors the dataflow of MAD (MICRO'23).
+    """
+    for d in range(em.dnum):
+        # P1: INTT this digit's towers.
+        for t in em.digit_towers(d):
+            em.intt_input(t)
+        # P2: expand the digit to its beta complement towers.
+        for j in em.all_ext():
+            if em.digit_of[j] != d:
+                em.bconv(d, j)
+        em.free_digit_icoef(d)
+        # P3: NTT the expansion.
+        for j in em.all_ext():
+            if em.digit_of[j] != d:
+                em.ntt_ext(d, j)
+        # P4 + P5: apply this digit's evk slice, accumulate partials.
+        for j in em.all_ext():
+            em.mulkey(d, j)
+
+    # ModDown (stage-ordered; digits play no role after the reduction).
+    moddown_staged(em)
+
+
+def pinned_sweep(em, decision: HKSDecision) -> None:
+    """Output-Centric (OC), paper Section IV-C, and the generic family.
+
+    One *output tower* at a time.  The INTT results of as many digits as
+    fit (``dnum - 1`` under the paper's 32 MB budget) are pinned on-chip
+    and reused for every output tower, so ModUp P2 only ever materializes
+    a single converted tower; the per-tower partial sum is accumulated
+    immediately and only the accumulator is ever written back.  Digits
+    that do not fit are handled in tail passes ("the final digit is loaded
+    to compute the last partial sum", Section IV-C) after the pinned INTT
+    outputs are released — this keeps the pinned footprint at
+    ``(dnum-1) * alpha`` towers for BTS3, the paper's "INTT is applied to
+    30 towers [of 45]" on-chip reuse claim, and degrades gracefully to
+    digit-major passes under smaller budgets.
+
+    ModDown is equally output-centric: the ``K`` auxiliary INTTs are kept
+    on-chip and each chain tower runs BConv -> NTT -> finish back-to-back,
+    so the ModDown P2 expansion never exists in memory (the paper:
+    "Calculating one output tower at a time eliminates the expansion of
+    ModDown P2").
+
+    A ``GEN`` decision sets the pin count (full pinning included), the
+    loop order, stage-major tiles, the ModDown fusion and evk prefetch.
+    """
+    # OC pins up to dnum - 1 digits (the paper's BTS3 configuration: the
+    # last digit is always streamed through a tail pass, which also keeps
+    # memory traffic overlapping with compute).  Every pin count degrades
+    # when the budget cannot hold that many INTT outputs.
+    pins = (max(em.dnum - 1, 1) if decision.base == "OC"
+            else decision.pinned_digits)
+    pinned_count = min(pins, em.dnum, em.max_pinned_digits())
+    pinned = list(range(pinned_count))
+    tail = list(range(pinned_count, em.dnum))
+    prefetch = decision.evk_prefetch
+
+    # ModUp P1 for every pinned digit; resident for the whole sweep.
+    for d in pinned:
+        for t in em.digit_towers(d):
+            em.intt_input(t, priority=PRI_ICOEF)
+
+    if pinned:
+        _sweep_pinned(em, decision, pinned)
+        for d in pinned:
+            em.free_digit_icoef(d)
+
+    # Tail passes: one per remaining digit — load + INTT it, then finish
+    # its contribution to every accumulator.
+    for d in tail:
+        for t in em.digit_towers(d):
+            em.intt_input(t, priority=PRI_ICOEF_LAST)
+        for j in em.all_ext():
+            _contribute(em, d, j, prefetch)
+        em.free_digit_icoef(d)
+
+    if decision.moddown_fused:
+        moddown_fused(em)
+    else:
+        moddown_staged(em)
+
+
+def _sweep_pinned(em, decision: HKSDecision, pinned: List[int]) -> None:
+    """Every pinned digit's contribution to every extended tower."""
+    prefetch = decision.evk_prefetch
+    if decision.loop == "digit":
+        # Digit-major: each pinned digit finishes all its target towers
+        # before the next digit starts (DC-like, but every pinned digit's
+        # INTT outputs are already resident).  The bypass contribution
+        # runs under its owning digit.
+        for d in pinned:
+            for j in em.all_ext():
+                _contribute(em, d, j, prefetch)
+        return
+    tile = decision.tile_towers
+    towers = list(em.all_ext())
+    if tile <= 1:
+        # Pure output-tower order: finish each tower before the next
+        # (Section 1 = chain towers, Section 2 = auxiliary).
+        for j in towers:
+            owner = em.digit_of[j]
+            if owner in pinned:
+                _contribute(em, owner, j, prefetch)  # bypass: no BConv
+            for d in pinned:
+                if d != owner:
+                    _contribute(em, d, j, prefetch)
+        return
+    # Stage-major inside tiles of `tile` extended towers: all BConvs, then
+    # all NTTs, then all key multiplies.  Interpolates between OC (tile 1)
+    # and MP (tile = all towers).
+    for lo in range(0, len(towers), tile):
+        block = towers[lo : lo + tile]
+        work = []  # (d, j) pairs needing the full BConv path
+        for j in block:
+            owner = em.digit_of[j]
+            for d in pinned:
+                if d != owner:
+                    work.append((d, j))
+        if prefetch:
+            # Issue the tile's key loads ahead of its compute chain so the
+            # memory queue overlaps the BConv/NTT work.
+            for d, j in work:
+                em.prefetch_evk(d, j)
+        for d, j in work:
+            em.bconv(d, j)
+        for d, j in work:
+            em.ntt_ext(d, j)
+        for j in block:
+            owner = em.digit_of[j]
+            if owner in pinned:
+                em.mulkey(owner, j)
+        for d, j in work:
+            em.mulkey(d, j)
+
+
+def _contribute(em, d: int, j: int, prefetch: bool) -> None:
+    """Digit ``d``'s full contribution to extended tower ``j``."""
+    if em.digit_of[j] != d:
+        if prefetch:
+            # Start the key load before the compute chain it feeds, so the
+            # stream overlaps the BConv + NTT ahead of the mulkey.
+            em.prefetch_evk(d, j)
+        em.bconv(d, j)
+        em.ntt_ext(d, j)
+    em.mulkey(d, j)
+
+
+def moddown_staged(em) -> None:
+    """Stage-ordered ModDown (MP/DC): per half, P1 all, P2 all, P3 all, P4 all."""
+    for h in HALVES:
+        for j in em.p_region():
+            em.md_intt(j, h)
+        for i in em.q_region():
+            em.md_bconv(i, h)
+        for i in em.q_region():
+            em.md_ntt(i, h)
+        em.free_mdc(h)
+        for i in em.q_region():
+            em.md_finish(i, h)
+
+
+def moddown_fused(em) -> None:
+    """Output-centric ModDown: per half, fuse P2 -> P3 -> P4 per output tower."""
+    for h in HALVES:
+        for j in em.p_region():
+            em.md_intt(j, h)
+        for i in em.q_region():
+            em.md_bconv(i, h)
+            em.md_ntt(i, h)
+            em.md_finish(i, h)
+        em.free_mdc(h)
+
+
+#: The paper's names of its dataflows.
+_TITLES = {"MP": "Max-Parallel", "DC": "Digit-Centric", "OC": "Output-Centric"}
+
+
+class Dataflow:
+    """The HKS schedule one :class:`HKSDecision` denotes.
+
+    A named decision builds its graph as ``{spec}/{base}`` (``"BTS3/OC"``);
+    every ``GEN`` point is the solver's, ``{spec}/SOLVER``.
+    """
+
+    def __init__(self, decision: HKSDecision):
+        self.decision = decision
+        #: Short id used in reports and graph names.
+        self.name = decision.base if decision.is_legacy else "SOLVER"
+        #: Long name as used in the paper.
+        self.title = _TITLES.get(decision.base, "Solver-selected")
 
     def build(self, spec: BenchmarkSpec, config: DataflowConfig) -> TaskGraph:
         """Emit the full HKS schedule for ``spec`` under ``config``."""
@@ -377,23 +692,21 @@ class Dataflow(abc.ABC):
         self, spec: BenchmarkSpec, config: DataflowConfig
     ) -> Tuple[TaskGraph, BuilderStats]:
         """Like :meth:`build` but also returns the builder statistics."""
-        from repro.core.hks_ops import HKSEmitter  # local: avoids module cycle
-
         builder = ScheduleBuilder(f"{spec.name}/{self.name}", config.data_sram_bytes)
         self.schedule(HKSEmitter(builder, spec, config))
         builder.graph.validate()
         return builder.graph, builder.stats
 
-    @abc.abstractmethod
     def schedule(self, em) -> None:
-        """Drive an emitter through this dataflow's operation order.
-
-        ``em`` is either an :class:`~repro.core.hks_ops.HKSEmitter`
-        (producing a performance schedule) or a
-        :class:`~repro.core.functional.FunctionalEmitter` (executing the
-        same order on real RNS data) — the ordering logic is shared, which
-        is what makes the functional equivalence tests meaningful.
-        """
+        """Drive an emitter through this decision's operation order."""
+        decision = self.decision
+        em.bconv_chunk = decision.bconv_chunk
+        if decision.base == "MP":
+            max_parallel(em)
+        elif decision.base == "DC":
+            digit_centric(em)
+        else:
+            pinned_sweep(em, decision)
 
     def __repr__(self) -> str:
-        return f"<Dataflow {self.name}>"
+        return f"<Dataflow {self.decision.summary()}>"

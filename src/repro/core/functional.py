@@ -3,11 +3,12 @@
 The :class:`FunctionalEmitter` implements the same emitter interface as
 :class:`~repro.core.hks_ops.HKSEmitter`, but each method performs the
 actual modular arithmetic on tower rows instead of emitting tasks.  Because
-the three dataflows drive the emitter through *their own* operation orders,
-running them here proves the orders are valid HKS computations: modular
-addition is exact and commutative, so all three must produce results
-bit-identical to the reference :func:`repro.ckks.keyswitch.key_switch` —
-and the tests assert exactly that.
+every decision drives the emitter through *its own* operation order,
+running it here proves the order is a valid HKS computation: modular
+addition is exact and commutative, so MP, DC, OC and every generic point
+must produce results bit-identical to the reference
+:func:`repro.ckks.keyswitch.key_switch` — and the tests assert exactly
+that.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class FunctionalEmitter:
         for d, group in enumerate(self._digits):
             self.digit_of.extend([d] * len(group))
         self.digit_of.extend([-1] * len(context.p_basis))
+        #: BConv chunk length a decision may set; exact arithmetic
+        #: accumulates every source at once, so it is ignored.
+        self.bconv_chunk = 0
         # Tower-row storage, keyed like the schedule emitter's buffers.
         self._in = poly.data
         self._icoef: Dict[int, np.ndarray] = {}
@@ -109,6 +113,13 @@ class FunctionalEmitter:
         return self._extended.moduli[j]
 
     # -- ModUp ------------------------------------------------------------------
+
+    def max_pinned_digits(self) -> int:
+        """Every digit: memory is not modelled here."""
+        return self.dnum
+
+    def prefetch_evk(self, d: int, j: int) -> None:
+        """Keys are read where they are applied; nothing to load ahead."""
 
     def intt_input(self, t: int, priority: int = 0) -> None:
         q = self._modulus(t)
@@ -165,28 +176,6 @@ class FunctionalEmitter:
 
     def free_mdc(self, h: int) -> None:
         self._mdc = {k: v for k, v in self._mdc.items() if k[0] != h}
-
-    def moddown_staged(self) -> None:
-        for h in HALVES:
-            for j in self.p_region():
-                self.md_intt(j, h)
-            for i in self.q_region():
-                self.md_bconv(i, h)
-            for i in self.q_region():
-                self.md_ntt(i, h)
-            for i in self.q_region():
-                self.md_finish(i, h)
-            self.free_mdc(h)
-
-    def moddown_output_centric(self) -> None:
-        for h in HALVES:
-            for j in self.p_region():
-                self.md_intt(j, h)
-            for i in self.q_region():
-                self.md_bconv(i, h)
-                self.md_ntt(i, h)
-                self.md_finish(i, h)
-            self.free_mdc(h)
 
     # -- result -----------------------------------------------------------------------
 

@@ -1,10 +1,11 @@
-"""Shared HKS emission helpers used by all three dataflow schedulers.
+"""The HKS stage kernels every schedule order drives.
 
 The emitter names every tower-granular buffer of the HKS pipeline
 (paper Figure 1) and provides one method per stage kernel; the dataflows
-differ *only* in the order they invoke these methods — which is exactly the
-paper's definition of a dataflow ("differ in their sequence of
-instructions, reuse of loaded and computed data, ...").
+of :mod:`repro.core.dataflow` differ *only* in the order they invoke these
+methods — which is exactly the paper's definition of a dataflow ("differ
+in their sequence of instructions, reuse of loaded and computed data,
+...").
 
 Buffer naming (extended tower index ``j`` runs ``0..kl+kp-1``; the first
 ``kl`` are chain towers, the rest are ``P`` towers; ``h`` is the ciphertext
@@ -27,9 +28,8 @@ half, 0 or 1):
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.core.dataflow import DataflowConfig, ScheduleBuilder
 from repro.core.stages import (
     OpCount,
     bconv_tower_ops,
@@ -39,6 +39,9 @@ from repro.core.stages import (
 from repro.core.taskgraph import EVK_TAG, Kind
 from repro.errors import ScheduleError
 from repro.params import BenchmarkSpec
+
+if TYPE_CHECKING:
+    from repro.core.dataflow import DataflowConfig, ScheduleBuilder
 
 # Eviction priorities: higher survives longer under memory pressure.
 PRI_TRANSIENT = 10  # bc / mdb / mde: consumed immediately
@@ -240,6 +243,12 @@ class HKSEmitter:
         at the builder's budget."""
         return pin_capacity(self.spec, self.b.budget)
 
+    def prefetch_evk(self, d: int, j: int) -> None:
+        """Load the key pair of (digit ``d``, tower ``j``) ahead of the
+        compute that consumes it; keys held on-chip need no load."""
+        if not self.config.evk_on_chip:
+            self.b.touch(self._names.evk[d][j])
+
     def intt_input(self, t: int, priority: int = PRI_ICOEF_STAGE) -> None:
         """ModUp P1 for input tower ``t`` -> ``icoef[t]``."""
         names = self._names
@@ -393,27 +402,3 @@ class HKSEmitter:
     def free_mdc(self, h: int) -> None:
         for name in self._names.mdc_sources[h]:
             self.b.free(name)
-
-    def moddown_staged(self) -> None:
-        """Stage-ordered ModDown (MP/DC): per half, P1 all, P2 all, P3 all, P4 all."""
-        for h in HALVES:
-            for j in self.p_region():
-                self.md_intt(j, h)
-            for i in self.q_region():
-                self.md_bconv(i, h)
-            for i in self.q_region():
-                self.md_ntt(i, h)
-            self.free_mdc(h)
-            for i in self.q_region():
-                self.md_finish(i, h)
-
-    def moddown_output_centric(self) -> None:
-        """OC ModDown: per half, fuse P2 -> P3 -> P4 per output tower."""
-        for h in HALVES:
-            for j in self.p_region():
-                self.md_intt(j, h)
-            for i in self.q_region():
-                self.md_bconv(i, h)
-                self.md_ntt(i, h)
-                self.md_finish(i, h)
-            self.free_mdc(h)

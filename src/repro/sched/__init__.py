@@ -1,14 +1,14 @@
 """repro.sched: resource-constrained schedule search over HKS dataflows.
 
-The three hand-written dataflows (MP / DC / OC) are points in a larger
-space of legal schedules.  This package names that space
-(:mod:`~repro.sched.space`), emits any point in it through the shared
-stage kernels (:mod:`~repro.sched.generic`), re-lists compute queues
-against the dual-queue timing model (:mod:`~repro.sched.list_scheduler`)
-and searches per (spec, memory config, objective) with content-addressed
-caching (:mod:`~repro.sched.solver`).  The legacy dataflows are always
-evaluated exactly, so the solved schedule matches or beats the best
-hand-written one by construction.
+The paper's three dataflows (MP / DC / OC) are named points in a larger
+space of legal schedules, and :class:`repro.core.dataflow.Dataflow` builds
+any point of it.  This package enumerates that space
+(:mod:`~repro.sched.space`), re-lists compute queues against the
+dual-queue timing model (:mod:`~repro.sched.list_scheduler`) and searches
+per (spec, memory config, objective) with content-addressed caching
+(:mod:`~repro.sched.solver`).  The named points are always evaluated
+exactly, so the solved schedule matches or beats the best of MP, DC and
+OC by construction.
 
 This package sits *below* :mod:`repro.api` (the workload builders import
 :data:`~repro.sched.space.RESNET_DECISION` and friends) and never imports
@@ -18,7 +18,6 @@ with :mod:`~repro.sched.memo` so :func:`clear_memos` reaches them.
 """
 
 from repro.core.hks_ops import pin_capacity
-from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import reorder_for_latency
 from repro.sched.solver import (
     COUNTERS,
@@ -52,7 +51,6 @@ from repro.sched.stats import ScheduleStats
 __all__ = [
     "COUNTERS",
     "SCHED_VERSION",
-    "DecisionDataflow",
     "HELR_DECISION",
     "HKSDecision",
     "LEGACY_DECISIONS",

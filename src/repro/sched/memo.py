@@ -17,7 +17,7 @@ _T = TypeVar("_T")
 #: Entries of every model memo.  Measured working set: the largest single
 #: plan (``RESNET_BOOT`` with ``schedule="SOLVER"`` on ``auto``, streamed
 #: evks at a memory-bound bandwidth) touches 57 schedules (13 specs x the
-#: three hand-written anchors, plus 18 generic candidates), 13 re-listed
+#: three named anchors, plus 18 generic candidates), 13 re-listed
 #: variants, 70 simulations (one per graph), 13 solves, 59 profiles,
 #: 46 point-wise graphs and 15 mix reports; four times the largest of
 #: those, so a sweep's MP/DC/OC/SOLVER quartet or a few tenants' plans

@@ -3,10 +3,10 @@
 One :func:`solve` call answers "what is the best HKS schedule for this
 (spec, memory config, objective)?" by
 
-1. evaluating the three hand-written dataflows **exactly** (they anchor
-   the match-or-beat guarantee: the solver's answer can never be worse
-   than the best of MP/DC/OC, because those are always in the candidate
-   pool and ties keep the legacy point),
+1. evaluating the paper's three dataflows, the named decisions MP/DC/OC,
+   **exactly** (they anchor the match-or-beat guarantee: the solver's
+   answer can never be worse than the best of MP/DC/OC, because those are
+   always in the candidate pool and ties keep the named point),
 2. ranking the generic candidates by closed-form cost guess and exactly
    evaluating only the few that *predict* a real win (each gated through
    the analysis passes before it may displace a legacy anchor), and
@@ -26,9 +26,10 @@ This module is also the **schedule store**: :func:`decision_graph` is the
 one place a ``(spec, config, decision)`` becomes a task graph and
 :func:`simulated` the one place a ``(graph, machine)`` is replayed, for
 the solver's candidates and the backends' ``MP``/``DC``/``OC`` requests
-alike (a hand-written schedule is its :data:`~repro.sched.space.
-LEGACY_DECISIONS` entry).  Nothing here imports :mod:`repro.api`; the
-API layer sits above this package and calls down.
+alike (a paper dataflow is its :data:`~repro.core.dataflow.
+LEGACY_DECISIONS` entry, built by the one :class:`~repro.core.dataflow.
+Dataflow` emitter like every other decision).  Nothing here imports
+:mod:`repro.api`; the API layer sits above this package and calls down.
 """
 
 from __future__ import annotations
@@ -39,22 +40,16 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import cache as disk_cache
 from repro import codec
-from repro.core.dataflow import BuilderStats, DataflowConfig
+from repro.core.dataflow import BuilderStats, Dataflow, DataflowConfig, HKSDecision
 from repro.core.hks_ops import bconv_chunk_len, max_bconv_sources, pin_capacity
 from repro.core.taskgraph import Kind, TaskGraph
 from repro.errors import ParameterError, ScheduleError
 from repro.params import MB, BenchmarkSpec
 from repro.rpu.config import RPUConfig
 from repro.rpu.simulator import RPUSimulator, SimResult
-from repro.sched.generic import DecisionDataflow
 from repro.sched.list_scheduler import MAX_REORDER_TASKS, reorder_for_latency
 from repro.sched.memo import MODEL_MEMOS, model_memo
-from repro.sched.space import (
-    HKSDecision,
-    compute_seconds,
-    enumerate_decisions,
-    predict_cost,
-)
+from repro.sched.space import compute_seconds, enumerate_decisions, predict_cost
 
 #: Bump when solver output could change for the same inputs (new search
 #: knobs, emitter changes, digest format): it invalidates every cached
@@ -309,7 +304,7 @@ def _built(spec: BenchmarkSpec, config: DataflowConfig,
     )
     if slot and slot[0][1].peak_bytes <= budget:
         return slot[0]
-    built = DecisionDataflow(decision).build_with_stats(spec, config)
+    built = Dataflow(decision).build_with_stats(spec, config)
     if built[1].evictions == 0:
         slot[:] = [built]
     return built

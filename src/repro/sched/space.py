@@ -1,26 +1,27 @@
 """The schedule search space: every legal per-phase decision, enumerated.
 
-The three hand-written dataflows (MP / DC / OC) are three *points* in a
-much larger space of legal HKS schedules.  This module names the axes of
-that space:
+The paper's three dataflows (MP / DC / OC) are three named *points* in a
+much larger space of legal HKS schedules.  This module enumerates that
+space:
 
-* :class:`HKSDecision` — one candidate schedule for a single hybrid key
-  switch: how many digits' INTT outputs to pin on-chip, the loop order of
-  the ModUp sweep (output-tower-major vs digit-major), the stage-major
-  tile width, whether ModDown fuses P2->P3->P4 per output tower, the
-  BConv chunk override, and (when keys stream from DRAM) whether evk
-  tower pairs are prefetched ahead of the compute that consumes them.
-  The three legacy dataflows are the ``base="MP"/"DC"/"OC"`` points;
-  ``base="GEN"`` decisions drive the generic emitter of
-  :mod:`repro.sched.generic`.
+* :class:`~repro.core.dataflow.HKSDecision` (defined in
+  :mod:`repro.core.dataflow`, whose one emitter builds every point) — one
+  candidate schedule for a single hybrid key switch: the named bases
+  ``MP``/``DC``/``OC``, or a ``GEN`` point giving how many digits' INTT
+  outputs to pin on-chip, the loop order of the ModUp sweep
+  (output-tower-major vs digit-major), the stage-major tile width, whether
+  ModDown fuses P2->P3->P4 per output tower, the BConv chunk override, and
+  (when keys stream from DRAM) whether evk tower pairs are prefetched
+  ahead of the compute that consumes them.
 * :class:`ProgramDecision` — the deep-program structure choices that used
   to be hard-coded constants in :mod:`repro.workloads.builders`: how many
   mid-network bootstraps to place and how deep each application segment
   descends before a refresh.  Both the hand-written workload builders and
   the solver read the *same* record, so there is exactly one code path.
 * :func:`enumerate_decisions` — the deterministic candidate list the
-  solver searches, legacy points first (they anchor the match-or-beat
-  guarantee), then the generic family pruned to capacity-feasible pins.
+  solver searches, named points first (they anchor the match-or-beat
+  guarantee), then the generic family pruned to capacity-feasible pins,
+  each schedule listed once.
 * :func:`predict_cost` — a closed-form (no schedule built, no simulation)
   cost guess used to rank generic candidates before paying for exact
   evaluation.  Guesses only *order* candidates; correctness never depends
@@ -33,7 +34,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from repro.core.dataflow import DataflowConfig
+from repro.core.dataflow import (
+    LEGACY_DECISIONS,
+    LOOP_ORDERS,
+    DataflowConfig,
+    HKSDecision,
+)
 from repro.core.hks_ops import pin_capacity
 from repro.core.stages import HKSShape
 from repro.errors import ParameterError
@@ -45,73 +51,6 @@ def _shape_numbers(spec: BenchmarkSpec) -> Tuple[int, int]:
     """(ModUp live-set towers, total modular ops) — reused per candidate."""
     shape = HKSShape(spec)
     return shape.modup_intermediate_towers(), shape.total_ops().total
-
-#: Loop orders the generic emitter understands.
-LOOP_ORDERS = ("tower", "digit")
-
-#: Decision bases: the three legacy dataflows plus the generic family.
-DECISION_BASES = ("MP", "DC", "OC", "GEN")
-
-
-@dataclass(frozen=True)
-class HKSDecision:
-    """One candidate schedule for a single HKS under one memory config.
-
-    ``base`` selects the emitter: a legacy dataflow name replays that
-    hand-written order exactly; ``"GEN"`` drives the generic pinned-digit
-    emitter with the remaining knobs.  ``pinned_digits`` may exceed the
-    legacy OC cap of ``dnum - 1`` — full pinning is a real candidate the
-    hand-written schedules never try.  ``tile_towers == 0`` means pure
-    output-tower order (one tower at a time); a positive tile runs the
-    ModUp stages stage-major inside tiles of that many extended towers,
-    interpolating between OC (tile 1) and MP (tile = all).
-    ``reordered`` marks a schedule post-processed by the list scheduler.
-    """
-
-    base: str = "GEN"
-    pinned_digits: int = 0
-    loop: str = "tower"
-    tile_towers: int = 0
-    moddown_fused: bool = True
-    bconv_chunk: int = 0
-    evk_prefetch: bool = False
-    reordered: bool = False
-
-    def __post_init__(self) -> None:
-        if self.base not in DECISION_BASES:
-            raise ParameterError(
-                f"unknown decision base {self.base!r}; "
-                f"choose from {DECISION_BASES}"
-            )
-        if self.loop not in LOOP_ORDERS:
-            raise ParameterError(
-                f"unknown loop order {self.loop!r}; choose from {LOOP_ORDERS}"
-            )
-        if self.pinned_digits < 0 or self.tile_towers < 0 or self.bconv_chunk < 0:
-            raise ParameterError("decision counts must be non-negative")
-
-    @property
-    def is_legacy(self) -> bool:
-        return self.base != "GEN"
-
-    def summary(self) -> str:
-        """Short human-readable form for tables and ``--explain``."""
-        if self.is_legacy:
-            tag = self.base
-        else:
-            tag = (f"GEN(pin={self.pinned_digits},{self.loop}"
-                   f"{',tile=' + str(self.tile_towers) if self.tile_towers else ''}"
-                   f"{',md-fused' if self.moddown_fused else ',md-staged'}"
-                   f"{',prefetch' if self.evk_prefetch else ''})")
-        return tag + ("+reorder" if self.reordered else "")
-
-
-#: The legacy dataflows as decision-space points, in presentation order.
-LEGACY_DECISIONS: Tuple[HKSDecision, ...] = (
-    HKSDecision(base="MP"),
-    HKSDecision(base="DC"),
-    HKSDecision(base="OC"),
-)
 
 
 @dataclass(frozen=True)
@@ -184,16 +123,19 @@ def enumerate_decisions(spec: BenchmarkSpec,
                         config: DataflowConfig) -> List[HKSDecision]:
     """The deterministic candidate list for one (spec, memory config).
 
-    Legacy points come first — the solver always evaluates them exactly,
+    Named points come first — the solver always evaluates them exactly,
     which is what makes match-or-beat hold by construction.  The generic
     family then varies pin count (including *full* pinning, which OC's
-    hand-written ``dnum - 1`` cap never tries), loop order, stage-major
-    tile width, ModDown fusion and (streaming only) evk prefetch, pruned
-    to capacity-feasible pins and deduplicated in first-seen order.
+    ``dnum - 1`` cap never tries), loop order, stage-major tile width,
+    ModDown fusion and (streaming only) evk prefetch, pruned to
+    capacity-feasible pins and deduplicated in first-seen order.  The
+    generic point at OC's own pin count *is* OC's sweep, so it is not
+    listed a second time.
     """
     out: List[HKSDecision] = list(LEGACY_DECISIONS)
-    seen = set(out)
     capacity = pin_capacity(spec, config.data_sram_bytes)
+    seen = set(out)
+    seen.add(HKSDecision(pinned_digits=min(max(spec.dnum - 1, 1), capacity)))
     pin_options: List[int] = []
     for pins in (spec.dnum, spec.dnum - 1, max(spec.dnum - 2, 0), 0):
         pins = max(0, min(pins, spec.dnum, capacity))

@@ -51,7 +51,7 @@ from repro.sched.list_scheduler import (
     reorder_for_latency,
 )
 from repro.sched.memo import MODEL_CACHE_ENTRIES, MODEL_MEMOS
-from repro.sched.generic import DecisionDataflow
+from repro.core.dataflow import Dataflow as DecisionDataflow
 from repro.sched.space import HKSDecision, enumerate_decisions
 from repro.workloads import resolve_workload
 

@@ -41,7 +41,7 @@ from repro.sched import (
     solve,
     solve_workload,
 )
-from repro.sched.generic import DecisionDataflow
+from repro.core.dataflow import Dataflow as DecisionDataflow
 from repro.sched.space import LEGACY_DECISIONS, ProgramDecision
 from repro.workloads import HEOpMix
 

@@ -146,6 +146,21 @@ class TestProjectLint:
                     "sched/solver.py", "workloads/registry.py"):
             assert self._rules(source, rel) == [(line, "REPRO004")]
 
+    @pytest.mark.parametrize("source", [
+        "from repro.sched.space import HKSDecision\n",
+        "from repro import sched\n",
+        "import repro.workloads\n",
+        "from ..workloads import registry\n",
+        "def f():\n    from repro.sched import solver\n    return solver\n",
+        "def f():\n    import repro.workloads.ir\n",
+    ])
+    def test_core_and_rpu_may_not_import_sched_or_workloads(self, source):
+        line = source.count("\n", 0, source.index("import")) + 1
+        for rel in ("core/dataflow.py", "core/__init__.py", "rpu/simulator.py"):
+            assert self._rules(source, rel) == [(line, "REPRO004")]
+        for rel in ("sched/solver.py", "workloads/builders.py", "api/plan.py"):
+            assert self._rules(source, rel) == []
+
     def test_the_api_layer_and_its_peers_may(self):
         source = "from repro.api import backends\n"
         for rel in ("api/plan.py", "serve/service.py", "experiments/common.py",

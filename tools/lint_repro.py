@@ -17,9 +17,11 @@ Five rules that generic linters don't know about:
   (the whole point of PR 4's batched kernel engine).
 * **REPRO004 layer-import** — :mod:`repro.core`, :mod:`repro.rpu`,
   :mod:`repro.sched` and :mod:`repro.workloads` sit below
-  :mod:`repro.api`; a module there importing it, at the top level or
-  lazily inside a function, makes the layer above a dependency of the
-  one below (the solver once reached up for the API's schedule cache).
+  :mod:`repro.api`, and :mod:`repro.core` and :mod:`repro.rpu` sit below
+  :mod:`repro.sched` and :mod:`repro.workloads` as well; a module
+  importing a layer above its own, at the top level or lazily inside a
+  function, makes that layer a dependency of the one below (the solver
+  once reached up for the API's schedule cache).
 * **REPRO005 hand-codec** — a ``to_dict`` / ``from_dict`` (or
   ``*_to_dict`` / ``*_from_dict``) definition outside
   :mod:`repro.codec`.  Records are encoded by the one typed codec, so
@@ -53,7 +55,7 @@ RULES = {
     "REPRO003": ("coeff-loop",
                  "per-coefficient Python loop in an rns/ hot path"),
     "REPRO004": ("layer-import",
-                 "a layer below repro.api imports it"),
+                 "a lower layer imports one above it"),
     "REPRO005": ("hand-codec",
                  "a hand-rolled to_dict/from_dict outside repro.codec"),
 }
@@ -64,8 +66,14 @@ BACKEND_RUN_ALLOWED = ("api/backends.py",)
 #: REPRO003 applies to the RNS hot-path modules only.
 COEFF_LOOP_PATHS = ("rns/",)
 
-#: REPRO004 applies to the packages the API layer is built on.
-BELOW_API_PATHS = ("core/", "rpu/", "sched/", "workloads/")
+#: REPRO004: the layers above each lower package, which its modules may
+#: not import.
+LAYERS_ABOVE = {
+    "core/": ("repro.api", "repro.sched", "repro.workloads"),
+    "rpu/": ("repro.api", "repro.sched", "repro.workloads"),
+    "sched/": ("repro.api",),
+    "workloads/": ("repro.api",),
+}
 
 #: The one module that may define record codecs (REPRO005).
 CODEC_MODULE = "codec.py"
@@ -212,14 +220,15 @@ def _imported_modules(tree: ast.AST,
                 f"{base}.{alias.name}" for alias in node.names]
 
 
-def _check_layer_imports(tree: ast.AST,
-                         rel: str) -> Iterator[Tuple[int, str, str]]:
+def _check_layer_imports(tree: ast.AST, rel: str,
+                         above: Tuple[str, ...]) -> Iterator[Tuple[int, str, str]]:
     for lineno, modules in _imported_modules(tree, rel):
-        if any(m == "repro.api" or m.startswith("repro.api.")
-               for m in modules):
-            yield (lineno, "REPRO004",
-                   f"{rel} sits below repro.api; move what it needs down "
-                   f"a layer instead of importing it")
+        for layer in above:
+            if any(m == layer or m.startswith(layer + ".") for m in modules):
+                yield (lineno, "REPRO004",
+                       f"{rel} sits below {layer}; move what it needs down "
+                       f"a layer instead of importing it")
+                break
 
 
 def _check_hand_codecs(tree: ast.AST) -> Iterator[Tuple[int, str, str]]:
@@ -246,8 +255,9 @@ def lint_source(source: str, rel: str,
         checks.append(_check_backend_run(tree))
     if any(rel.startswith(prefix) for prefix in COEFF_LOOP_PATHS):
         checks.append(_check_coeff_loops(tree))
-    if any(rel.startswith(prefix) for prefix in BELOW_API_PATHS):
-        checks.append(_check_layer_imports(tree, rel))
+    for prefix, above in LAYERS_ABOVE.items():
+        if rel.startswith(prefix):
+            checks.append(_check_layer_imports(tree, rel, above))
     if rel != CODEC_MODULE:
         checks.append(_check_hand_codecs(tree))
 
