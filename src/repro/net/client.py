@@ -13,7 +13,7 @@ asked to retry.
 Typical use::
 
     async with EstimateClient("127.0.0.1", 7420, token="s3cret") as cli:
-        report = await cli.estimate(plan)           # submit + gather
+        report = await cli.estimate(plan)           # one frame each way
         reports = await cli.estimate_many(plans)    # pipelined batch
 """
 
@@ -256,16 +256,9 @@ class EstimateClient:
         """Resolve tickets into reports (order preserved); raises on the
         first failed ticket.  With a ``deadline``, both the server-side
         wait and the client-side RPC timeout are clipped to it."""
-        if deadline is not None:
-            remaining = deadline.remaining()
-            timeout = remaining if timeout is None \
-                else min(timeout, remaining)
         response = await self._request(
-            "gather", tickets=list(tickets), timeout=timeout,
-            # Give the server a moment to answer `timeout` cleanly
-            # before the client-side watchdog gives up on the RPC.
-            rpc_timeout=None if deadline is None
-            else min(self.timeout, deadline.remaining() + 1.0),
+            "gather", tickets=list(tickets),
+            **self._wait_fields(timeout, deadline),
         )
         reports = []
         for entry in response["results"]:
@@ -274,15 +267,33 @@ class EstimateClient:
             reports.append(report_from_dict(entry["report"]))
         return reports
 
+    def _wait_fields(self, timeout: Optional[float],
+                     deadline: Optional[Deadline]) -> Dict[str, object]:
+        """The server-side wait (``timeout``) and the client-side RPC
+        watchdog of one ticket wait; with a ``deadline``, both are
+        clipped to it."""
+        if deadline is None:
+            return {"timeout": timeout}
+        remaining = deadline.remaining()
+        return {
+            "timeout": remaining if timeout is None
+            else min(timeout, remaining),
+            # Give the server a moment to answer `timeout` cleanly
+            # before the client-side watchdog gives up on the RPC.
+            "rpc_timeout": min(self.timeout, remaining + 1.0),
+        }
+
     async def estimate(self, plan: Plan, *, retries: int = 0,
                        deadline: "Union[None, float, Deadline]" = None,
                        ) -> "RunReport":
-        """Submit one plan and await its report.
+        """Estimate one plan: one ``estimate`` frame out, its report back.
 
-        ``retries`` > 0 transparently re-submits after retryable
-        refusals (rate, quota, backpressure), sleeping a capped
-        exponential backoff seeded from the server's ``retry_after``
-        hint (with jitter, so refused fleets desynchronize) — load shed
+        The server admits the plan and answers when it is resolved; a
+        warm plan is answered at admission.  ``retries`` > 0
+        transparently re-sends after retryable refusals (rate, quota,
+        backpressure), sleeping a capped exponential backoff seeded from
+        the server's ``retry_after`` hint (with jitter, so refused
+        fleets desynchronize) — load shed
         by the server becomes deferral, not failure, up to the retry
         budget.  ``deadline`` (seconds, or a
         :class:`~repro.faults.Deadline`) bounds the *whole* call,
@@ -300,8 +311,12 @@ class EstimateClient:
                     f"submitted"
                 )
             try:
-                ticket = await self.submit(plan, deadline=deadline)
-                return (await self.gather([ticket], deadline=deadline))[0]
+                response = await self._request(
+                    "estimate", plan=plan.to_dict(),
+                    deadline_s=deadline.to_wire() if deadline else None,
+                    **self._wait_fields(None, deadline),
+                )
+                return report_from_dict(response["report"])
             except RemoteError as exc:
                 if exc.kind not in RETRYABLE_KINDS or attempt >= retries:
                     raise

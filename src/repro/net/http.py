@@ -8,7 +8,8 @@ frame protocol uses — no second implementation of any policy.
 * ``GET /healthz`` — liveness (no auth), 200 once the server accepts;
 * ``GET /v1/status`` — the ``status`` op's payload as JSON;
 * ``POST /v1/estimate`` — body is one ``Plan.to_dict()`` JSON object;
-  blocks until the report is ready and returns it.
+  blocks until the report is ready and returns it (the frame
+  protocol's ``estimate`` op: one coroutine serves both).
 
 Authentication is ``Authorization: Bearer <token>`` against the same
 tenant registry (open registries accept anything, including no header).
@@ -102,7 +103,7 @@ class HTTPFrontend:
             status, retry_after = 500, None
             payload = _error_body("internal",
                                   f"{type(exc).__name__}: {exc}")
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = protocol.encode_json(payload)
         reason = _REASONS.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -173,11 +174,9 @@ class HTTPFrontend:
             plan = Plan.from_dict(payload)
         except ParameterError as exc:
             raise Rejection("plan", f"plan payload rejected: {exc}") from exc
-        ticket = await self.server.admit_and_submit(tenant, plan)
-        # The frame protocol's gather answers the ticket, so one policy
-        # decides every error kind; a timeout leaves the ticket live.
-        result = await self.server.gather_one(
-            tenant, ticket.id, self.server.config.gather_timeout)
+        # The frame protocol's ``estimate`` op, so one policy decides
+        # every error kind; a timeout leaves the ticket live.
+        result = await self.server.admit_and_gather(tenant, plan)
         if result["ok"]:
             return 200, {"ok": True, "digest": plan.digest,
                          "report": result["report"]}, None

@@ -16,18 +16,28 @@ Request frames (client -> server)::
     {"v": 1, "id": 8, "op": "submit", "plan": {...Plan.to_dict()...},
                       "deadline_s": 2.5}
     {"v": 1, "id": 9, "op": "gather", "tickets": ["t3"], "timeout": 30.0}
-    {"v": 1, "id": 10, "op": "status", "mix": false}
-    {"v": 1, "id": 11, "op": "warm",   "mix": {...mix payload...}}
-    {"v": 1, "id": 12, "op": "shutdown"}
+    {"v": 1, "id": 10, "op": "estimate", "plan": {...Plan.to_dict()...},
+                       "deadline_s": 2.5, "timeout": 30.0}
+    {"v": 1, "id": 11, "op": "status", "mix": false}
+    {"v": 1, "id": 12, "op": "warm",   "mix": {...mix payload...}}
+    {"v": 1, "id": 13, "op": "shutdown"}
 
-``deadline_s`` (optional, ``submit`` only) is the request's *remaining*
-time budget in seconds — a relative duration, not a timestamp, so the
-two ends never need synchronized clocks (the gRPC convention).  The
-server rebuilds a local monotonic deadline from it: a submit that
-arrives already expired is rejected with kind ``deadline_exceeded``,
-and a ticket whose budget runs out mid-computation resolves to the same
-structured error instead of silence.  Missing or malformed values mean
-"no deadline" — old clients keep working unchanged.
+``estimate`` is ``submit`` then ``gather`` of its one ticket in a single
+round trip; its reply is the gathered entry (``"report"`` on success, an
+error frame of the ticket's kind otherwise).  ``timeout`` (optional,
+``gather`` and ``estimate``) bounds the server-side wait in seconds: a
+finite number >= 0, capped by the server; anything else is a
+``protocol`` error.
+
+``deadline_s`` (optional, ``submit`` and ``estimate``) is the request's
+*remaining* time budget in seconds — a relative duration, not a
+timestamp, so the two ends never need synchronized clocks (the gRPC
+convention).  The server rebuilds a local monotonic deadline from it: a
+request that arrives already expired is rejected with kind
+``deadline_exceeded``, and a ticket whose budget runs out
+mid-computation resolves to the same structured error instead of
+silence.  Missing or malformed values mean "no deadline" — old clients
+keep working unchanged.
 
 Response frames (server -> client)::
 
@@ -98,10 +108,41 @@ class FrameError(ReproError):
 
 # -- codec ----------------------------------------------------------------------
 
+class EncodedJSON:
+    """One JSON value, already encoded to UTF-8 bytes.
+
+    As a top-level value of a payload, :func:`encode_json` (and so
+    :func:`encode_frame`) writes these bytes into the body as they are:
+    a cached report is encoded once, not once per reply.  The body
+    decodes exactly as if the value itself had been in the payload.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+
+def encode_json(payload: Dict[str, object]) -> bytes:
+    """``payload`` as a compact UTF-8 JSON object, each top-level
+    :class:`EncodedJSON` value spliced in as its bytes."""
+    spliced = [(key, value) for key, value in payload.items()
+               if isinstance(value, EncodedJSON)]
+    if not spliced:
+        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    rest = {key: value for key, value in payload.items()
+            if not isinstance(value, EncodedJSON)}
+    parts = [json.dumps(rest, separators=(",", ":")).encode("utf-8")[1:-1]] \
+        if rest else []
+    parts += [json.dumps(key).encode("utf-8") + b":" + value.data
+              for key, value in spliced]
+    return b"{" + b",".join(parts) + b"}"
+
+
 def encode_frame(payload: Dict[str, object], *,
                  max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Serialize one payload to its length-prefixed wire form."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = encode_json(payload)
     if len(body) > max_frame:
         raise FrameError(
             f"frame body of {len(body)} bytes exceeds the "
@@ -153,7 +194,10 @@ def _parse_body(body: bytes) -> Dict[str, object]:
         raise FrameError(str(exc)) from exc
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal
+        # past the int-digits limit; RecursionError, arrays or objects
+        # nested deeper than the parser's stack.
         raise FrameError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FrameError(

@@ -25,12 +25,20 @@ pieces an in-process service never needed:
 The request path stays the serving stack's: submissions land in the
 async service's micro-batch, dedup by digest, hit the report LRU / disk
 cache, and shard across worker processes — the server only decides
-*whether* and *in which order* they get there.
+*whether* and *in which order* they get there.  The one exception is a
+warm plan: once every admission gate has passed, a digest the service
+has already admitted and holds in its report LRU is answered there and
+then, on the event loop (:meth:`EstimateService.hit
+<repro.serve.service.EstimateService.hit>`).  Its ticket is born
+resolved and never queues, dispatches or waits for a flush, and the
+``estimate`` op (admit, then gather, in one frame each way) returns its
+report at once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 from dataclasses import dataclass
@@ -43,7 +51,9 @@ from repro.faults import Deadline, DeadlineExceeded, fault_point
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
+    EncodedJSON,
     FrameError,
+    encode_json,
     error_payload,
     ok_payload,
     read_frame,
@@ -69,7 +79,8 @@ if TYPE_CHECKING:
     from repro.api.backends import RunReport
 
 #: Frame ops the server understands.
-OPS = ("hello", "submit", "gather", "status", "warm", "shutdown")
+OPS = ("hello", "submit", "gather", "estimate", "status", "warm",
+       "shutdown")
 
 
 class Rejection(ReproError):
@@ -158,8 +169,8 @@ class ServerStats:
 class Ticket:
     """One accepted submission: resolves exactly once, gathered at most once."""
 
-    __slots__ = ("id", "tenant", "plan", "event", "report", "error",
-                 "created_at", "resolved_at", "deadline")
+    __slots__ = ("id", "tenant", "plan", "event", "report", "report_json",
+                 "error", "created_at", "resolved_at", "deadline")
 
     def __init__(self, ticket_id: str, tenant: TenantState, plan: Plan,
                  now: float, deadline: Optional[Deadline] = None):
@@ -168,6 +179,8 @@ class Ticket:
         self.plan = plan
         self.event = asyncio.Event()
         self.report: Optional["RunReport"] = None
+        #: The report's JSON bytes, when the report came from the LRU.
+        self.report_json: Optional[bytes] = None
         self.error: Optional[BaseException] = None
         self.created_at = now
         self.resolved_at: Optional[float] = None
@@ -451,13 +464,7 @@ class EstimateServer:
 
     async def _op_submit(self, conn, req_id, frame):
         tenant = self._session(conn)
-        plan_payload = frame.get("plan")
-        if not isinstance(plan_payload, dict):
-            raise Rejection("plan", "submit needs a 'plan' object payload")
-        try:
-            plan = Plan.from_dict(plan_payload)
-        except ParameterError as exc:
-            raise Rejection("plan", f"plan payload rejected: {exc}") from exc
+        plan = _plan_of(frame)
         deadline = Deadline.from_wire(frame.get("deadline_s"))
         ticket = await self.admit_and_submit(tenant, plan,
                                              deadline=deadline)
@@ -469,24 +476,81 @@ class EstimateServer:
         ids = frame.get("tickets")
         if not isinstance(ids, list) or not ids:
             raise Rejection("protocol", "gather needs a 'tickets' list")
-        timeout = frame.get("timeout")
-        timeout = (self.config.gather_timeout if timeout is None
-                   else min(float(timeout), self.config.gather_timeout))
+        timeout = self._wait_timeout(frame)
         results = [
             await self.gather_one(tenant, str(ticket_id), timeout)
             for ticket_id in ids
         ]
-        return ok_payload(req_id, results=results)
+        # An entry's report may be EncodedJSON, which encode_json splices
+        # only at a payload's top level: encode each entry on its own.
+        return ok_payload(req_id, results=EncodedJSON(
+            b"[" + b",".join(encode_json(entry) for entry in results) + b"]"))
+
+    async def _op_estimate(self, conn, req_id, frame):
+        """``submit`` and ``gather`` of one plan, one frame each way.
+
+        The reply is the gathered entry: ``ok`` with the ``report``, or
+        an error frame of the ticket's error kind (a ``timeout`` names
+        the still-live ``ticket``).
+        """
+        tenant = self._session(conn)
+        plan = _plan_of(frame)
+        timeout = self._wait_timeout(frame)
+        result = await self.admit_and_gather(
+            tenant, plan, deadline=Deadline.from_wire(frame.get("deadline_s")),
+            timeout=timeout,
+        )
+        return {"v": PROTOCOL_VERSION, "id": req_id, "digest": plan.digest,
+                **result}
+
+    def _wait_timeout(self, frame: Dict[str, object]) -> float:
+        """A frame's ``timeout``: seconds to wait for a ticket, capped at
+        the configured ceiling (the ceiling when absent).  Anything but a
+        finite number >= 0 is a ``protocol`` rejection."""
+        timeout = frame.get("timeout")
+        if timeout is None:
+            return self.config.gather_timeout
+        if isinstance(timeout, bool) or \
+                not isinstance(timeout, (int, float)) or \
+                not 0 <= timeout < math.inf:  # NaN fails both comparisons
+            raise Rejection(
+                "protocol",
+                f"'timeout' must be a finite number of seconds >= 0, "
+                f"got {timeout!r}",
+            )
+        return float(min(timeout, self.config.gather_timeout))
+
+    async def admit_and_gather(self, tenant: TenantState, plan: Plan, *,
+                               deadline: Optional[Deadline] = None,
+                               timeout: Optional[float] = None,
+                               ) -> Dict[str, object]:
+        """Admit ``plan``, then wait up to ``timeout`` seconds (default:
+        the configured ceiling) for its answer.
+
+        :meth:`admit_and_submit` followed by :meth:`gather_one`: the one
+        composition behind the ``estimate`` op and the HTTP adapter's
+        ``POST /v1/estimate``.  Raises :class:`Rejection` as admission
+        does; returns the gathered entry.  A warm plan's ticket is
+        resolved at admission, so its entry comes back without a wait.
+        """
+        ticket = await self.admit_and_submit(tenant, plan, deadline=deadline)
+        return await self.gather_one(
+            tenant, ticket.id,
+            self.config.gather_timeout if timeout is None else timeout,
+        )
 
     async def gather_one(self, tenant: TenantState, ticket_id: str,
                          timeout: float) -> Dict[str, object]:
         """Wait up to ``timeout`` seconds for one ticket and answer it.
 
         The one policy that turns a ticket into a reply, for the frame
-        protocol's ``gather`` and the HTTP adapter alike: ``{"ticket",
-        "ok": True, "report"}`` or ``{"ticket", "ok": False, "error":
-        {"kind", "message"}}``.  A timeout leaves the ticket live; a
-        resolved ticket is answered once and forgotten.
+        protocol's ``gather`` and ``estimate`` and the HTTP adapter
+        alike: ``{"ticket", "ok": True, "report"}`` or ``{"ticket", "ok":
+        False, "error": {"kind", "message"}}``.  A report served from the
+        LRU is its cached bytes, as :class:`EncodedJSON`
+        (:func:`~repro.net.protocol.encode_json` writes it).  A timeout
+        leaves the ticket live; a resolved ticket is answered once and
+        forgotten.
         """
         ticket = self._tickets.get(ticket_id)
         if ticket is None:
@@ -498,19 +562,23 @@ class EstimateServer:
             return self._ticket_error(
                 ticket_id, "auth", "ticket belongs to another tenant"
             )
-        try:
-            await asyncio.wait_for(ticket.event.wait(), timeout)
-        except asyncio.TimeoutError:
-            return self._ticket_error(
-                ticket_id, "timeout",
-                f"not resolved within {timeout:.1f}s (ticket stays valid)",
-            )
+        if not ticket.resolved:
+            try:
+                await asyncio.wait_for(ticket.event.wait(), timeout)
+            except asyncio.TimeoutError:
+                return self._ticket_error(
+                    ticket_id, "timeout",
+                    f"not resolved within {timeout:.1f}s (ticket stays "
+                    f"valid)",
+                )
         # Single delivery: the ticket table must not grow with history.
         del self._tickets[ticket_id]
         self.stats.gathered += 1
         if ticket.error is None:
-            return {"ticket": ticket_id, "ok": True,
-                    "report": report_to_dict(ticket.report)}
+            report = report_to_dict(ticket.report) \
+                if ticket.report_json is None \
+                else EncodedJSON(ticket.report_json)
+            return {"ticket": ticket_id, "ok": True, "report": report}
         error = ticket.error
         if isinstance(error, AdmissionError):
             payload = self._ticket_error(ticket_id, "admission", str(error))
@@ -568,12 +636,15 @@ class EstimateServer:
     async def admit_and_submit(self, tenant: TenantState, plan: Plan, *,
                                deadline: Optional[Deadline] = None,
                                ) -> Ticket:
-        """Apply every admission gate, then queue the plan for dispatch.
+        """Apply every admission gate, then answer or queue the plan.
 
         Gate order is cheapest-first: deadline, drain state, token
         bucket, quota, queue depth, and only then static verification
-        (PR 6's validity half, memoized per digest in the service).
-        Raises :class:`Rejection`; returns the queued :class:`Ticket`.
+        (the validity half, memoized per digest in the service).  A
+        plan that passes them all and whose report is in the service's
+        memory LRU gets a ticket that is already resolved; any other
+        plan is queued for dispatch.  Raises :class:`Rejection`; returns
+        the :class:`Ticket`.
         """
         loop = asyncio.get_running_loop()
         if deadline is not None and deadline.expired:
@@ -614,31 +685,42 @@ class EstimateServer:
                 f"batches are backed up",
                 retry_after=self._retry_after(),
             )
-        try:
-            # The validity half (PR 6): static verification, memoized by
-            # digest.  Runs in the executor — analysis is pure CPU and
-            # must not stall the event loop under load.
-            await loop.run_in_executor(
-                None, self.service.service.admit, plan
-            )
-        except AdmissionError as exc:
-            tenant.rejected_admission += 1
-            self.stats.rejected_admission += 1
-            raise Rejection(
-                "admission",
-                str(exc),
-                report=exc.report,
-            ) from exc
+        service = self.service.service
+        if not service.admitted(plan.digest):
+            try:
+                # The validity half: static verification, once per
+                # digest.  A first analysis runs in the executor — it is
+                # pure CPU and must not stall the event loop under load.
+                await loop.run_in_executor(None, service.admit, plan)
+            except AdmissionError as exc:
+                tenant.rejected_admission += 1
+                self.stats.rejected_admission += 1
+                raise Rejection(
+                    "admission",
+                    str(exc),
+                    report=exc.report,
+                ) from exc
+        # Looked up before the ticket exists, so a raise leaves no ticket
+        # behind that nothing would resolve.
+        cached = service.hit(plan)
+        now = loop.time()
         self._ticket_seq += 1
-        ticket = Ticket(f"t{self._ticket_seq}", tenant, plan, loop.time(),
-                        deadline)
+        ticket = Ticket(f"t{self._ticket_seq}", tenant, plan, now, deadline)
         self._tickets[ticket.id] = ticket
-        tenant.inflight += 1
         tenant.submitted += 1
         self.stats.accepted += 1
         self._stream.observe(plan)
         self._idle_warmed = False
-        self._last_activity = loop.time()
+        self._last_activity = now
+        if cached is not None:
+            # Nothing to queue or compute: resolved where it stands, and
+            # left out of the latency EWMA, which times queue slots.
+            ticket.report_json = cached.json
+            ticket.resolve(cached.report, now)
+            tenant.completed += 1
+            self.stats.completed += 1
+            return ticket
+        tenant.inflight += 1
         self._queue.push(tenant.name, ticket)
         self._queue_event.set()
         return ticket
@@ -762,6 +844,19 @@ class EstimateServer:
                 "idle_warms": self.stats.idle_warms,
             },
         }
+
+
+def _plan_of(frame: Dict[str, object]) -> Plan:
+    """The frame's ``plan`` payload as a :class:`Plan`, or a ``plan``
+    rejection."""
+    payload = frame.get("plan")
+    if not isinstance(payload, dict):
+        raise Rejection("plan", f"{frame.get('op')} needs a 'plan' object "
+                                f"payload")
+    try:
+        return Plan.from_dict(payload)
+    except ParameterError as exc:
+        raise Rejection("plan", f"plan payload rejected: {exc}") from exc
 
 
 class _Connection:

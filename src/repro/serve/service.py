@@ -18,12 +18,22 @@ exploits that in three layers:
    :class:`~repro.serve.pool.ShardPool` of worker processes when the
    service is built with ``workers`` > 1.
 
+A plan already admitted and held in the report LRU needs none of that
+machinery: :meth:`EstimateService.hit` answers it on the caller's thread,
+with no batch, flush or executor hop, and counts it as a submission and
+a memory hit.  The entry it returns also keeps the report's JSON bytes,
+encoded on the first hit and evicted with the report, so a warm reply
+is not encoded again.  The network server answers warm requests this
+way at admission (see :mod:`repro.net.server`); disk-tier hits and
+misses take the submit/gather path.
+
 The service is thread-safe (one lock around the batch and cache state);
 :mod:`repro.serve.aio` puts an ``asyncio`` front-end on top of it.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -79,6 +89,8 @@ class ServiceStats:
     ``memory_hits``, ``disk_hits`` and ``failed`` count the *batch-
     distinct digests* each gather had to look up (same-batch duplicates
     appear in ``batch_hits``, later-batch repeats in the hit buckets).
+    A :meth:`EstimateService.hit` is a batch of one: one submission and
+    one memory hit.
     """
 
     submitted: int = 0
@@ -172,6 +184,25 @@ class EstimateHandle:
         return f"EstimateHandle({self.digest[:12]}..., {state})"
 
 
+class CachedReport:
+    """One report-LRU entry: the report, and its JSON once asked for."""
+
+    __slots__ = ("report", "_json")
+
+    def __init__(self, report: "RunReport"):
+        self.report = report
+        self._json: Optional[bytes] = None
+
+    @property
+    def json(self) -> bytes:
+        """``report_to_dict(report)`` as compact UTF-8 JSON, encoded on
+        first use and kept until the entry is evicted."""
+        if self._json is None:
+            self._json = json.dumps(report_to_dict(self.report),
+                                    separators=(",", ":")).encode("utf-8")
+        return self._json
+
+
 class EstimateService:
     """Batch, dedup, cache and shard estimate plans across sessions.
 
@@ -222,7 +253,7 @@ class EstimateService:
         self._disk_cache = disk_cache
         self._admission = admission
         self._admitted: Set[str] = set()
-        self._lru: "OrderedDict[str, RunReport]" = OrderedDict()
+        self._lru: "OrderedDict[str, CachedReport]" = OrderedDict()
         #: digest -> (plan, handles waiting on it), insertion-ordered.
         self._pending: "OrderedDict[str, List[EstimateHandle]]" = OrderedDict()
         self._pending_plans: Dict[str, Plan] = {}
@@ -275,6 +306,34 @@ class EstimateService:
         :class:`AdmissionError` exactly like ``submit()`` would.
         """
         self._admit(plan, plan.digest)
+
+    def admitted(self, digest: str) -> bool:
+        """Whether :meth:`admit` of ``digest`` returns without analysis
+        (admission is off, or the digest passed it before): a set lookup,
+        cheap enough for an event loop."""
+        if self._admission == "off":
+            return True
+        with self._lock:
+            return digest in self._admitted
+
+    def hit(self, plan: Plan) -> Optional[CachedReport]:
+        """Answer an admitted ``plan`` from the in-memory report LRU.
+
+        Returns the LRU entry (``.report``, and ``.json``, its bytes) and
+        counts one submission and one memory hit, as a batch of one
+        would; returns ``None`` and counts nothing when the digest is not
+        in memory (submit it: the gather looks at the disk cache, then
+        computes).  No batch, flush or thread is involved, so an event
+        loop may call it.  The caller admits the plan first, as
+        :meth:`submit` would.
+        """
+        self._check_open()
+        digest = plan.digest
+        with self._lock:
+            entry = self._memory_hit(digest)
+            if entry is not None:
+                self.stats.submitted += 1
+        return entry
 
     def _admit(self, plan: Plan, digest: str) -> None:
         """Statically verify ``plan`` once per digest, per the admission
@@ -389,13 +448,19 @@ class EstimateService:
 
     # -- cache layers -----------------------------------------------------------
 
+    def _memory_hit(self, digest: str) -> Optional[CachedReport]:
+        """The LRU's entry for ``digest``, counted; under ``self._lock``."""
+        entry = self._lru.get(digest)
+        if entry is not None:
+            self._lru.move_to_end(digest)
+            self.stats.memory_hits += 1
+        return entry
+
     def _lookup(self, digest: str) -> Optional["RunReport"]:
         with self._lock:
-            report = self._lru.get(digest)
-            if report is not None:
-                self._lru.move_to_end(digest)
-                self.stats.memory_hits += 1
-                return report
+            entry = self._memory_hit(digest)
+        if entry is not None:
+            return entry.report
         if self._disk_cache:
             payload = cache.load_json(REPORT_CACHE_KIND, digest)
             if payload is not None:
@@ -423,7 +488,7 @@ class EstimateService:
 
     def _lru_put(self, digest: str, report: "RunReport") -> None:
         """Insert under ``self._lock`` and evict the oldest past capacity."""
-        self._lru[digest] = report
+        self._lru[digest] = CachedReport(report)
         self._lru.move_to_end(digest)
         while len(self._lru) > self._cache_size:
             self._lru.popitem(last=False)

@@ -161,6 +161,32 @@ class TestProjectLint:
         for rel in ("sched/solver.py", "workloads/builders.py", "api/plan.py"):
             assert self._rules(source, rel) == []
 
+    @pytest.mark.parametrize("source", [
+        "from repro.net import EstimateClient\n",
+        "import repro.serve.service\n",
+        "from repro import net\n",
+        "from repro import serve\n",
+        "from ..serve import pool\n",
+        "def f():\n    from repro.net.protocol import encode_frame\n",
+        "def f():\n    import repro.serve\n",
+    ])
+    def test_functional_and_estimate_paths_may_not_import_serving(
+            self, source):
+        line = source.count("\n", 0, source.index("import")) + 1
+        for rel in ("ntt/batch.py", "rns/bconv.py", "ckks/keyswitch.py",
+                    "core/dataflow.py", "rpu/simulator.py",
+                    "sched/solver.py"):
+            assert self._rules(source, rel) == [(line, "REPRO004")]
+        for rel in ("api/plan.py", "net/server.py", "serve/aio.py",
+                    "experiments/common.py", "workloads/registry.py"):
+            assert self._rules(source, rel) == []
+
+    def test_names_that_only_start_like_serving_are_fine(self):
+        source = ("import repro.network\n"
+                  "from repro import serving\n")
+        for rel in ("ntt/batch.py", "ckks/keyswitch.py", "sched/solver.py"):
+            assert self._rules(source, rel) == []
+
     def test_the_api_layer_and_its_peers_may(self):
         source = "from repro.api import backends\n"
         for rel in ("api/plan.py", "serve/service.py", "experiments/common.py",
@@ -282,3 +308,36 @@ class TestBenchCompareVerdict:
             self._judge([1.0], [1.0])
         with pytest.raises(ValueError):
             self._judge([1.0, 2.0], [1.0])
+
+
+class TestBenchCompareRuns:
+    """tools/bench_compare.py — one paired run, and a run that fails."""
+
+    @staticmethod
+    def _checkout(root, script):
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text(script)
+        return root
+
+    def test_a_failed_run_names_the_run_at_fault(self, tmp_path):
+        from tools.bench_compare import one_run
+
+        root = self._checkout(tmp_path / "change",
+                              "import sys\nsys.exit(1)\n")
+        with pytest.raises(SystemExit) as excinfo:
+            one_run(root, "fhe_hks_batch", 103, side="change", pair=3)
+        message = str(excinfo.value.code)
+        for field in ("side=change", "pair=3", "seed=103",
+                      "workload=fhe_hks_batch", "code 1",
+                      "bench/run.py --workload fhe_hks_batch --seed 103"):
+            assert field in message
+
+    def test_a_run_returns_its_final_json_line(self, tmp_path):
+        from tools.bench_compare import one_run
+
+        root = self._checkout(tmp_path / "parent", (
+            "import json, sys\n"
+            "print('progress')\n"
+            "print(json.dumps({'argv': sys.argv[1:]}))\n"))
+        line = one_run(root, "serve_hot", 101, side="parent", pair=1)
+        assert line == {"argv": ["--workload", "serve_hot", "--seed", "101"]}

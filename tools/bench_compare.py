@@ -154,8 +154,15 @@ def snapshot(into: Path) -> None:
             shutil.copy2(REPO_ROOT / rel, into / rel)
 
 
-def one_run(root: Path, workload: str, seed: int) -> Dict[str, object]:
-    """The final JSON line of one ``bench/run.py`` invocation in ``root``."""
+def one_run(root: Path, workload: str, seed: int, *, side: str,
+            pair: int) -> Dict[str, object]:
+    """The final JSON line of one ``bench/run.py`` invocation in ``root``,
+    the ``side`` (parent or change) of pair number ``pair`` (from 1).
+
+    A run that exits non-zero stops the comparison with a message that
+    names the run at fault (side, pair, seed, workload) and the command
+    that reruns it alone in a checkout of that side.
+    """
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed)]
     # The harness puts its own checkout's src/ first; nothing of the
@@ -164,8 +171,12 @@ def one_run(root: Path, workload: str, seed: int) -> Dict[str, object]:
     done = subprocess.run(argv, cwd=str(root), env=env,
                           stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"bench_compare: {' '.join(argv)} in {root} exited "
-                         f"with code {done.returncode}")
+        raise SystemExit(
+            f"bench_compare: run at fault: side={side} pair={pair} "
+            f"seed={seed} workload={workload} exited with code "
+            f"{done.returncode}\n  rerun it alone in a checkout of the "
+            f"{side} side: python3 bench/run.py --workload {workload} "
+            f"--seed {seed}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -200,7 +211,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     else ("change", "parent")
                 for side in order:
                     runs[side][name].append(
-                        one_run(roots[side], name, FIRST_SEED + k))
+                        one_run(roots[side], name, FIRST_SEED + k,
+                                side=side, pair=k + 1))
                 print(f"{name}: pair {k + 1}/{args.pairs} done "
                       f"({order[0]} first, seed {FIRST_SEED + k})",
                       flush=True)

@@ -18,10 +18,14 @@ Five rules that generic linters don't know about:
 * **REPRO004 layer-import** — :mod:`repro.core`, :mod:`repro.rpu`,
   :mod:`repro.sched` and :mod:`repro.workloads` sit below
   :mod:`repro.api`, and :mod:`repro.core` and :mod:`repro.rpu` sit below
-  :mod:`repro.sched` and :mod:`repro.workloads` as well; a module
-  importing a layer above its own, at the top level or lazily inside a
-  function, makes that layer a dependency of the one below (the solver
-  once reached up for the API's schedule cache).
+  :mod:`repro.sched` and :mod:`repro.workloads` as well; the serving
+  tier (:mod:`repro.net`, :mod:`repro.serve`) sits above the functional
+  path (:mod:`repro.ntt`, :mod:`repro.rns`, :mod:`repro.ckks`) and the
+  estimate path (core, rpu, sched).  A module importing a layer above
+  its own, at the top level or lazily inside a function, makes that
+  layer a dependency of the one below (the solver once reached up for
+  the API's schedule cache), and a serving edit a cost of every FHE
+  session.
 * **REPRO005 hand-codec** — a ``to_dict`` / ``from_dict`` (or
   ``*_to_dict`` / ``*_from_dict``) definition outside
   :mod:`repro.codec`.  Records are encoded by the one typed codec, so
@@ -66,12 +70,19 @@ BACKEND_RUN_ALLOWED = ("api/backends.py",)
 #: REPRO003 applies to the RNS hot-path modules only.
 COEFF_LOOP_PATHS = ("rns/",)
 
+#: The serving tier: neither the functional nor the estimate path may
+#: load it.
+SERVING = ("repro.net", "repro.serve")
+
 #: REPRO004: the layers above each lower package, which its modules may
 #: not import.
 LAYERS_ABOVE = {
-    "core/": ("repro.api", "repro.sched", "repro.workloads"),
-    "rpu/": ("repro.api", "repro.sched", "repro.workloads"),
-    "sched/": ("repro.api",),
+    "ntt/": SERVING,
+    "rns/": SERVING,
+    "ckks/": SERVING,
+    "core/": ("repro.api", "repro.sched", "repro.workloads") + SERVING,
+    "rpu/": ("repro.api", "repro.sched", "repro.workloads") + SERVING,
+    "sched/": ("repro.api",) + SERVING,
     "workloads/": ("repro.api",),
 }
 
