@@ -23,8 +23,8 @@ The research layers remain available underneath:
 * :mod:`repro.core` — the paper's contribution: HKS stage algebra, the
   three dataflow schedulers over a shared on-chip memory model, functional
   execution, and traffic/AI analytics;
-* :mod:`repro.rpu` — the RPU machine model, B1K ISA and the dual-queue
-  decoupled task simulator;
+* :mod:`repro.rpu` — the RPU machine model and the dual-queue decoupled
+  task simulator;
 * :mod:`repro.experiments` — regenerates every table and figure of the
   paper's evaluation (``python -m repro.experiments``);
 * :mod:`repro.serve` — the multi-session serving layer: batch, dedup,
@@ -58,10 +58,7 @@ from repro.ckks import (
 from repro.core import (
     DATAFLOWS,
     DataflowConfig,
-    DigitCentric,
     HKSShape,
-    MaxParallel,
-    OutputCentric,
     TaskGraph,
     analyze_dataflow,
     get_dataflow,
@@ -81,15 +78,12 @@ __all__ = [
     "DATAFLOWS",
     "DataflowConfig",
     "Decryptor",
-    "DigitCentric",
     "Encoder",
     "Encryptor",
     "Evaluator",
     "FHESession",
     "HKSShape",
     "KeyGenerator",
-    "MaxParallel",
-    "OutputCentric",
     "RPUConfig",
     "RPUSimulator",
     "RunReport",

@@ -6,7 +6,7 @@ Usage::
     python -m repro backends                  # registered estimation backends
     python -m repro analyze BTS3              # Table-II-style analysis
     python -m repro estimate ARK --backend rpu --schedule all
-    python -m repro verify --graphs --kernels  # static analysis gate
+    python -m repro verify --graphs           # static analysis gate
     python -m repro simulate ARK --dataflow OC --bandwidth 12.8
     python -m repro trace ARK --dataflow MP --bandwidth 8
 
@@ -172,26 +172,8 @@ def cmd_serve_load(args) -> int:
     return asyncio.run(_run())
 
 
-def _kernel_images():
-    """One representative of each codegen builder, at a quick size."""
-    from repro.ntt.modmath import inv_mod
-    from repro.ntt.primes import generate_primes
-    from repro.rpu import codegen
-
-    n = 64
-    qs = generate_primes(3, n, 26)
-    q, p = qs[0], qs[1]
-    yield "ntt", codegen.build_ntt_kernel(n, q)
-    yield "intt", codegen.build_ntt_kernel(n, q, inverse=True)
-    yield "bconv", codegen.build_bconv_kernel(qs[:2], qs[2], n)
-    yield "mulkey", codegen.build_mulkey_kernel(n, q, accumulate=False)
-    yield "mulkey-acc", codegen.build_mulkey_kernel(n, q, accumulate=True)
-    yield "mdfinish", codegen.build_moddown_finish_kernel(
-        n, q, inv_mod(p % q, q))
-
-
 def cmd_verify(args) -> int:
-    """Static analysis over plans (and optionally graphs and kernels).
+    """Static analysis over plans (and optionally task graphs).
 
     Exit status 1 if any subject reports an error — the CI gate.
     """
@@ -237,10 +219,6 @@ def cmd_verify(args) -> int:
                 subjects.append(
                     (f"graph {spec.name}/{dataflow.name}", analyze(graph))
                 )
-
-    if args.kernels:
-        for label, image in _kernel_images():
-            subjects.append((f"kernel {label}", analyze(image.program)))
 
     rows = [
         {"subject": label, "errors": len(report.errors),
@@ -431,14 +409,12 @@ def main(argv=None) -> int:
     p_backends.set_defaults(func=cmd_backends)
     p_verify = sub.add_parser(
         "verify",
-        help="static analysis of plans, task graphs and generated kernels",
+        help="static analysis of plans and task graphs",
     )
     p_verify.add_argument("targets", nargs="*",
                           help="benchmark/workload names (default: all)")
     p_verify.add_argument("--graphs", action="store_true",
                           help="also verify the MP/DC/OC task graphs")
-    p_verify.add_argument("--kernels", action="store_true",
-                          help="also verify the generated B1K kernels")
     p_verify.add_argument("--serve", metavar="MIX_FILE",
                           help="verify every plan in a saved request-mix "
                                "file instead (the serve --warm-mix format)")

@@ -1,23 +1,20 @@
-"""repro.analysis — static verification of plans, IR and RPU programs.
+"""repro.analysis — static verification of plans, workload IR and schedules.
 
 The legality kernel of the estimation stack: ``analyze(obj)`` runs a
 registry of read-only passes over a :class:`~repro.api.plan.Plan`, a
-:class:`~repro.workloads.ir.WorkloadProgram`, a B1K
-:class:`~repro.rpu.program.Program` or a
-:class:`~repro.core.taskgraph.TaskGraph` and returns an
+:class:`~repro.workloads.ir.WorkloadProgram`, a
+:class:`~repro.core.taskgraph.TaskGraph` or a solved
+:class:`~repro.sched.solver.ScheduleArtifact` and returns an
 :class:`AnalysisReport` of located, severity-tagged
 :class:`Diagnostic` findings; ``verify(obj)`` additionally raises
 :class:`~repro.errors.AnalysisError` on any error.
 
-Four pass families ship here:
+Three pass families ship here:
 
 * **plan/IR** (``plan.*``, ``ir.*``) — level monotonicity, tower
   budgets, bootstrap-group structure, HKS-count cross-checks against
   the :class:`~repro.ckks.bootstrap.plan.BootstrapPlan` arithmetic, and
   required-evk derivation (:func:`required_evks`);
-* **RPU programs** (``rpu.*``) — a linear abstract interpreter catching
-  def-before-use, missing ``setmod``, ``setvl``/shuffle illegalities,
-  capacity overflows and cross-pipe hazards before the VM ever runs;
 * **task graphs** (``graph.*``) — structural/deadlock checks, buffer
   write-write races and SRAM resource overflow for the MP/DC/OC
   schedules;
@@ -27,9 +24,9 @@ Four pass families ship here:
   emits.
 
 Integration points: ``EstimateService`` verifies plans at admission,
-``repro.rpu.codegen`` verifies emitted kernels when
-``REPRO_VERIFY_CODEGEN`` is set, and ``python -m repro verify`` runs
-the whole registry from the command line.
+the schedule solver gates candidates through the graph passes, and
+``python -m repro verify`` runs the whole registry from the command
+line.
 """
 
 from repro.analysis.diagnostics import (
@@ -50,7 +47,6 @@ from repro.analysis.registry import (
 from repro.analysis import (  # noqa: F401,E402
     graph_passes,
     plan_passes,
-    rpu_passes,
     sched_passes,
 )
 from repro.analysis.plan_passes import required_evks

@@ -2,8 +2,7 @@
 
 Passes register against an object *family* — ``"plan"``
 (:class:`~repro.api.plan.Plan`), ``"workload"``
-(:class:`~repro.workloads.ir.WorkloadProgram`), ``"rpu"``
-(:class:`~repro.rpu.program.Program`), ``"graph"``
+(:class:`~repro.workloads.ir.WorkloadProgram`), ``"graph"``
 (:class:`~repro.core.taskgraph.TaskGraph`) or ``"sched"``
 (:class:`~repro.sched.solver.ScheduleArtifact`).  ``analyze(obj)`` dispatches
 on the object's type, runs every registered pass of the matching family
@@ -13,8 +12,8 @@ recurses into its workload program, so one call covers the whole
 request.
 
 Analysis is read-only by contract: no pass may mutate the object it
-inspects (the test suite property-checks plan digests and program
-contents across ``analyze()``).
+inspects (the test suite checks plan digests and canonical JSON across
+``analyze()``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.errors import ParameterError
 from repro.params import MB
 
 #: The known pass families, in dispatch-priority order.
-FAMILIES = ("plan", "workload", "rpu", "graph", "sched")
+FAMILIES = ("plan", "workload", "graph", "sched")
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,10 @@ class AnalysisContext:
     """Machine/model assumptions the passes check against.
 
     Defaults mirror the RPU configuration
-    (:class:`~repro.rpu.config.RPUConfig`): B1K vectors and a 32 MB data
-    SRAM.  Tests and callers targeting a differently shaped VM pass their
-    own context.
+    (:class:`~repro.rpu.config.RPUConfig`): a 32 MB data SRAM.  Callers
+    checking against a differently sized machine pass their own context.
     """
 
-    #: Maximum B1K vector length (``setvl`` upper bound).
-    vl_max: int = 1024
-    #: Words of VM data memory programs may address.
-    memory_words: int = 1 << 20
     #: On-chip data SRAM budget for schedule resource checks.
     data_sram_bytes: int = 32 * MB
 
@@ -95,7 +89,6 @@ def registered_passes(family: Optional[str] = None) -> List[AnalysisPass]:
 def _family_of(obj: object) -> Optional[str]:
     from repro.api.plan import Plan
     from repro.core.taskgraph import TaskGraph
-    from repro.rpu.program import Program
     from repro.sched.solver import ScheduleArtifact
     from repro.workloads.ir import WorkloadProgram
 
@@ -103,8 +96,6 @@ def _family_of(obj: object) -> Optional[str]:
         return "plan"
     if isinstance(obj, WorkloadProgram):
         return "workload"
-    if isinstance(obj, Program):
-        return "rpu"
     if isinstance(obj, TaskGraph):
         return "graph"
     if isinstance(obj, ScheduleArtifact):
@@ -117,9 +108,6 @@ def _subject_of(obj: object, family: str) -> str:
         return f"plan {getattr(obj, 'name', '?')}"
     if family == "workload":
         return f"workload {getattr(obj, 'name', '?')}"
-    if family == "rpu":
-        name = getattr(obj, "name", "") or "<unnamed>"
-        return f"rpu program {name}"
     if family == "sched":
         spec = getattr(obj, "spec", None)
         name = getattr(spec, "name", "?")
@@ -132,8 +120,8 @@ def analyze(obj: object, *, context: Optional[AnalysisContext] = None,
             passes: Optional[Sequence[str]] = None) -> AnalysisReport:
     """Run every registered pass that applies to ``obj``.
 
-    Dispatches on type: plans, workload programs, RPU programs and task
-    graphs.  Analyzing a :class:`~repro.api.plan.Plan` also analyzes its
+    Dispatches on type: plans, workload programs, task graphs and solved
+    schedules.  Analyzing a :class:`~repro.api.plan.Plan` also analyzes its
     workload program (a plan over a bare
     :class:`~repro.params.BenchmarkSpec` has no program-level structure
     to check).  ``passes`` optionally restricts to specific pass ids (or
@@ -150,8 +138,8 @@ def analyze(obj: object, *, context: Optional[AnalysisContext] = None,
             # is no cross-phase structure for passes to check.
             return AnalysisReport(f"benchmark {obj.name}", ())
         raise ParameterError(
-            f"analyze() supports Plan, WorkloadProgram, rpu Program and "
-            f"TaskGraph, got {type(obj).__name__}"
+            f"analyze() supports Plan, WorkloadProgram, TaskGraph and "
+            f"ScheduleArtifact, got {type(obj).__name__}"
         )
     ctx = context or AnalysisContext()
     diags: List[Diagnostic] = []

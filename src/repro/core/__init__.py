@@ -1,8 +1,6 @@
 """CiFlow core: HKS stage algebra, task graphs, and the one schedule
 emitter whose named decisions are the paper's three dataflows."""
 
-from functools import partial
-
 from repro.core.analysis import (
     DataflowReport,
     analyze_dataflow,
@@ -22,10 +20,6 @@ from repro.core.traffic import classify_buffer, traffic_by_class, traffic_rows
 #: Registry of the three paper dataflows, in presentation order.
 DATAFLOWS = {d.base: Dataflow(d) for d in LEGACY_DECISIONS}
 
-#: The historic class names: each builds its named decision's dataflow.
-MaxParallel, DigitCentric, OutputCentric = (
-    partial(Dataflow, d) for d in LEGACY_DECISIONS)
-
 
 def get_dataflow(name: str) -> Dataflow:
     """Look up a dataflow by its short id (case-insensitive)."""
@@ -41,15 +35,12 @@ __all__ = [
     "Dataflow",
     "DataflowConfig",
     "DataflowReport",
-    "DigitCentric",
     "EVK_TAG",
     "HKSDecision",
     "HKSShape",
     "Kind",
     "LEGACY_DECISIONS",
-    "MaxParallel",
     "OpCount",
-    "OutputCentric",
     "Queue",
     "ScheduleBuilder",
     "Task",

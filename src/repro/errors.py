@@ -36,16 +36,7 @@ class MemoryModelError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The RPU simulator detected an inconsistent task graph.
-
-    When raised by the B1K VM the error is located: ``pc`` holds the
-    failing program counter and ``instruction`` the offending
-    :class:`~repro.rpu.program.AsmInstr` (both ``None`` for errors that
-    have no single instruction, e.g. graph-level inconsistencies).
-    """
-
-    pc = None
-    instruction = None
+    """The RPU simulator detected an inconsistent task graph."""
 
 
 class NoiseBudgetError(ReproError):

@@ -175,7 +175,7 @@ class HTTPFrontend:
         except ParameterError as exc:
             raise Rejection("plan", f"plan payload rejected: {exc}") from exc
         # The frame protocol's ``estimate`` op, so one policy decides
-        # every error kind; a timeout leaves the ticket live.
+        # every error kind.
         result = await self.server.admit_and_gather(tenant, plan)
         if result["ok"]:
             return 200, {"ok": True, "digest": plan.digest,

@@ -490,8 +490,7 @@ class EstimateServer:
         """``submit`` and ``gather`` of one plan, one frame each way.
 
         The reply is the gathered entry: ``ok`` with the ``report``, or
-        an error frame of the ticket's error kind (a ``timeout`` names
-        the still-live ``ticket``).
+        an error frame of the ticket's error kind.
         """
         tenant = self._session(conn)
         plan = _plan_of(frame)
@@ -532,12 +531,25 @@ class EstimateServer:
         ``POST /v1/estimate``.  Raises :class:`Rejection` as admission
         does; returns the gathered entry.  A warm plan's ticket is
         resolved at admission, so its entry comes back without a wait.
+
+        The ticket is this call's own: neither :class:`EstimateClient`
+        nor the HTTP adapter hands its id back, so a ticket whose wait
+        timed out is forgotten once it resolves.  Its report still lands
+        in the service's LRU, where a retry of the plan finds it.
         """
         ticket = await self.admit_and_submit(tenant, plan, deadline=deadline)
-        return await self.gather_one(
+        entry = await self.gather_one(
             tenant, ticket.id,
             self.config.gather_timeout if timeout is None else timeout,
         )
+        if not ticket.resolved:
+            self._spawn(self._forget_when_resolved(ticket),
+                        name=f"forget-{ticket.id}")
+        return entry
+
+    async def _forget_when_resolved(self, ticket: Ticket) -> None:
+        await ticket.event.wait()
+        self._tickets.pop(ticket.id, None)
 
     async def gather_one(self, tenant: TenantState, ticket_id: str,
                          timeout: float) -> Dict[str, object]:
@@ -572,7 +584,11 @@ class EstimateServer:
                     f"valid)",
                 )
         # Single delivery: the ticket table must not grow with history.
-        del self._tickets[ticket_id]
+        if self._tickets.pop(ticket_id, None) is None:
+            return self._ticket_error(
+                ticket_id, "protocol",
+                "unknown ticket (already gathered, or never issued)",
+            )
         self.stats.gathered += 1
         if ticket.error is None:
             report = report_to_dict(ticket.report) \

@@ -1,36 +1,17 @@
-"""RPU substrate: machine model, B1K ISA, kernels, and the task simulator."""
+"""RPU substrate: the machine model and the dual-queue task simulator."""
 
 from repro.rpu.config import (BANDWIDTH_TECH, DEFAULT_KIND_EFFICIENCY, GB,
                               RPUConfig, standard_sweep)
-from repro.rpu.isa import B1K_ISA, Instruction, InstructionMix, Pipe
-from repro.rpu.kernels import (
-    bconv_kernel_mix,
-    graph_instruction_histogram,
-    mulkey_kernel_mix,
-    ntt_kernel_mix,
-    pwise_kernel_mix,
-    task_instruction_mix,
-)
 from repro.rpu.simulator import RPUSimulator, SimResult, TaskTiming, lower_bounds
 
 __all__ = [
-    "B1K_ISA",
     "DEFAULT_KIND_EFFICIENCY",
     "BANDWIDTH_TECH",
     "GB",
-    "Instruction",
-    "InstructionMix",
-    "Pipe",
     "RPUConfig",
     "RPUSimulator",
     "SimResult",
     "TaskTiming",
-    "bconv_kernel_mix",
-    "graph_instruction_histogram",
     "lower_bounds",
-    "mulkey_kernel_mix",
-    "ntt_kernel_mix",
-    "pwise_kernel_mix",
     "standard_sweep",
-    "task_instruction_mix",
 ]

@@ -69,7 +69,9 @@ def reorder_for_latency(graph: TaskGraph,
     """Re-list the compute queue to minimise dual-queue makespan.
 
     Returns a rebuilt graph in the new emission order, or ``None`` when
-    the graph is too large or no reordering is possible.  The memory
+    the graph is too large or the compute queue keeps its order.  Each
+    queue dispatches in order, so a listing that only moves memory tasks
+    between compute tasks replays exactly as the input does.  The memory
     queue keeps its relative order, so byte counts, traffic tags and the
     emitted spill/reload structure are preserved exactly; only compute
     dispatch order (and dependency indices) change.  The caller decides
@@ -153,8 +155,8 @@ def reorder_for_latency(graph: TaskGraph,
                 else:
                     heapq.heappush(later, (ready, neg_rank[dep], dep))
 
-    if order == list(range(n)):
-        return None  # nothing changed
+    if [i for i in order if not is_memory[i]] == graph.compute_order:
+        return None  # the compute queue keeps its order
 
     remap = [0] * n
     for new, old in enumerate(order):

@@ -1,27 +1,20 @@
-"""Tests for repro.analysis: the static verifier for plans, IR and programs.
+"""Tests for repro.analysis: the static verifier for plans, IR and graphs.
 
-Four angles of attack:
+Three angles of attack:
 
 * **read-only contract** — ``analyze()`` never mutates its subject
-  (digests, canonical JSON and program listings are bit-identical across
-  a run), property-checked with hypothesis on adversarial programs;
+  (digests and canonical JSON are bit-identical across a run);
 * **clean-corpus regression** — every registered workload x backend x
-  schedule, every dataflow graph and every generated kernel verifies
-  clean, so the analyzer cannot rot into rejecting the repo's own
-  output;
+  schedule and every dataflow graph verifies clean, so the analyzer
+  cannot rot into rejecting the repo's own output;
 * **mutation kill-tests** — each pass family is fed a minimally
-  corrupted subject and must report the planted defect (and only then);
-* **VM parity** — a program the VM kills dynamically at ``pc=k`` is
-  reported statically at the same instruction, parametrized over the
-  SimulationError classes both sides model.
+  corrupted subject and must report the planted defect (and only then).
 """
 
 import dataclasses
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import (
     AnalysisContext,
@@ -30,18 +23,12 @@ from repro.analysis import (
     analyze,
     registered_passes,
     required_evks,
-    verify,
 )
 from repro.api import FHESession, build_plan, list_backends
 from repro.core import DATAFLOWS, DataflowConfig
 from repro.core.taskgraph import Kind, Queue, TaskGraph
-from repro.errors import ParameterError, SimulationError
-from repro.ntt.modmath import inv_mod
-from repro.ntt.primes import generate_primes
+from repro.errors import ParameterError
 from repro.params import BENCHMARKS, get_benchmark
-from repro.rpu import codegen
-from repro.rpu.program import assemble
-from repro.rpu.vm import B1KVM
 from repro.serve import AdmissionError, EstimateService
 from repro.workloads import get_workload, list_workloads
 from repro.workloads.ir import Phase, WorkloadProgram, level_spec
@@ -75,7 +62,7 @@ def _corrupted_plan():
 
 class TestRegistry:
     def test_all_families_populated(self):
-        for family in ("plan", "workload", "rpu", "graph"):
+        for family in ("plan", "workload", "graph"):
             assert registered_passes(family), family
 
     def test_pass_ids_unique(self):
@@ -122,28 +109,6 @@ class TestReadOnly:
         assert plan.digest == digest
         assert plan.to_json() == payload
 
-    def test_program_listing_survives_analysis(self):
-        q = generate_primes(1, 64, 26)[0]
-        program = codegen.build_ntt_kernel(64, q).program
-        listing = program.render()
-        analyze(program)
-        assert program.render() == listing
-
-    @settings(max_examples=25, deadline=None)
-    @given(vl=st.integers(min_value=-4, max_value=2000),
-           idx=st.integers(min_value=-4, max_value=2000))
-    def test_analyze_reports_instead_of_raising(self, vl, idx):
-        """Arbitrary (often illegal) programs produce reports, not crashes."""
-        program = assemble(
-            f"setvl {vl}\n setmod m0\n li s1, {idx}\n vbcast v2, s1\n"
-            f" li s1, 0\n vbcast v1, s1\n vshuf v3, v1, v2\n halt"
-        )
-        listing = program.render()
-        report = analyze(program, context=AnalysisContext(vl_max=64))
-        assert program.render() == listing
-        assert report.ok == (not report.errors)
-
-
 # -- the repo's own corpus verifies clean -----------------------------------------
 
 
@@ -167,24 +132,12 @@ class TestCleanCorpus:
         report = analyze(graph)
         assert report.ok, report.render()
 
-    def test_generated_kernels_clean(self):
-        qs = generate_primes(3, 64, 26)
-        images = [
-            codegen.build_ntt_kernel(64, qs[0]),
-            codegen.build_ntt_kernel(64, qs[0], inverse=True),
-            codegen.build_bconv_kernel(list(qs[:2]), qs[2], 64),
-            codegen.build_mulkey_kernel(64, qs[0], accumulate=False),
-            codegen.build_mulkey_kernel(64, qs[0], accumulate=True),
-            codegen.build_moddown_finish_kernel(
-                64, qs[0], inv_mod(qs[1] % qs[0], qs[0])),
-        ]
-        for image in images:
-            verify(image.program)  # raises on any error
-
-    def test_cli_verify_exits_clean(self, capsys):
+    @pytest.mark.parametrize("argv", [["verify", "HELR"],
+                                      ["verify", "--graphs"]])
+    def test_cli_verify_exits_clean(self, argv, capsys):
         from repro.__main__ import main
 
-        assert main(["verify", "HELR"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "subjects clean" in out and "OK" in out
 
@@ -268,110 +221,6 @@ class TestRequiredEvks:
         session.relin_key
         session.rotation_key(1)
         assert session.missing_evks("HELR") == {}
-
-
-# -- RPU program passes -----------------------------------------------------------
-
-
-class TestRpuPasses:
-    CTX = AnalysisContext(vl_max=64, memory_words=4096)
-
-    def test_uninitialized_scalar_is_warning_only(self):
-        report = analyze(assemble("setvl 8\n sadd s1, s0, 1\n halt"),
-                         context=self.CTX)
-        assert report.ok
-        assert any(d.pass_id == "rpu.def-before-use"
-                   for d in report.warnings)
-
-    def test_setvl_zero_rejected(self):
-        report = analyze(assemble("setvl 0\n halt"), context=self.CTX)
-        assert report.by_pass("rpu.vl") and not report.ok
-
-    def test_odd_vl_butterfly_rejected(self):
-        src = ("setvl 63\n setmod m0\n li s1, 1\n vbcast v1, s1\n"
-               " vbcast v2, s1\n vbfly v3, v1, v2, 0\n halt")
-        report = analyze(assemble(src), context=self.CTX)
-        assert any(d.pass_id == "rpu.vl" for d in report.errors)
-
-    def test_vswap_width_mismatch_rejected(self):
-        src = ("setvl 8\n li s1, 1\n vbcast v1, s1\n li s2, 3\n"
-               " vswap v2, v1, s2\n halt")
-        report = analyze(assemble(src), context=self.CTX)
-        assert any(d.pass_id == "rpu.vl" for d in report.errors)
-
-    def test_constant_address_overflow_rejected(self):
-        ctx = AnalysisContext(vl_max=64, memory_words=64)
-        src = "setvl 64\n li s0, 32\n vld v1, s0\n halt"
-        report = analyze(assemble(src), context=ctx)
-        assert any(d.pass_id == "rpu.capacity" for d in report.errors)
-
-    def test_footprint_info_always_present(self):
-        report = analyze(assemble("halt"), context=self.CTX)
-        assert any(d.pass_id == "rpu.capacity" for d in report.infos)
-
-    def test_dead_vector_write_warns(self):
-        src = ("setvl 4\n setmod m0\n li s0, 0\n li s1, 1\n"
-               " vbcast v1, s1\n vbcast v1, s1\n vst v1, s0\n halt")
-        report = analyze(assemble(src), context=self.CTX)
-        assert any("dead write" in d.message
-                   for d in report.by_pass("rpu.hazards"))
-
-    def test_cross_pipe_aliasing_warns_and_fence_clears_it(self):
-        racy = ("setvl 4\n setmod m0\n li s0, 0\n li s1, 1\n"
-                " vbcast v1, s1\n vst v1, s0\n sld s2, s0\n halt")
-        report = analyze(assemble(racy), context=self.CTX)
-        assert any("aliasing" in d.message
-                   for d in report.by_pass("rpu.hazards"))
-        fenced = racy.replace(" sld", " fence\n sld")
-        report = analyze(assemble(fenced), context=self.CTX)
-        assert not any("aliasing" in d.message
-                       for d in report.by_pass("rpu.hazards"))
-
-
-# -- VM <-> static parity ---------------------------------------------------------
-
-PARITY_CASES = [
-    pytest.param(
-        "setvl 64\n setmod m0\n li s1, 1\n vbcast v1, s1\n"
-        " vmadd v2, v1, v3\n halt",
-        4, "rpu.def-before-use", id="undefined-vector-read"),
-    pytest.param(
-        "setvl 64\n li s1, 1\n vbcast v1, s1\n vmadd v2, v1, v1\n halt",
-        3, "rpu.modulus", id="no-active-modulus"),
-    pytest.param(
-        "setvl 100\n halt",
-        0, "rpu.vl", id="setvl-out-of-range"),
-    pytest.param(
-        "setvl 64\n setmod m0\n li s1, 99\n vbcast v2, s1\n li s1, 0\n"
-        " vbcast v1, s1\n vshuf v3, v1, v2\n halt",
-        6, "rpu.shuffle-bounds", id="vshuf-index-out-of-bounds"),
-]
-
-
-class TestVmStaticParity:
-    """The VM's dynamic kill site and the static diagnostic agree."""
-
-    CTX = AnalysisContext(vl_max=64, memory_words=4096)
-
-    @pytest.mark.parametrize("source, pc, pass_id", PARITY_CASES)
-    def test_same_fault_same_location(self, source, pc, pass_id):
-        program = assemble(source)
-
-        vm = B1KVM(vector_length=64, memory_words=4096)
-        vm.set_modulus_register(0, generate_primes(1, 64, 26)[0])
-        with pytest.raises(SimulationError) as exc_info:
-            vm.run(program)
-        assert exc_info.value.pc == pc
-
-        report = analyze(program, context=self.CTX)
-        matches = [d for d in report.errors if d.pass_id == pass_id]
-        assert matches, report.render()
-        assert any(d.location.startswith(f"pc={pc} ") for d in matches)
-
-    @pytest.mark.parametrize("source, pc, pass_id", PARITY_CASES)
-    def test_verify_raises_like_the_vm(self, source, pc, pass_id):
-        with pytest.raises(AnalysisError):
-            verify(assemble(source), context=self.CTX)
 
 
 # -- task-graph passes ------------------------------------------------------------
@@ -541,14 +390,3 @@ class TestAdmission:
             thread.join()
         assert overlap[0] == 1
         assert sorted(analyzed) == sorted({p.digest for p in plans})
-
-
-# -- codegen verification flag ----------------------------------------------------
-
-
-class TestCodegenVerifyFlag:
-    def test_kernels_build_under_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_CODEGEN", "1")
-        q = generate_primes(1, 64, 26)[0]
-        image = codegen.build_ntt_kernel(64, q)
-        assert image.program.instructions[-1].mnemonic == "halt"

@@ -202,10 +202,9 @@ class TestDeprecationShims:
         historic = [
             "BENCHMARKS", "BenchmarkSpec", "CKKSContext", "CKKSParams",
             "Ciphertext", "DATAFLOWS", "DataflowConfig", "Decryptor",
-            "DigitCentric", "Encoder", "Encryptor", "Evaluator", "HKSShape",
-            "KeyGenerator", "MaxParallel", "OutputCentric", "RPUConfig",
-            "RPUSimulator", "TaskGraph", "analyze_dataflow", "get_benchmark",
-            "get_dataflow", "key_switch",
+            "Encoder", "Encryptor", "Evaluator", "HKSShape", "KeyGenerator",
+            "RPUConfig", "RPUSimulator", "TaskGraph", "analyze_dataflow",
+            "get_benchmark", "get_dataflow", "key_switch",
         ]
         for name in historic:
             assert getattr(repro, name) is not None

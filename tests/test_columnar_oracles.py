@@ -408,7 +408,8 @@ class TestGoldenDigests:
 def scan_reorder_for_latency(graph, machine):
     """The list scheduler as it was first written: every step scans the
     memory head and every ready compute task for the least ``(start,
-    -rank, index)``, then rebuilds through the checked ``TaskGraph.add``."""
+    -rank, index)``, then rebuilds through the checked ``TaskGraph.add``
+    unless the compute queue kept its order."""
     n = len(graph)
     if n == 0 or n > MAX_REORDER_TASKS:
         return None
@@ -457,7 +458,7 @@ def scan_reorder_for_latency(graph, machine):
             if pending_deps[dep] == 0 and not is_memory[dep]:
                 ready_compute.append(dep)
 
-    if order == list(range(n)):
+    if [i for i in order if not is_memory[i]] == graph.compute_order:
         return None
 
     remap = {old: new for new, old in enumerate(order)}
@@ -512,6 +513,19 @@ class TestReorderOracle:
                 assert _same_reorder(graph, machine), (spec.name, schedule)
                 changed += reorder_for_latency(graph, machine) is not None
         assert changed  # the comparison covers real re-listings
+
+    def test_a_listing_that_keeps_the_compute_order_is_none(self):
+        # The long load outranks the short multiply, so both schedulers
+        # dispatch it first: the emission order changes, the compute
+        # queue does not, and the replay would be the input's.
+        graph = TaskGraph("memory-first")
+        graph.add(Kind.PWISE, mod_muls=1, label="mul")
+        graph.add(Kind.LOAD, bytes_moved=MB, label="load")
+        machine = RPUConfig()
+        durations = RPUSimulator(machine).durations(graph)
+        assert durations[1] > durations[0]
+        assert reorder_for_latency(graph, machine) is None
+        assert scan_reorder_for_latency(graph, machine) is None
 
 
 # -- (d) rows, columns and JSON agree -----------------------------------------------

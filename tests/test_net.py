@@ -887,6 +887,46 @@ class TestHTTPAdapter:
         assert stats.failed == 4 and stats.gathered == 4
 
 
+# -- the ticket table -------------------------------------------------------------
+
+class TestTicketTable:
+    def test_timed_out_estimates_leave_no_ticket_behind(self, slow_backend):
+        """An ``estimate`` owns its ticket: neither client sees its id,
+        so after a timeout it is forgotten once it resolves, and its
+        report still lands in the LRU for a retry to hit."""
+        plans = [_slow_plan(i) for i in range(3)]
+
+        async def main():
+            config = _server_config(http_port=0, gather_timeout=0.1)
+            async with EstimateServer(config) as server:
+                async with EstimateClient("127.0.0.1", server.port) as cli:
+                    for plan in plans[:2]:
+                        with pytest.raises(RemoteError) as excinfo:
+                            await cli.estimate(plan)
+                        assert excinfo.value.kind == "timeout"
+                    status, _, _ = await _http_request(
+                        server.http_port, "POST", "/v1/estimate",
+                        body=plans[2].to_dict())
+                    assert status == 504
+                    for _ in range(200):
+                        if server.stats.completed == len(plans):
+                            break
+                        await asyncio.sleep(0.05)
+                    await asyncio.sleep(0.05)
+                    left = len(server._tickets)
+                    row = server.status_payload()
+                    retries = [await cli.estimate(plan) for plan in plans]
+                    return left, row, retries, server.service.stats
+
+        left, row, retries, stats = run(main())
+        assert left == 0
+        assert row["server"]["pending"] == 0
+        assert row["service"]["computed"] == 3
+        assert row["service"]["memory_hits"] == 0
+        assert [r.backend for r in retries] == ["slow-net"] * 3
+        assert stats.computed == 3 and stats.memory_hits == 3
+
+
 # -- load harness -----------------------------------------------------------------
 
 class TestLoadgen:
