@@ -40,10 +40,10 @@ class Diagnostic:
         :meth:`AnalysisReport.raise_if_errors` raise.
     pass_id:
         Dotted id of the pass that produced the finding
-        (``"ir.level-monotonic"``, ``"rpu.def-before-use"``, ...).
+        (``"ir.level-monotonic"``, ``"graph.buffer-race"``, ...).
     location:
         Where inside the analyzed object: ``"phase[3] 'cts0'"``,
-        ``"pc=7 `vshuf v3, v1, v2`"``, ``"task[12]"`` — free-form but
+        ``"schedule ARK"``, ``"task[12]"`` — free-form but
         always present so findings are actionable.
     message:
         What is wrong.
