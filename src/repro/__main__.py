@@ -208,12 +208,18 @@ def cmd_verify(args) -> int:
 
     if args.graphs:
         from repro.core import DATAFLOWS, DataflowConfig
+        from repro.workloads import resolve_workload
 
-        config = DataflowConfig()
+        # A benchmark is its own spec; a workload program contributes the
+        # distinct spec of every phase (each spec built once overall).
+        specs = {}
         for name in names:
-            if name not in BENCHMARKS:
-                continue
-            spec = get_benchmark(name)
+            workload = resolve_workload(name)
+            for spec in ([workload] if name in BENCHMARKS
+                         else [phase.spec for phase in workload.phases]):
+                specs.setdefault(spec, None)
+        config = DataflowConfig()
+        for spec in specs:
             for dataflow in DATAFLOWS.values():
                 graph = dataflow.build(spec, config)
                 subjects.append(

@@ -2,18 +2,17 @@
 
 The dominant cost of a rotation's key switch is ModUp (P1 INTT + P2 BConv
 + P3 NTT of every digit).  Because the Galois automorphism permutes
-coefficients *within* each tower and basis conversion acts on each
-coefficient independently, ModUp commutes with the automorphism up to the
-approximate-lift slack:
+coefficients *within* each tower (negating those that wrap around) and
+basis conversion acts on each coefficient independently, with the
+centred lift mapping ``-x`` to exactly ``-conv(x)``, ModUp commutes with
+the automorphism exactly:
 
-    ModUp(kappa_g(c1)) == kappa_g(ModUp(c1)) + u * Q_d,  |u| < alpha
+    ModUp(kappa_g(c1)) == kappa_g(ModUp(c1))
 
 so a batch of rotations {r_1..r_k} of the same ciphertext can share one
 ModUp: extend ``c1`` once, then per rotation permute the extended digits,
-apply that rotation's evk and ModDown.  The ``u * Q_d`` slack lands in the
-same place ordinary BConv slack does and is divided away by ModDown, so
-hoisted outputs decrypt identically to unhoisted ones up to key-switching
-noise (the tests check both decrypt to the same plaintext).  This is the Halevi-Shoup hoisting
+apply that rotation's evk and ModDown.  Hoisted outputs are bit-identical
+to unhoisted ones (the tests check it).  This is the Halevi-Shoup hoisting
 used by BTS/ARK-class accelerators and CKKS bootstrapping, and it stacks
 with the paper's dataflow optimizations (fewer ModUps means the OC
 residency argument applies to an even more memory-bound remainder).

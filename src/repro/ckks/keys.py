@@ -8,7 +8,10 @@ factor ``T_d`` from :meth:`CKKSContext.digit_gadget_scalars`, so that
 
     sum_d ModUp(c_d) . evk_d  =  P * c * s_from  + noise   (mod PQ)
 
-which ModDown divides back by ``P``.
+which ModDown divides back by ``P``.  ModUp's centred BConv lift leaves
+each digit ``c_d + u * Q_d`` with ``|u| <= (alpha + 1) // 2`` and ``u``
+symmetric around 0, so neither the slack nor ModDown's rounding gives
+the noise a constant mean per coefficient (see :mod:`repro.rns.bconv`).
 """
 
 from __future__ import annotations

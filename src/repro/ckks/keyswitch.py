@@ -117,7 +117,12 @@ def _stacked_evk(context: CKKSContext, key: KeySwitchKey, level: int):
 
 
 def mod_down(context: CKKSContext, poly: RNSPoly, level: int) -> RNSPoly:
-    """ModDown: divide an extended-basis polynomial by ``P`` back into ``Q_l``."""
+    """ModDown: divide an extended-basis polynomial by ``P`` back into ``Q_l``.
+
+    BConv's centred lift makes the division round to nearest, not down:
+    the ``P`` towers' value is taken in ``(-P/2, P/2]`` (plus a slack
+    ``u * P`` symmetric around 0, see :mod:`repro.rns.bconv`).
+    """
     if poly.domain is not Domain.EVAL:
         raise KeySwitchError("ModDown expects an EVAL-domain input")
     num_q = level + 1

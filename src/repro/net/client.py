@@ -10,6 +10,11 @@ into typed exceptions — the retryable ones (:class:`RateLimited`,
 ``retry_after`` hint, which :meth:`EstimateClient.estimate` honors when
 asked to retry.
 
+A plan travels in full once per connection: after the server has
+answered it, :meth:`EstimateClient.estimate` names it by digest only
+(the server keeps each tenant's plans by digest), and resends it in full
+within the same call if the server answers ``need_plan``.
+
 Typical use::
 
     async with EstimateClient("127.0.0.1", 7420, token="s3cret") as cli:
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import codec
@@ -87,6 +93,10 @@ _ERROR_CLASSES = {
 #: Error kinds :meth:`EstimateClient.estimate` may transparently retry.
 RETRYABLE_KINDS = ("rate", "quota", "backpressure")
 
+#: Most plan digests one client remembers having sent in full (the
+#: server's default per-tenant bound).
+MAX_SENT_DIGESTS = 256
+
 
 def backoff_delay(attempt: int, hint: Optional[float] = None,
                   rng: Optional[random.Random] = None, *,
@@ -139,6 +149,9 @@ class EstimateClient:
         self._waiting: Dict[int, asyncio.Future] = {}
         self._seq = 0
         self._write_lock = asyncio.Lock()
+        #: Digests of plans an ``estimate`` sent in full and got answered,
+        #: least recently used first.
+        self._sent: "OrderedDict[str, None]" = OrderedDict()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -289,7 +302,10 @@ class EstimateClient:
         """Estimate one plan: one ``estimate`` frame out, its report back.
 
         The server admits the plan and answers when it is resolved; a
-        warm plan is answered at admission.  ``retries`` > 0
+        warm plan is answered at admission.  A plan this client has had
+        answered before goes by digest alone; if the server has no plan
+        under it (``need_plan``), the plan is resent in full at once,
+        which is not a retry.  ``retries`` > 0
         transparently re-sends after retryable refusals (rate, quota,
         backpressure), sleeping a capped exponential backoff seeded from
         the server's ``retry_after`` hint (with jitter, so refused
@@ -311,11 +327,7 @@ class EstimateClient:
                     f"submitted"
                 )
             try:
-                response = await self._request(
-                    "estimate", plan=plan.to_dict(),
-                    deadline_s=deadline.to_wire() if deadline else None,
-                    **self._wait_fields(None, deadline),
-                )
+                response = await self._estimate_once(plan, deadline)
                 return report_from_dict(response["report"])
             except RemoteError as exc:
                 if exc.kind not in RETRYABLE_KINDS or attempt >= retries:
@@ -331,6 +343,35 @@ class EstimateClient:
                             f"{exc.kind}"
                         ) from exc
                 await asyncio.sleep(delay)
+
+    async def _estimate_once(self, plan: Plan,
+                             deadline: Optional[Deadline]
+                             ) -> Dict[str, object]:
+        """One attempt: by digest if the plan was sent before, in full
+        otherwise or when the server answers ``need_plan``."""
+        def send(**body):
+            return self._request(
+                "estimate", **body,
+                deadline_s=deadline.to_wire() if deadline else None,
+                **self._wait_fields(None, deadline),
+            )
+
+        digest = plan.digest
+        if digest in self._sent:
+            self._sent.move_to_end(digest)
+            try:
+                return await send(digest=digest)
+            except RemoteError as exc:
+                if exc.kind != "need_plan":
+                    raise
+                # pop, not del: a concurrent call of the same plan may
+                # have dropped it already.
+                self._sent.pop(digest, None)
+        response = await send(plan=plan.to_dict())
+        self._sent[digest] = None
+        if len(self._sent) > MAX_SENT_DIGESTS:
+            self._sent.popitem(last=False)
+        return response
 
     async def estimate_many(self, plans: Sequence[Plan], *,
                             retries: int = 0,

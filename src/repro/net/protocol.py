@@ -18,16 +18,27 @@ Request frames (client -> server)::
     {"v": 1, "id": 9, "op": "gather", "tickets": ["t3"], "timeout": 30.0}
     {"v": 1, "id": 10, "op": "estimate", "plan": {...Plan.to_dict()...},
                        "deadline_s": 2.5, "timeout": 30.0}
-    {"v": 1, "id": 11, "op": "status", "mix": false}
-    {"v": 1, "id": 12, "op": "warm",   "mix": {...mix payload...}}
-    {"v": 1, "id": 13, "op": "shutdown"}
+    {"v": 1, "id": 11, "op": "estimate", "digest": "9f86d0...",
+                       "deadline_s": 2.5, "timeout": 30.0}
+    {"v": 1, "id": 12, "op": "status", "mix": false}
+    {"v": 1, "id": 13, "op": "warm",   "mix": {...mix payload...}}
+    {"v": 1, "id": 14, "op": "shutdown"}
 
 ``estimate`` is ``submit`` then ``gather`` of its one ticket in a single
 round trip; its reply is the gathered entry (``"report"`` on success, an
-error frame of the ticket's kind otherwise).  ``timeout`` (optional,
-``gather`` and ``estimate``) bounds the server-side wait in seconds: a
-finite number >= 0, capped by the server; anything else is a
-``protocol`` error.
+error frame of the ticket's kind otherwise), and echoes the plan's
+``digest``.
+
+An ``estimate`` may name its plan by ``digest`` instead of carrying it,
+once the same tenant has sent that plan in full: the server keeps each
+tenant's plans by digest (bounded by its report cache size, least
+recently used out).  A digest it holds no plan under for this tenant —
+never sent by it, evicted, or sent before a restart — is answered with
+kind ``need_plan``, and the client sends the plan in full.
+
+``timeout`` (optional, ``gather`` and ``estimate``) bounds the
+server-side wait in seconds: a finite number >= 0, capped by the
+server; anything else is a ``protocol`` error.
 
 ``deadline_s`` (optional, ``submit`` and ``estimate``) is the request's
 *remaining* time budget in seconds — a relative duration, not a
@@ -98,6 +109,9 @@ ERROR_KINDS = (
     #: out (see ShardPool.MAX_REQUEUES) — the payload itself likely
     #: wedges workers.
     "stalled_worker",
+    #: A digest-only ``estimate`` named a digest this tenant has no plan
+    #: under; resend the request with its ``plan``.
+    "need_plan",
     "internal",      # anything else
 )
 

@@ -33,6 +33,14 @@ then, on the event loop (:meth:`EstimateService.hit
 resolved and never queues, dispatches or waits for a flush, and the
 ``estimate`` op (admit, then gather, in one frame each way) returns its
 report at once.
+
+A warm ``estimate`` need not even carry its plan: each tenant keeps the
+plans it sent in full, by digest (bounded by ``cache_size``), so a frame
+that names only a ``digest`` runs the same gates and the same hit on the
+kept :class:`~repro.api.plan.Plan` object, with nothing parsed or
+rebuilt.  A digest the tenant has no plan for — never sent, evicted, or
+sent before a restart — is answered ``need_plan``, and the client sends
+the plan in full.
 """
 
 from __future__ import annotations
@@ -161,6 +169,11 @@ class ServerStats:
     warmed: int = 0
     idle_warms: int = 0
     gathered: int = 0
+    #: Estimates answered from a digest-only frame (no plan shipped).
+    by_digest: int = 0
+    #: Digest-only estimates refused ``need_plan``: the tenant has no
+    #: plan under that digest.
+    need_plan: int = 0
 
     def as_row(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -209,7 +222,8 @@ class EstimateServer:
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
         self.stats = ServerStats()
-        self.registry = TenantRegistry(self.config.tenants)
+        self.registry = TenantRegistry(self.config.tenants,
+                                       max_plans=self.config.cache_size)
         self._queue = FairQueue(self.config.max_queue_depth)
         self._queue_event = asyncio.Event()
         self._stream = DigestStream()
@@ -489,18 +503,39 @@ class EstimateServer:
     async def _op_estimate(self, conn, req_id, frame):
         """``submit`` and ``gather`` of one plan, one frame each way.
 
-        The reply is the gathered entry: ``ok`` with the ``report``, or
-        an error frame of the ticket's error kind.
+        The plan is the frame's ``plan`` payload, or, for a frame that
+        names only a ``digest``, the plan this tenant sent in full under
+        it.  The reply is the gathered entry: ``ok`` with the
+        ``report``, or an error frame of the ticket's error kind.
         """
         tenant = self._session(conn)
-        plan = _plan_of(frame)
+        by_digest = "plan" not in frame and "digest" in frame
+        plan = self._recalled(tenant, frame["digest"]) if by_digest \
+            else _plan_of(frame)
         timeout = self._wait_timeout(frame)
         result = await self.admit_and_gather(
             tenant, plan, deadline=Deadline.from_wire(frame.get("deadline_s")),
             timeout=timeout,
         )
+        if by_digest:
+            self.stats.by_digest += 1
+        else:
+            tenant.remember(plan)
         return {"v": PROTOCOL_VERSION, "id": req_id, "digest": plan.digest,
                 **result}
+
+    def _recalled(self, tenant: TenantState, digest: object) -> Plan:
+        """The plan ``tenant`` sent in full under ``digest``, or a
+        ``need_plan`` rejection."""
+        if not isinstance(digest, str):
+            raise Rejection("protocol", f"'digest' must be a string, got "
+                                        f"{type(digest).__name__}")
+        plan = tenant.recall(digest)
+        if plan is None:
+            self.stats.need_plan += 1
+            raise Rejection("need_plan", f"no plan under digest "
+                                         f"{digest[:12]!r}; send it in full")
+        return plan
 
     def _wait_timeout(self, frame: Dict[str, object]) -> float:
         """A frame's ``timeout``: seconds to wait for a ticket, capped at

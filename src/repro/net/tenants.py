@@ -11,8 +11,9 @@ request occupies queue capacity.  Three pieces:
   tests zero-config while exercising the same code paths.
 * :class:`TokenBucket` / :class:`TenantState` — per-tenant runtime
   state: a token bucket for sustained request rate (with a computed
-  retry-after when empty) and an in-flight counter for the concurrency
-  quota.
+  retry-after when empty), an in-flight counter for the concurrency
+  quota, and the bounded ``digest -> Plan`` map that lets a warm
+  ``estimate`` name its plan by digest instead of shipping it.
 * :class:`FairQueue` — per-tenant FIFOs drained round-robin, so a batch
   formed under backlog interleaves tenants instead of serving whoever
   submitted fastest.  The queue also carries the *global* depth bound
@@ -25,10 +26,13 @@ import json
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro import codec
 from repro.errors import ParameterError, ReproError
+
+if TYPE_CHECKING:
+    from repro.api.plan import Plan
 
 
 class AuthError(ReproError):
@@ -110,10 +114,18 @@ class TokenBucket:
 
 @dataclass
 class TenantState:
-    """Runtime state and counters of one authenticated tenant."""
+    """Runtime state and counters of one authenticated tenant.
+
+    ``plans`` maps the digests of plans this tenant sent in full to the
+    :class:`~repro.api.plan.Plan` objects, least recently used first and
+    at most ``max_plans`` of them.  Only the tenant's own frames read it,
+    so a digest another tenant sent is unknown here.
+    """
 
     spec: TenantSpec
+    max_plans: int = 256
     bucket: TokenBucket = field(init=False)
+    plans: "OrderedDict[str, Plan]" = field(init=False, repr=False)
     inflight: int = 0
     submitted: int = 0
     completed: int = 0
@@ -126,10 +138,26 @@ class TenantState:
     def __post_init__(self) -> None:
         burst = self.spec.burst or max(1, int(2 * self.spec.rate))
         self.bucket = TokenBucket(self.spec.rate, burst)
+        self.plans = OrderedDict()
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    def remember(self, plan: "Plan") -> None:
+        """Keep ``plan`` under its digest, evicting the least recently
+        used past ``max_plans``."""
+        self.plans[plan.digest] = plan
+        self.plans.move_to_end(plan.digest)
+        while len(self.plans) > self.max_plans:
+            self.plans.popitem(last=False)
+
+    def recall(self, digest: str) -> "Optional[Plan]":
+        """The plan this tenant sent under ``digest``, or ``None``."""
+        plan = self.plans.get(digest)
+        if plan is not None:
+            self.plans.move_to_end(digest)
+        return plan
 
     def as_row(self) -> Dict[str, object]:
         return {
@@ -164,7 +192,8 @@ class TenantRegistry:
     per connection.
     """
 
-    def __init__(self, specs: Sequence[TenantSpec] = ()):
+    def __init__(self, specs: Sequence[TenantSpec] = (), *,
+                 max_plans: int = 256):
         self._by_token: Dict[str, TenantState] = {}
         self._states: "OrderedDict[str, TenantState]" = OrderedDict()
         names = set()
@@ -176,12 +205,12 @@ class TenantRegistry:
                     f"tenant {spec.name!r} reuses another tenant's token"
                 )
             names.add(spec.name)
-            state = TenantState(spec)
+            state = TenantState(spec, max_plans)
             self._by_token[spec.token] = state
             self._states[spec.name] = state
         self.open = not specs
         if self.open:
-            state = TenantState(PUBLIC_TENANT)
+            state = TenantState(PUBLIC_TENANT, max_plans)
             self._states[state.name] = state
             self._public = state
 

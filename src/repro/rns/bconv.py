@@ -3,23 +3,37 @@
 Given residues of ``x`` in a source basis ``B = {q_i}`` with product ``Q_B``,
 the conversion computes, for each target modulus ``t``:
 
-    conv(x) = sum_i ( [x_i * (Q_B/q_i)^-1]_{q_i} ) * (Q_B/q_i)   mod t
+    conv(x) = sum_i y_i * (Q_B/q_i)   mod t,
+    y_i     = [x_i * (Q_B/q_i)^-1]_{q_i}  centred into (-q_i/2, q_i/2]
 
-This equals ``x + u * Q_B (mod t)`` for some integer ``0 <= u < |B|`` — the
-well-known *approximate* lift of Bajard/Halevi-Polyakov-Shoup used by
-full-RNS CKKS.  Hybrid key switching tolerates the ``u * Q_B`` slack because
-the subsequent evk multiplication scales genuine data by ``P`` while the
-slack stays ``P``-free (ModUp) or is divided away (ModDown).
+This equals ``x_c + u * Q_B (mod t)``, where ``x_c`` is the centred
+representative of ``x`` modulo ``Q_B`` and ``u`` is an integer with
+``|u| <= (|B| + 1) // 2`` — the *approximate* lift of
+Bajard/Halevi-Polyakov-Shoup used by full-RNS CKKS.  Hybrid key switching
+tolerates the ``u * Q_B`` slack because the subsequent evk multiplication
+scales genuine data by ``P`` while the slack stays ``P``-free (ModUp) or
+is divided away (ModDown).
+
+The centring matters: with non-negative ``y_i`` the slack ``u`` has mean
+``|B|/2`` rather than 0, so ModUp's digits carry a constant offset and
+ModDown rounds by floor instead of to nearest.  A key switch's noise then
+has a constant mean per coefficient, which the canonical embedding sums
+coherently into a few slots.  Centred, the lift of ``-x`` is exactly
+``-conv(x)`` and ``u`` is symmetric around 0.
 
 Cost: ``N * |B| * |T|`` modular multiply-accumulates, exactly the count the
 paper charges for ModUp/ModDown P2 (Section III-B).  The default kernel
 performs them as a blocked integer matmul — ``|B| / chunk`` tensordot
 passes with one reduction per chunk, where the chunk size is chosen so the
-unreduced partial sums provably fit in int64; the original
-``|B| x |T|`` accumulate-and-reduce loop is retained as the reference
-path and proven bit-identical by ``tests/test_kernel_equivalence.py``
-(modular reduction is associative, so reducing once per chunk instead of
-once per term cannot change the result).
+unreduced partial sums provably fit in int64.  It keeps every operand
+non-negative (numpy's fast ``%``): it multiplies the shifted
+``y_i + h_i`` in ``[0, q_i)``, ``h_i = (q_i - 1) / 2``, and starts each
+target tower's sum at ``-sum_i h_i * (Q_B/q_i) mod t`` instead of 0.  The
+original ``|B| x |T|`` accumulate-and-reduce loop is retained as the
+reference path and proven bit-identical by
+``tests/test_kernel_equivalence.py`` (modular reduction is associative,
+so reducing once per chunk instead of once per term cannot change the
+result).
 """
 
 from __future__ import annotations
@@ -67,6 +81,14 @@ class BasisConverter:
             )
             cache.store("bconv", key, {"hat_mod": self._hat_mod})
         self._hat_invs = np.array(source.hat_invs, dtype=_INT64)
+        #: ``h_i = (q_i - 1) / 2`` per source tower (moduli are odd):
+        #: ``[x_i * hat_inv_i + h_i]_{q_i} - h_i`` is the centred ``y_i``.
+        self._halves = source.q_column // 2
+        #: Each target tower's starting value, ``-sum_i h_i * hat_i mod
+        #: t``: it takes the ``h_i`` shift back out of the sum.
+        shift = sum((q // 2) * hat for q, hat in zip(source.moduli, source.hats))
+        self._offset = np.array([[-shift % t] for t in target.moduli],
+                                dtype=_INT64)
         # Each unreduced term is below (max_q - 1) * (max_t - 1) < 2**60;
         # chunk so ``chunk * term_bound`` plus a reduced carry stays under
         # 2**63.  At the 30-bit modulus cap this is 8 source towers per
@@ -88,11 +110,12 @@ class BasisConverter:
         so the bound argument (and hence bit-identity with the
         per-ciphertext result) carries over unchanged.
         """
-        y = self._scaled_sources(residues)
+        y = self._shifted_sources(residues)
         t_col = self.target.q_column
-        out = np.zeros(
+        out = np.empty(
             y.shape[:-2] + (len(self.target), y.shape[-1]), dtype=_INT64
         )
+        out[...] = self._offset
         for start in range(0, len(self.source), self._chunk):
             block = slice(start, start + self._chunk)
             out += self._hat_mod[block].T @ y[..., block, :]
@@ -107,10 +130,11 @@ class BasisConverter:
                 f"expected {len(self.source)} source towers, got {residues.shape[0]}"
             )
         n = residues.shape[1]
-        # y_i = [x_i * hat_inv_i]_{q_i}
+        # y_i = [x_i * hat_inv_i]_{q_i}, centred.
         y = np.empty_like(residues)
         for i, q in enumerate(self.source.moduli):
             y[i] = residues[i] * self._hat_invs[i] % q
+            y[i] = np.where(y[i] > q // 2, y[i] - q, y[i])
         out = np.zeros((len(self.target), n), dtype=_INT64)
         for j, t in enumerate(self.target.moduli):
             acc = np.zeros(n, dtype=_INT64)
@@ -119,18 +143,22 @@ class BasisConverter:
             out[j] = acc
         return out
 
-    def _scaled_sources(self, residues: np.ndarray) -> np.ndarray:
-        """``y_i = [x_i * hat_inv_i]_{q_i}`` for all towers in one pass."""
+    def _shifted_sources(self, residues: np.ndarray) -> np.ndarray:
+        """``y_i + h_i = [x_i * hat_inv_i + h_i]_{q_i}`` for all towers in
+        one pass: the centred ``y_i`` shifted into ``[0, q_i)``."""
         residues = np.asarray(residues, dtype=_INT64)
         if residues.shape[-2] != len(self.source):
             raise ParameterError(
                 f"expected {len(self.source)} source towers, "
                 f"got {residues.shape[-2]}"
             )
-        return residues * self._hat_invs[:, None] % self.source.q_column
+        y = residues * self._hat_invs[:, None]
+        y += self._halves
+        np.remainder(y, self.source.q_column, out=y)
+        return y
 
     def exact_value_bound(self) -> int:
-        """Upper bound on the lift slack multiplier ``u`` (exclusive)."""
+        """Upper bound on the lift slack ``|u|`` (exclusive)."""
         return len(self.source)
 
     def __repr__(self) -> str:

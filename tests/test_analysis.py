@@ -318,6 +318,19 @@ class TestCleanCorpus:
         out = capsys.readouterr().out
         assert "subjects clean" in out and "OK" in out
 
+    def test_cli_verify_graphs_covers_a_programs_phase_specs(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["verify", "HELR", "--graphs"]) == 0
+        out = capsys.readouterr().out
+        specs = {phase.spec.name for phase in get_workload("HELR").phases}
+        for name in specs:
+            for dataflow in sorted(DATAFLOWS):
+                assert f"graph {name}/{dataflow}" in out
+        rows = [line for line in out.splitlines()
+                if line.strip().startswith("graph ")]
+        assert len(rows) == len(specs) * len(DATAFLOWS)
+
 
 # -- plan / workload-IR mutation kill-tests ---------------------------------------
 

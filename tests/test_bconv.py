@@ -17,16 +17,37 @@ SRC = RNSBasis(PRIMES[:3])
 DST = RNSBasis(PRIMES[3:])
 
 
+def centred(x, modulus):
+    x %= modulus
+    return x - modulus if x > modulus // 2 else x
+
+
 def lift_holds(x, converted, src, dst):
-    """conv(x) must equal x + u*Q_src (mod t) for some 0 <= u < |src|."""
+    """conv(x) must equal x_c + u*Q_src (mod t), x_c the centred value of
+    x mod Q_src and |u| <= (|src| + 1) // 2."""
+    bound = (len(src) + 1) // 2
     for row, t in enumerate(dst.moduli):
         for k in range(len(x)):
             got = int(converted[row][k])
+            x_c = centred(x[k], src.product)
             if not any(
-                (x[k] + u * src.product) % t == got for u in range(len(src) + 1)
+                (x_c + u * src.product) % t == got
+                for u in range(-bound, bound + 1)
             ):
                 return False
     return True
+
+
+def lift_slack(x, converted, src, dst):
+    """The integer ``u`` of ``conv(x) = x_c + u*Q_src``, read off the
+    first target tower (candidates differ by a multiple of ``Q_src`` too
+    small to vanish mod ``t``, so at most one matches)."""
+    bound = (len(src) + 1) // 2
+    t = dst.moduli[0]
+    x_c = centred(x, src.product)
+    [u] = [u for u in range(-bound, bound + 1)
+           if (x_c + u * src.product) % t == int(converted[0][0])]
+    return u
 
 
 class TestConvert:
@@ -51,7 +72,8 @@ class TestConvert:
         out = BasisConverter(src1, DST).convert(src1.decompose(x))
         for row, t in enumerate(DST.moduli):
             for k, xv in enumerate(x):
-                assert int(out[row][k]) == xv % t  # hat = 1, exact copy
+                # hat = 1: an exact copy of the centred value
+                assert int(out[row][k]) == centred(xv, src1.product) % t
 
     def test_shape_validation(self):
         conv = BasisConverter(SRC, DST)
@@ -83,3 +105,28 @@ class TestCache:
 def test_lift_slack_bounded_property(x):
     out = BasisConverter(SRC, DST).convert(SRC.decompose([x]))
     assert lift_holds([x], out, SRC, DST)
+
+
+class TestUnbiasedLift:
+    def test_mean_slack_is_zero_over_uniform_inputs(self):
+        """The centred lift's slack ``u`` is symmetric around 0: over
+        uniform ``x`` its mean is ~0 (a non-negative lift's is ~|B|/2)."""
+        src = RNSBasis(PRIMES[:4])
+        dst = RNSBasis(PRIMES[4:])
+        pyrng = random.Random(7)
+        xs = [pyrng.randrange(src.product) for _ in range(2000)]
+        out = BasisConverter(src, dst).convert(src.decompose(xs))
+        slacks = [lift_slack(x, out[:, k:k + 1], src, dst)
+                  for k, x in enumerate(xs)]
+        assert abs(sum(slacks) / len(slacks)) < 0.1
+        assert min(slacks) < 0 < max(slacks)
+
+    def test_negation_commutes_with_the_lift(self):
+        """conv(-x) == -conv(x) exactly, the symmetry behind the zero
+        mean."""
+        conv = BasisConverter(SRC, DST)
+        pyrng = random.Random(5)
+        xs = [pyrng.randrange(SRC.product) for _ in range(64)]
+        pos = conv.convert(SRC.decompose(xs))
+        neg = conv.convert(SRC.decompose([-x % SRC.product for x in xs]))
+        assert np.array_equal((pos + neg) % DST.q_column, 0 * pos)

@@ -40,6 +40,19 @@ class TestHoistedRotations:
             )
             assert np.max(np.abs(plain_h - plain_r)) < 1e-3
 
+    def test_bit_identical_to_unhoisted(
+        self, context, encoder, encryptor, evaluator, rotation_keys, rng
+    ):
+        """The centred BConv lift maps -x to exactly -lift(x), so ModUp
+        commutes with the automorphism and sharing it changes no bit."""
+        z = rng.uniform(-1, 1, encoder.num_slots)
+        ct = encryptor.encrypt(encoder.encode(z))
+        hoisted = hoisted_rotations(context, ct, rotation_keys)
+        for steps, key in rotation_keys.items():
+            rotated = evaluator.rotate(ct, steps, key)
+            assert np.array_equal(hoisted[steps].c0.data, rotated.c0.data)
+            assert np.array_equal(hoisted[steps].c1.data, rotated.c1.data)
+
     def test_level_preserved(self, context, encoder, encryptor, rotation_keys):
         ct = encryptor.encrypt(encoder.encode([1.0]), level=3)
         results = hoisted_rotations(context, ct, {1: rotation_keys[1]})

@@ -47,7 +47,8 @@ class TestModUp:
                 assert np.array_equal(ext.data[t], poly.data[t])
 
     def test_lift_is_exact_up_to_q_slack(self, context, world):
-        """Every extended tower must hold c_d + u*Q_d for small u >= 0."""
+        """Every extended tower must hold c_d + u*Q_d, with c_d centred
+        and |u| <= (alpha + 1) // 2."""
         _, rng, _, _ = world
         level = 3
         poly = RNSPoly.random_uniform(
@@ -57,16 +58,16 @@ class TestModUp:
         indices = context.digit_indices(level)[d]
         ext = mod_up_digit(context, poly, level, d)
         digit_coeff = poly.select_towers(indices).to_coeff()
-        values = digit_coeff.basis.compose(digit_coeff.data, centered=False)
+        values = digit_coeff.basis.compose(digit_coeff.data, centered=True)
         q_d = digit_coeff.basis.product
         ext_coeff = ext.to_coeff()
-        alpha = len(indices)
+        bound = (len(indices) + 1) // 2
         for row, t in enumerate(ext.basis.moduli):
             for k in range(0, context.params.n, 17):  # sample coefficients
                 got = int(ext_coeff.data[row][k])
                 assert any(
                     (int(values[k]) + u * q_d) % t == got
-                    for u in range(alpha + 1)
+                    for u in range(-bound, bound + 1)
                 )
 
     def test_requires_eval_domain(self, context, world):

@@ -4,7 +4,11 @@ A plan the service has admitted and holds in its report LRU is answered
 at admission, on the event loop: one ``estimate`` frame each way, no
 executor hop, no queue and no flush, behind exactly the gates a miss
 meets, and its reply is built around the report bytes cached with the
-LRU entry.  ``gather`` and ``estimate`` accept only a finite ``timeout``
+LRU entry.  Once a tenant has sent a plan in full, an ``estimate`` that
+names only its digest is answered from the kept plan object: nothing
+parsed or rebuilt, the same gates, and ``need_plan`` (then a full resend
+by the client) for a digest the tenant has no plan under.  ``gather``
+and ``estimate`` accept only a finite ``timeout``
 >= 0 and count anything else as a protocol error.  Whatever bytes
 arrive, the frame decoders answer with dicts or :class:`FrameError`,
 and a frame built around cached bytes decodes as the plain one does.
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 import repro.net.client as client_module
 import repro.net.server as server_module
 from repro.api import build_plan
-from repro.api.plan import report_to_dict
+from repro.api.plan import Plan, report_to_dict
 from repro.faults import Deadline
 from repro.net import (
     EstimateClient,
@@ -277,6 +281,210 @@ class TestWarmRefusals:
                     return server.service.stats.memory_hits
 
         assert run(main()) == 0
+
+
+# -- digest-only estimates -------------------------------------------------------------
+
+async def _raw(port, frames, token=None):
+    """``frames`` on a fresh connection after a hello with ``token``; the
+    replies in order."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        replies = []
+        for frame in [{"op": "hello", "token": token}] + frames:
+            await write_frame(writer, {"v": PROTOCOL_VERSION, "id": 1,
+                                       **frame})
+            replies.append(await read_frame(reader))
+        assert replies[0]["ok"]
+        return replies[1:]
+    finally:
+        writer.close()
+
+
+BY_DIGEST = {"op": "estimate", "digest": WARM.digest}
+IN_FULL = {"op": "estimate", "plan": WARM.to_dict()}
+TWO_TENANTS = (TenantSpec(name="a", token="ka"),
+               TenantSpec(name="b", token="kb"))
+
+
+def _counting_from_dict(monkeypatch):
+    calls = []
+    original = Plan.from_dict.__func__
+
+    def counted(cls, data):
+        calls.append(1)
+        return original(cls, data)
+
+    monkeypatch.setattr(Plan, "from_dict", classmethod(counted))
+    return calls
+
+
+class TestDigestOnly:
+    def test_warm_hit_is_one_frame_each_way_and_rebuilds_no_plan(
+            self, monkeypatch):
+        sent, replied = [], []
+
+        async def capture(writer, payload, **kw):
+            sent.append(dict(payload))
+            await write_frame(writer, payload, **kw)
+
+        async def main():
+            async with EstimateServer(_server_config()) as server:
+                async with EstimateClient("127.0.0.1", server.port) as cli:
+                    await cli.estimate(WARM)
+                    rebuilt = _counting_from_dict(monkeypatch)
+                    monkeypatch.setattr(client_module, "write_frame",
+                                        capture)
+                    monkeypatch.setattr(server_module, "write_frame",
+                                        _counting(replied, write_frame))
+                    report = await cli.estimate(WARM)
+                    return report, rebuilt, server.stats
+
+        report, rebuilt, stats = run(main())
+        assert report == WARM.run()
+        assert [frame["op"] for frame in sent] == ["estimate"]
+        assert "plan" not in sent[0] and sent[0]["digest"] == WARM.digest
+        assert replied == ["reply"]
+        assert rebuilt == []
+        assert stats.by_digest == 1 and stats.need_plan == 0
+
+    def test_hits_by_digest_compute_nothing(self):
+        async def main():
+            async with EstimateServer(_server_config()) as server:
+                async with EstimateClient("127.0.0.1", server.port) as cli:
+                    first = await cli.estimate(WARM)
+                    before = dict(server.service.stats.as_row())
+                    hits = [await cli.estimate(WARM) for _ in range(5)]
+                    return (first, hits, before,
+                            server.service.stats.as_row(), server.stats)
+
+        first, hits, before, after, stats = run(main())
+        assert first == WARM.run() and all(h == first for h in hits)
+        assert after["computed"] == before["computed"] == 1
+        assert after["memory_hits"] == before["memory_hits"] + 5
+        assert stats.by_digest == 5 and stats.accepted == 6
+
+    def test_another_tenants_digest_is_need_plan(self):
+        async def main():
+            config = _server_config(tenants=TWO_TENANTS)
+            async with EstimateServer(config) as server:
+                [sent] = await _raw(server.port, [IN_FULL], token="ka")
+                [other] = await _raw(server.port, [BY_DIGEST], token="kb")
+                [own] = await _raw(server.port, [BY_DIGEST], token="ka")
+                return sent, other, own, server.stats
+
+        sent, other, own, stats = run(main())
+        assert sent["ok"] and own["ok"]
+        assert own["report"] == sent["report"] == report_to_dict(WARM.run())
+        assert not other["ok"] and other["error"]["kind"] == "need_plan"
+        assert "report" not in other
+        assert stats.need_plan == 1 and stats.by_digest == 1
+
+    def test_unknown_digest_is_need_plan_and_malformed_is_protocol(self):
+        async def main():
+            async with EstimateServer(_server_config()) as server:
+                replies = await _raw(server.port, [
+                    BY_DIGEST, {"op": "estimate", "digest": 7}])
+                return replies, server.stats
+
+        (unknown, malformed), stats = run(main())
+        assert unknown["error"]["kind"] == "need_plan"
+        assert malformed["error"]["kind"] == "protocol"
+        assert stats.need_plan == 1 and stats.protocol_errors == 1
+        assert stats.accepted == 0
+
+    def test_eviction_falls_back_to_the_full_plan(self):
+        async def main():
+            config = _server_config(cache_size=1)
+            async with EstimateServer(config) as server:
+                async with EstimateClient("127.0.0.1", server.port) as cli:
+                    await cli.estimate(WARM)
+                    await cli.estimate(COLD)  # evicts WARM's kept plan
+                    report = await cli.estimate(WARM)
+                    fallback = (server.stats.need_plan,
+                                server.stats.by_digest)
+                    await cli.estimate(WARM)
+                    return report, fallback, server.stats.by_digest
+
+        report, fallback, by_digest = run(main())
+        assert report == WARM.run()
+        assert fallback == (1, 0)
+        assert by_digest == 1
+
+    def test_restart_falls_back_to_the_full_plan(self):
+        async def main():
+            async with EstimateServer(_server_config()) as first:
+                cli = await EstimateClient("127.0.0.1", first.port).connect()
+                await cli.estimate(WARM)
+                await cli.close()
+            async with EstimateServer(_server_config()) as second:
+                cli.port = second.port
+                async with cli:
+                    report = await cli.estimate(WARM)
+                    again = await cli.estimate(WARM)
+                return report, again, second.stats
+
+        report, again, stats = run(main())
+        assert report == again == WARM.run()
+        assert stats.need_plan == 1 and stats.by_digest == 1
+
+
+class TestDigestOnlyRefusals:
+    """A digest-only frame meets every gate a full plan meets."""
+
+    @staticmethod
+    def _kinds(config, prepare, token=None, **fields):
+        """The error kinds of a digest-only and a full-plan frame of a
+        plan the tenant already sent, and the counters they moved."""
+        async def main():
+            async with EstimateServer(config) as server:
+                [sent] = await _raw(server.port, [IN_FULL], token=token)
+                assert sent["ok"]
+                prepare(server, server.registry.authenticate(token))
+                before = server.stats.as_row()
+                replies = await _raw(server.port, [
+                    {**BY_DIGEST, **fields}, {**IN_FULL, **fields}],
+                    token=token)
+                after = server.stats.as_row()
+                moved = {k: after[k] - before[k] for k in after
+                         if after[k] != before[k] and k != "connections"}
+                return [reply["error"]["kind"] for reply in replies], moved
+
+        return run(main())
+
+    def test_rate_limited(self):
+        config = _server_config(tenants=(
+            TenantSpec(name="t", token="s", rate=0.001, burst=1),))
+        kinds, moved = self._kinds(config, lambda server, tenant: None,
+                                   token="s")
+        assert kinds == ["rate", "rate"]
+        assert moved == {"rejected_rate": 2}
+
+    def test_over_quota(self):
+        config = _server_config(tenants=(
+            TenantSpec(name="t", token="s", max_inflight=1),))
+
+        def fill_quota(server, tenant):
+            tenant.inflight = 1
+
+        kinds, moved = self._kinds(config, fill_quota, token="s")
+        assert kinds == ["quota", "quota"]
+        assert moved == {"rejected_quota": 2}
+
+    def test_draining(self):
+        def drain(server, tenant):
+            server._draining = True
+
+        kinds, moved = self._kinds(_server_config(), drain)
+        assert kinds == ["shutdown", "shutdown"]
+        assert moved == {"rejected_shutdown": 2}
+
+    def test_expired_deadline(self):
+        kinds, moved = self._kinds(_server_config(),
+                                   lambda server, tenant: None,
+                                   deadline_s=-1.0)
+        assert kinds == ["deadline_exceeded", "deadline_exceeded"]
+        assert moved == {"rejected_deadline": 2}
 
 
 # -- the ``timeout`` field ----------------------------------------------------------

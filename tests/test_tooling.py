@@ -332,6 +332,26 @@ class TestBenchCompareRuns:
                       "bench/run.py --workload fhe_hks_batch --seed 103"):
             assert field in message
 
+    @pytest.mark.parametrize("parent_script, fault", [
+        ("import sys\nsys.exit(1)\n",
+         "both sides fail on seed 103 (a parent fault)"),
+        ("print('{}')\n", "change only: the parent side passes seed 103"),
+    ], ids=["both", "change-only"])
+    def test_a_failed_run_says_whose_fault_it_is(self, tmp_path,
+                                                 parent_script, fault):
+        from tools.bench_compare import paired_run
+
+        roots = {
+            "change": self._checkout(tmp_path / "change",
+                                     "import sys\nsys.exit(1)\n"),
+            "parent": self._checkout(tmp_path / "parent", parent_script),
+        }
+        with pytest.raises(SystemExit) as excinfo:
+            paired_run(roots, "fhe_hks_batch", 103, side="change", pair=3)
+        message = str(excinfo.value.code)
+        assert "side=change" in message and "seed=103" in message
+        assert message.endswith(fault)
+
     def test_a_run_returns_its_final_json_line(self, tmp_path):
         from tools.bench_compare import one_run
 

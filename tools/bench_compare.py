@@ -39,7 +39,10 @@ path that leave no large ``free`` to move it (ROADMAP item 5(d)).
 For every (workload, end-to-end metric) it prints both medians, how much
 worse the change's is, the parent's quartile distance, the pairs the
 change won or tied, and a verdict (see :func:`judge`); then every run
-made.  Exits 1 if any verdict is ``worse``.
+made.  Exits 1 if any verdict is ``worse``.  A run that exits non-zero
+stops the comparison, after the other side has rerun the same workload
+on the same seed once, so the message says whether the fault is the
+change's alone or the parent's too.
 
 This is where the wall-clock guards of the retired ``benchmarks/`` suite
 live: a single-shot ratio or an absolute floor is not a guard on a box
@@ -180,6 +183,24 @@ def one_run(root: Path, workload: str, seed: int, *, side: str,
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def paired_run(roots: Dict[str, Path], workload: str, seed: int, *,
+               side: str, pair: int) -> Dict[str, object]:
+    """:func:`one_run` of ``side``; if it fails, the other side reruns
+    the same workload and seed once, and the failure's message ends with
+    whose fault it is: ``both sides fail on seed S (a parent fault)``,
+    or the failing side's name with ``only``."""
+    try:
+        return one_run(roots[side], workload, seed, side=side, pair=pair)
+    except SystemExit as failure:
+        other = "change" if side == "parent" else "parent"
+        try:
+            one_run(roots[other], workload, seed, side=other, pair=pair)
+            fault = f"{side} only: the {other} side passes seed {seed}"
+        except SystemExit:
+            fault = f"both sides fail on seed {seed} (a parent fault)"
+        raise SystemExit(f"{failure.code}\n  {fault}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the revision to compare against")
@@ -211,8 +232,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     else ("change", "parent")
                 for side in order:
                     runs[side][name].append(
-                        one_run(roots[side], name, FIRST_SEED + k,
-                                side=side, pair=k + 1))
+                        paired_run(roots, name, FIRST_SEED + k,
+                                   side=side, pair=k + 1))
                 print(f"{name}: pair {k + 1}/{args.pairs} done "
                       f"({order[0]} first, seed {FIRST_SEED + k})",
                       flush=True)
