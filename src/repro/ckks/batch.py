@@ -13,6 +13,14 @@ Because every kernel on a stack is bit-identical to looping it over the
 members, an entire batched circuit is bit-identical to running the
 circuit B times — which is exactly what ``tests/test_batch.py`` asserts,
 end to end through bootstrapping.
+
+The same axis also carries independent work *within* one circuit:
+:func:`repro.ckks.evaluator.concat_members` joins several same-level
+ciphertexts, batched or not, into one stack (``k`` items of ``B``
+members flatten to ``k*B``, since an :class:`RNSPoly` is at most 3-D),
+which is how the Chebyshev ladder's generations and the BSGS giant-step
+rotations share key switches.  Unlike :func:`stack_ciphertexts`, the
+items' scales may differ; the callers keep each one's own.
 """
 
 from __future__ import annotations

@@ -52,7 +52,11 @@ from repro.ckks.encrypt import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySwitchKey
 from repro.ckks.linear import LinearTransform
-from repro.ckks.polyeval import _stack_plaintexts, evaluate_chebyshev_rows
+from repro.ckks.polyeval import (
+    _encode_constant,
+    _stack_plaintexts,
+    evaluate_chebyshev_rows,
+)
 from repro.errors import ParameterError
 
 
@@ -243,10 +247,8 @@ class Bootstrapper:
         both = stack_ciphertexts(members)
         norm = 2.0 / (self.sine_periods * q_tilde)
         q_top = float(self.context.q_basis.moduli[both.level])
-        slots = self.encoder.num_slots
         pts = [
-            self.encoder.encode([normalize] * slots, level=both.level,
-                                scale=q_top)
+            _encode_constant(self.encoder, normalize, both.level, q_top)
             for normalize in (norm, -1j * norm)
         ]
         pt = _stack_plaintexts(pts, [bsz, bsz])

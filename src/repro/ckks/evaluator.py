@@ -3,22 +3,108 @@
 Multiplication and rotation are the two operations that trigger hybrid key
 switching — the paper's motivating observation is that this key switching
 dominates end-to-end runtime (~70% for private inference).
+
+Independent same-level work runs as one stacked call: :func:`concat_members`
+joins several ciphertexts into one whose members are all of theirs, any
+operation then costs one kernel pass per stage for the whole group, and
+:func:`split_members` hands each item its own result back.  A group holds
+at most :data:`MAX_STACK_MEMBERS` members (:func:`member_groups`).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ckks.context import CKKSContext
 from repro.ckks.encrypt import Ciphertext
 from repro.ckks.keys import KeySwitchKey, rotation_galois_element
-from repro.ckks.keyswitch import key_switch
+from repro.ckks.keyswitch import key_switch, key_switch_each
 from repro.errors import KeySwitchError, ParameterError
 from repro.ntt.batch import get_batch_ntt
 from repro.ntt.modmath import mul_sum_mod
 from repro.rns.poly import Domain, RNSPoly, automorphism_stacked
+
+
+#: Most ciphertext members one stacked call of independent items holds.
+#: Measured on ``fhe_boot`` (``n7_boot`` bootstraps), peak RSS against
+#: 62.3 MB for one item per call: 62.4-62.5 MB at 8, 64.2 MB at 16, and
+#: 67.5 MB unbounded (28 members in EvalMod's widest ladder generation),
+#: at one speed within the runs' spread.
+MAX_STACK_MEMBERS = 8
+
+
+def member_groups(items: Sequence[Ciphertext],
+                  limit: int = MAX_STACK_MEMBERS) -> List[range]:
+    """Consecutive runs of whole ``items`` holding at most ``limit``
+    members each (an item larger than ``limit`` runs alone)."""
+    runs: List[range] = []
+    start, members = 0, 0
+    for i, ct in enumerate(items):
+        size = ct.c0.batch_size
+        if i > start and members + size > limit:
+            runs.append(range(start, i))
+            start, members = i, 0
+        members += size
+    if items:
+        runs.append(range(start, len(items)))
+    return runs
+
+
+def concat_polys(polys: Sequence[RNSPoly]) -> RNSPoly:
+    """Same-basis polynomials joined along the member axis, each
+    ``(L, N)`` one counting as one member (one comes back unchanged)."""
+    if len(polys) == 1:
+        return polys[0]
+    n = polys[0].n
+    data = np.concatenate([p.data.reshape(-1, p.num_towers, n) for p in polys])
+    return RNSPoly(polys[0].basis, data, polys[0].domain)
+
+
+def concat_members(cts: Sequence[Ciphertext]) -> Ciphertext:
+    """One ciphertext holding every member of ``cts``, in order.
+
+    A ``(B, L, N)`` item contributes its ``B`` members, so ``k`` such
+    items flatten to ``(k*B, L, N)`` (an :class:`RNSPoly` is at most
+    3-D).  Levels must match; scales need not: the kernels never read a
+    scale, so the stack carries ``cts[0]``'s and each caller keeps its
+    items' own scales (see :func:`split_members`).  One item comes back
+    unchanged.
+    """
+    head = cts[0]
+    for i, ct in enumerate(cts):
+        if ct.level != head.level:
+            raise ParameterError(
+                f"stack[{i}]: level {ct.level} != stack[0] level {head.level}"
+            )
+    if len(cts) == 1:
+        return head
+    return Ciphertext(concat_polys([ct.c0 for ct in cts]),
+                      concat_polys([ct.c1 for ct in cts]),
+                      head.level, head.scale)
+
+
+def split_members(ct: Ciphertext, like: Sequence[Ciphertext],
+                  scales: Sequence[float]) -> List[Ciphertext]:
+    """Undo :func:`concat_members`: the items of ``ct``, shaped as the
+    items of ``like`` were, with ``scales[i]`` as item ``i``'s scale.
+    The items are views of ``ct``."""
+    if len(like) == 1:
+        return [Ciphertext(ct.c0, ct.c1, ct.level, scales[0])]
+    out: List[Ciphertext] = []
+    row = 0
+    for item, scale in zip(like, scales):
+        size = item.c0.batch_size
+        halves = []
+        for half in (ct.c0, ct.c1):
+            data = half.data[row:row + size]
+            if item.c0.data.ndim == 2:
+                data = data[0]
+            halves.append(RNSPoly(half.basis, data, half.domain))
+        out.append(Ciphertext(halves[0], halves[1], ct.level, scale))
+        row += size
+    return out
 
 
 class Evaluator:
@@ -73,6 +159,31 @@ class Evaluator:
                 f"plaintext scale must be positive, got {plain_scale}"
             )
         return Ciphertext(x.c0 * pt, x.c1 * pt, x.level, x.scale * plain_scale)
+
+    def dot_plain(self, cts: Sequence[Ciphertext],
+                  plaintexts: Sequence[RNSPoly]) -> Ciphertext:
+        """``sum_i cts[i] * plaintexts[i]``, one fused multiply-accumulate
+        per half.
+
+        Bit-identical to folding :meth:`multiply_plain` (at the default
+        plaintext scale) with :meth:`add`: both leave the canonical
+        residue of the same sum.  The operands must share a level and
+        scale, as :meth:`add` requires.
+        """
+        head = cts[0]
+        for ct in cts[1:]:
+            self._check_aligned(head, ct)
+        pts = [self._align_plain(head, pt).data for pt in plaintexts]
+        q_col = head.c0.basis.q_column
+        c0, c1 = (
+            RNSPoly(head.c0.basis,
+                    mul_sum_mod([getattr(ct, half).data for ct in cts], pts,
+                                q_col),
+                    Domain.EVAL)
+            for half in ("c0", "c1")
+        )
+        return Ciphertext(c0, c1, head.level,
+                          head.scale * self.context.params.scale)
 
     # -- multiplication ---------------------------------------------------------
 
@@ -193,6 +304,48 @@ class Evaluator:
             raise KeySwitchError(f"rotation by {steps} steps needs a Galois key")
         g = rotation_galois_element(steps, self.context.params.n)
         return self.apply_galois(x, g, galois_key)
+
+    def rotate_each(self, cts: Sequence[Ciphertext], steps: Sequence[int],
+                    keys: Sequence[Optional[KeySwitchKey]]
+                    ) -> List[Ciphertext]:
+        """``[rotate(ct, s, key) ...]`` over same-level ciphertexts with
+        one key switch: an automorphism per item, one ModUp over the
+        stacked ``c1``s, ApplyKey with each item's own key and one
+        ModDown.  Each result is bit-identical to its :meth:`rotate`;
+        items whose step normalizes to zero come back as copies.
+        """
+        n = self.context.params.n
+        out: List[Optional[Ciphertext]] = [None] * len(cts)
+        live, rotated, live_keys = [], [], []
+        for i, (ct, step, key) in enumerate(zip(cts, steps, keys)):
+            step %= n // 2
+            if step == 0:
+                out[i] = ct.copy()
+                continue
+            if key is None:
+                raise KeySwitchError(
+                    f"rotation by {step} steps needs a Galois key"
+                )
+            g = rotation_galois_element(step, n)
+            a, b = automorphism_stacked([ct.c0, ct.c1], g)
+            live.append(i)
+            rotated.append(Ciphertext(a, b, ct.level, ct.scale))
+            live_keys.append(key)
+        if live:
+            # apply_evks gives each key an equal run of members.
+            if len({ct.c0.batch_size for ct in rotated}) != 1:
+                raise ParameterError(
+                    "rotate_each needs items of one batch size"
+                )
+            stacked = concat_members(rotated)
+            ks0, ks1 = key_switch_each(self.context, stacked.c1, live_keys,
+                                       stacked.level)
+            switched = Ciphertext(stacked.c0 + ks0, ks1, stacked.level,
+                                  stacked.scale)
+            for i, item in zip(live, split_members(
+                    switched, rotated, [ct.scale for ct in rotated])):
+                out[i] = item
+        return out
 
     def hoisted_rotations(self, x: Ciphertext,
                           galois_keys: Dict[int, KeySwitchKey]

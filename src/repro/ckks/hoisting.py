@@ -10,9 +10,12 @@ the automorphism exactly:
     ModUp(kappa_g(c1)) == kappa_g(ModUp(c1))
 
 so a batch of rotations {r_1..r_k} of the same ciphertext can share one
-ModUp: extend ``c1`` once, then per rotation permute the extended digits,
-apply that rotation's evk and ModDown.  Hoisted outputs are bit-identical
-to unhoisted ones (the tests check it).  This is the Halevi-Shoup hoisting
+ModUp: extend ``c1`` once and permute the extended digits per rotation.
+The permuted digits of every rotation then stack into one ApplyKey, each
+rotation's members meeting that rotation's evk, and one ModDown (in
+groups of at most :data:`~repro.ckks.evaluator.MAX_STACK_MEMBERS`
+members).  Hoisted outputs are bit-identical to unhoisted ones (the
+tests check it).  This is the Halevi-Shoup hoisting
 used by BTS/ARK-class accelerators and CKKS bootstrapping, and it stacks
 with the paper's dataflow optimizations (fewer ModUps means the OC
 residency argument applies to an even more memory-bound remainder).
@@ -24,8 +27,9 @@ from typing import Dict, List
 
 from repro.ckks.context import CKKSContext
 from repro.ckks.encrypt import Ciphertext
+from repro.ckks.evaluator import concat_polys, member_groups, split_members
 from repro.ckks.keys import KeySwitchKey, rotation_galois_element
-from repro.ckks.keyswitch import apply_evk, mod_down_pair, mod_up_all
+from repro.ckks.keyswitch import apply_evks, mod_down_pair, mod_up_all
 from repro.core.stages import bconv_tower_ops, ntt_tower_ops
 from repro.errors import KeySwitchError
 from repro.params import BenchmarkSpec
@@ -50,14 +54,27 @@ def hoisted_rotations(
     n = context.params.n
     # The shared, expensive part: ModUp of c1 (all digits, whole-array).
     extended: List[RNSPoly] = mod_up_all(context, ct.c1, level)
+    steps = list(galois_keys)
     results: Dict[int, Ciphertext] = {}
-    for steps, key in galois_keys.items():
-        g = rotation_galois_element(steps, n)
-        # One stacked pass permutes c0 and every extended digit together.
-        rot_c0, *rotated_digits = automorphism_stacked([ct.c0, *extended], g)
-        acc0, acc1 = apply_evk(context, rotated_digits, key, level)
+    for run in member_groups([ct] * len(steps)):
+        group = [steps[i] for i in run]
+        rot_c0s, digits = [], []
+        for step in group:
+            g = rotation_galois_element(step, n)
+            # One stacked pass permutes c0 and every extended digit together.
+            rot_c0, *rotated_digits = automorphism_stacked([ct.c0, *extended], g)
+            rot_c0s.append(rot_c0)
+            digits.append(rotated_digits)
+        acc0, acc1 = apply_evks(
+            context, [concat_polys(per_digit) for per_digit in zip(*digits)],
+            [galois_keys[step] for step in group], level,
+        )
         ks0, ks1 = mod_down_pair(context, acc0, acc1, level)
-        results[steps] = Ciphertext(rot_c0 + ks0, ks1, level, ct.scale)
+        rotated = Ciphertext(concat_polys(rot_c0s) + ks0, ks1, level, ct.scale)
+        items = [ct] * len(group)
+        for step, out in zip(group, split_members(
+                rotated, items, [ct.scale] * len(group))):
+            results[step] = out
     return results
 
 

@@ -17,7 +17,7 @@ the noise a constant mean per coefficient (see :mod:`repro.rns.bconv`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,15 +72,47 @@ class PublicKey:
     a: RNSPoly
 
 
-@dataclass
 class KeySwitchKey:
-    """Hybrid evk: per-digit pairs ``(b_d, a_d)`` over the full basis ``Q ++ P``."""
+    """Hybrid evk: per-digit pairs ``(b_d, a_d)`` over the full basis ``Q ++ P``.
 
-    digit_pairs: List[Tuple[RNSPoly, RNSPoly]]
+    Each half is stored once, as a ``(dnum, L+K, N)`` array (``b`` and
+    ``a``); :attr:`digit_pairs` are views into them, so
+    :meth:`tables` restricts a key to a level with a slice at the top
+    level and one gather below it, and nothing is cached per level.
+    """
+
+    __slots__ = ("basis", "b", "a")
+
+    def __init__(self, digit_pairs: Sequence[Tuple[RNSPoly, RNSPoly]]):
+        if not digit_pairs:
+            raise KeySwitchError("a switching key needs at least one digit")
+        self.basis = digit_pairs[0][0].basis
+        self.b = np.stack([b.data for b, _ in digit_pairs])
+        self.a = np.stack([a.data for _, a in digit_pairs])
+
+    @property
+    def digit_pairs(self) -> List[Tuple[RNSPoly, RNSPoly]]:
+        return [
+            (RNSPoly(self.basis, b, Domain.EVAL),
+             RNSPoly(self.basis, a, Domain.EVAL))
+            for b, a in zip(self.b, self.a)
+        ]
 
     @property
     def dnum(self) -> int:
-        return len(self.digit_pairs)
+        return len(self.b)
+
+    def tables(self, context: CKKSContext,
+               level: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Both halves restricted to ``level`` as ``(digits, towers, N)``
+        arrays: :meth:`restricted`'s pairs, stacked.  At the top level
+        every tower is active and they are views of the key."""
+        digits = self._active_digits(context, level)
+        num_q = context.params.num_levels
+        if level + 1 == num_q:
+            return self.b[:digits], self.a[:digits]
+        rows = np.r_[0:level + 1, num_q:num_q + len(context.p_basis)]
+        return self.b[:digits, rows], self.a[:digits, rows]
 
     def restricted(self, context: CKKSContext, level: int) -> List[Tuple[RNSPoly, RNSPoly]]:
         """Digit pairs restricted to the active towers at ``level``.
@@ -90,13 +122,17 @@ class KeySwitchKey:
         """
         num_q = context.params.num_levels
         rows = list(range(level + 1)) + [num_q + j for j in range(len(context.p_basis))]
-        active_digits = context.num_digits(level)
-        if active_digits > self.dnum:
-            raise KeySwitchError("key has fewer digits than the level requires")
+        active_digits = self._active_digits(context, level)
         return [
             (b.select_towers(rows), a.select_towers(rows))
             for b, a in self.digit_pairs[:active_digits]
         ]
+
+    def _active_digits(self, context: CKKSContext, level: int) -> int:
+        active_digits = context.num_digits(level)
+        if active_digits > self.dnum:
+            raise KeySwitchError("key has fewer digits than the level requires")
+        return active_digits
 
 
 class KeyGenerator:

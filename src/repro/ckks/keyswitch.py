@@ -19,7 +19,6 @@ Everything operates on EVAL-domain inputs/outputs, as on the RPU.
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -77,43 +76,59 @@ def apply_evk(
     key: KeySwitchKey,
     level: int,
 ) -> Tuple[RNSPoly, RNSPoly]:
-    """ModUp P4 + P5: multiply each extended digit by its evk pair and sum."""
+    """ModUp P4 + P5: multiply each extended digit by its evk pair and sum.
+
+    The one-key case of :func:`apply_evks`: every member of the digit
+    stacks meets the same key.
+    """
+    return apply_evks(context, extended_digits, [key], level)
+
+
+def apply_evks(
+    context: CKKSContext,
+    extended_digits: Sequence[RNSPoly],
+    keys: Sequence[KeySwitchKey],
+    level: int,
+) -> Tuple[RNSPoly, RNSPoly]:
+    """ModUp P4 + P5 with a key per item, over one stack.
+
+    The digits' members fall into ``len(keys)`` equal consecutive runs
+    (an item that is itself a ``B``-member stack flattens to ``B``
+    members), and run ``i`` is multiplied by ``keys[i]``, so each
+    member's sum is bit-identical to :func:`apply_evk` with its own key.
+    Each run reads its key's tables in place: stacking per-member copies
+    of them doubled this stage's transient memory (and page faults).
+    """
     extended_digits = list(extended_digits)
-    b_stack, a_stack = _stacked_evk(context, key, level)
-    count = len(b_stack)
+    tables = [key.tables(context, level) for key in keys]
+    count = len(tables[0][0])
     if len(extended_digits) != count:
         raise KeySwitchError(
             f"{len(extended_digits)} digits but key provides {count} pairs"
         )
     basis = extended_digits[0].basis
+    q_col = basis.q_column
     digits = [digit.data for digit in extended_digits]
-    b_sum, a_sum = (
-        RNSPoly(basis, mul_sum_mod(digits, keys, basis.q_column), Domain.EVAL)
-        for keys in (b_stack, a_stack)
-    )
-    return b_sum, a_sum
-
-
-#: Stacked ``(dnum, towers, N)`` evk halves per (key, level) — the
-#: restriction and stacking allocate the same arrays on every HKS call
-#: otherwise.
-_EVK_STACK_CACHE: "WeakKeyDictionary[KeySwitchKey, dict]" = WeakKeyDictionary()
-
-
-def _stacked_evk(context: CKKSContext, key: KeySwitchKey, level: int):
-    try:
-        per_key = _EVK_STACK_CACHE.setdefault(key, {})
-    except TypeError:  # un-weakref-able key subclass: build uncached
-        per_key = {}
-    entry = per_key.get(level)
-    if entry is None:
-        pairs = key.restricted(context, level)
-        entry = (
-            np.stack([b.data for b, _ in pairs]),
-            np.stack([a.data for _, a in pairs]),
+    if len(tables) == 1:
+        b_sum, a_sum = (
+            RNSPoly(basis, mul_sum_mod(digits, half, q_col), Domain.EVAL)
+            for half in tables[0]
         )
-        per_key[level] = entry
-    return entry
+        return b_sum, a_sum
+    members = extended_digits[0].batch_size
+    if members % len(tables):
+        raise KeySwitchError(
+            f"{members} members do not split into {len(tables)} keys' runs"
+        )
+    per_key = members // len(tables)
+    sums = []
+    for half in (0, 1):
+        acc = np.empty_like(digits[0])
+        for i, table in enumerate(tables):
+            run = slice(i * per_key, (i + 1) * per_key)
+            acc[run] = mul_sum_mod([d[run] for d in digits], table[half], q_col)
+        sums.append(RNSPoly(basis, acc, Domain.EVAL))
+    return sums[0], sums[1]
 
 
 def mod_down(context: CKKSContext, poly: RNSPoly, level: int) -> RNSPoly:
@@ -260,6 +275,19 @@ def key_switch(
     """
     digits = mod_up_all(context, poly, level)
     acc0, acc1 = apply_evk(context, digits, key, level)
+    return mod_down_pair(context, acc0, acc1, level)
+
+
+def key_switch_each(
+    context: CKKSContext, poly: RNSPoly, keys: Sequence[KeySwitchKey],
+    level: int,
+) -> Tuple[RNSPoly, RNSPoly]:
+    """:func:`key_switch` of a stack whose consecutive member runs each
+    have their own key (see :func:`apply_evks`): one ModUp, one ApplyKey
+    and one ModDown for the whole stack, each member's pair
+    bit-identical to its solo key switch."""
+    digits = mod_up_all(context, poly, level)
+    acc0, acc1 = apply_evks(context, digits, keys, level)
     return mod_down_pair(context, acc0, acc1, level)
 
 

@@ -8,7 +8,8 @@ workload whose thousands of rotations make hybrid key switching the
 bottleneck the paper attacks (ResNet-20: 3,306 rotations, ~70% HKS time).
 
 The baby steps are computed with *hoisting* (one shared ModUp), composing
-the two classical optimizations this library implements.
+the two classical optimizations this library implements; the giant-step
+rotations, independent of each other, share one stacked key switch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.ckks.encoding import Encoder
 from repro.ckks.encrypt import Ciphertext
-from repro.ckks.evaluator import Evaluator
+from repro.ckks.evaluator import Evaluator, member_groups
 from repro.ckks.keys import KeyGenerator, KeySwitchKey
 from repro.errors import EncodingError, ParameterError
 
@@ -119,7 +120,15 @@ class LinearTransform:
         giant_keys: Dict[int, KeySwitchKey],
         hoist: bool = True,
     ) -> Ciphertext:
-        """Encrypted ``W @ z``; one rescale is applied at the end."""
+        """Encrypted ``W @ z``; one rescale is applied at the end.
+
+        Each giant row's ``sum_j diag_ij * rot(z, j)`` is one fused
+        multiply-accumulate (:meth:`Evaluator.dot_plain`), and the rows
+        ``i > 0`` rotate by ``baby * i`` together through
+        :meth:`Evaluator.rotate_each`, one key switch per group of at
+        most :data:`~repro.ckks.evaluator.MAX_STACK_MEMBERS` members.
+        Bit-identical to one multiply, add and rotation at a time.
+        """
         needed = self.required_rotations()
         missing = [s for s in needed["baby"] if s not in baby_keys]
         missing += [s for s in needed["giant"] if s not in giant_keys]
@@ -137,28 +146,47 @@ class LinearTransform:
                     )
                 )
             else:
-                for j in steps:
-                    baby_cts[j] = evaluator.rotate(ct, j, baby_keys[j])
+                baby_cts.update(zip(steps, self._rotate_all(
+                    evaluator, [ct] * len(steps), steps, baby_keys)))
 
-        # Giant steps: accumulate sum_j diag * rot_j, rotate by baby*i, sum.
-        total: Optional[Ciphertext] = None
+        # Giant rows: inner_i = sum_j diag_ij * rot_j, one fused pass each.
+        rows: List[int] = []
+        inners: List[Ciphertext] = []
         for i in range(self.giant):
-            inner: Optional[Ciphertext] = None
-            for j in range(self.baby):
-                diag = self._diagonals.get((i, j))
-                if diag is None:
-                    continue
-                pt = self._encoded_diagonal(i, j, ct.level)
-                term = evaluator.multiply_plain(baby_cts[j], pt)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if inner is None:
+            js = [j for j in range(self.baby)
+                  if self._diagonals.get((i, j)) is not None]
+            if not js:
                 continue
-            if i > 0:
-                inner = evaluator.rotate(inner, self.baby * i, giant_keys[self.baby * i])
-            total = inner if total is None else evaluator.add(total, inner)
-        if total is None:
+            rows.append(i)
+            inners.append(evaluator.dot_plain(
+                [baby_cts[j] for j in js],
+                [self._encoded_diagonal(i, j, ct.level) for j in js],
+            ))
+        if not rows:
             raise EncodingError("matrix is identically zero")
+        # Rotate rows i > 0 by baby*i in stacked key switches, then sum.
+        start = 1 if rows[0] == 0 else 0
+        rotated = inners[:start] + self._rotate_all(
+            evaluator, inners[start:], [self.baby * i for i in rows[start:]],
+            giant_keys)
+        total = rotated[0]
+        for inner in rotated[1:]:
+            total = evaluator.add(total, inner)
         return evaluator.rescale(total)
+
+    @staticmethod
+    def _rotate_all(evaluator: Evaluator, cts: List[Ciphertext],
+                    steps: List[int],
+                    keys: Dict[int, KeySwitchKey]) -> List[Ciphertext]:
+        """``cts[i]`` rotated by ``steps[i]``, through one
+        :meth:`Evaluator.rotate_each` per member group."""
+        out: List[Ciphertext] = []
+        for run in member_groups(cts):
+            out += evaluator.rotate_each(
+                [cts[i] for i in run], [steps[i] for i in run],
+                [keys.get(steps[i]) for i in run],
+            )
+        return out
 
 
 def generate_bsgs_keys(

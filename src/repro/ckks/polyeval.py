@@ -17,6 +17,17 @@ private inference.  Three evaluators are provided:
 All manage CKKS scales explicitly: every ciphertext-ciphertext or
 ciphertext-plaintext product is followed by a rescale, and constants are
 encoded at the running scale so additions stay aligned.
+
+The Chebyshev ladder's work is independent within a generation: every
+rung ``S_k`` of generation ``(k - 1).bit_length()`` reads only older
+rungs.  So each generation's rungs of one level run as stacked groups
+(:func:`repro.ckks.evaluator.concat_members`, at most
+:data:`~repro.ckks.evaluator.MAX_STACK_MEMBERS` ciphertext members):
+one multiply (one key switch), one ``add_plain`` or ``sub`` and one
+rescale per group, and the combine multiplies and rescales the terms of
+each level together.  Each rung keeps its own scale, computed with the
+float operations of a rung built alone, so every result is
+bit-identical to the one-rung-at-a-time ladder.
 """
 
 from __future__ import annotations
@@ -28,7 +39,12 @@ import numpy as np
 
 from repro.ckks.encoding import Encoder
 from repro.ckks.encrypt import Ciphertext
-from repro.ckks.evaluator import Evaluator
+from repro.ckks.evaluator import (
+    Evaluator,
+    concat_members,
+    member_groups,
+    split_members,
+)
 from repro.ckks.keys import KeySwitchKey
 from repro.errors import ParameterError
 from repro.rns.poly import RNSPoly
@@ -209,29 +225,42 @@ def chebyshev_depth(coefficients: Sequence[complex]) -> int:
     return max(1, (k_max - 1).bit_length()) + 1
 
 
-def _match_scale(evaluator: Evaluator, encoder: Encoder, ct: Ciphertext,
-                 level: int, target_scale: float) -> Ciphertext:
-    """Bring ``ct`` to ``level`` and *exactly* ``target_scale``.
+def _match_scales(evaluator: Evaluator, encoder: Encoder, ct: Ciphertext,
+                  level: int, targets: Sequence[float]) -> List[Ciphertext]:
+    """``ct`` brought to ``level`` and *exactly* each of ``targets``.
 
-    Uses one plaintext multiply without a rescale, so unlike
-    :func:`_scale_correct` it costs no level — the caller's subsequent
-    rescale absorbs it.  Only valid when the scale grows (``corr >= 1``).
+    Uses one plaintext multiply without a rescale (stacked over every
+    target that needs one), so unlike :func:`_scale_correct` it costs no
+    level — the caller's subsequent rescale absorbs it.  Only valid when
+    the scale grows (``corr >= 1``).
     """
     ct = _drop_to_level(evaluator, ct, level)
-    corr = target_scale / ct.scale
-    if abs(corr - 1.0) < 1e-12:
-        return ct
-    if corr < 1.0:
-        raise ParameterError(
-            f"cannot match scale {ct.scale:g} down to {target_scale:g}"
+    out: List[Ciphertext] = [ct] * len(targets)
+    grow = []
+    for i, target in enumerate(targets):
+        corr = target / ct.scale
+        if abs(corr - 1.0) < 1e-12:
+            continue
+        if corr < 1.0:
+            raise ParameterError(
+                f"cannot match scale {ct.scale:g} down to {target:g}"
+            )
+        grow.append((i, corr))
+    if grow:
+        # corr is deterministic per circuit position, so the constant
+        # cache serves repeated bootstraps without re-encoding.
+        items = [ct] * len(grow)
+        pts = [_encode_constant(encoder, 1.0, level, corr) for _, corr in grow]
+        prod = evaluator.multiply_plain(
+            concat_members(items), _item_plaintexts(pts, items),
+            plain_scale=grow[0][1],
         )
-    # corr is deterministic per circuit position, so the constant cache
-    # serves repeated bootstraps without re-encoding.
-    pt = _encode_constant(encoder, 1.0, level, corr)
-    out = evaluator.multiply_plain(ct, pt, plain_scale=corr)
-    # Rebuild with the exact float target: corr was rounded, and additions
-    # tolerate at most 0.5 of absolute scale mismatch.
-    return Ciphertext(out.c0, out.c1, level, target_scale)
+        # Each gets the exact float target: corr was rounded, and
+        # additions tolerate at most 0.5 of absolute scale mismatch.
+        for (i, _), matched in zip(grow, split_members(
+                prod, items, [targets[i] for i, _ in grow])):
+            out[i] = matched
+    return out
 
 
 def evaluate_chebyshev(
@@ -268,14 +297,23 @@ def evaluate_chebyshev(
 def _stack_plaintexts(pts: Sequence[RNSPoly],
                       counts: Sequence[int]) -> RNSPoly:
     """Tile per-row plaintexts into a ``(sum(counts), L, N)`` stack (a
-    single row stays ``(L, N)`` and broadcasts over any ciphertext)."""
+    single row stays as it is and broadcasts over any ciphertext).  A
+    row may itself be a ``(counts[i], L, N)`` stack of one plaintext per
+    member."""
     if len(pts) == 1:
         return pts[0]
     data = np.concatenate([
-        np.broadcast_to(pt.data, (count,) + pt.data.shape)
+        np.broadcast_to(pt.data, (count,) + pt.data.shape[-2:])
         for pt, count in zip(pts, counts)
     ])
     return RNSPoly(pts[0].basis, data, pts[0].domain)
+
+
+def _item_plaintexts(pts: Sequence[RNSPoly],
+                     items: Sequence[Ciphertext]) -> RNSPoly:
+    """One plaintext per item, tiled to match :func:`concat_members` of
+    ``items``."""
+    return _stack_plaintexts(pts, [ct.c0.batch_size for ct in items])
 
 
 def evaluate_chebyshev_rows(
@@ -309,6 +347,10 @@ def evaluate_chebyshev_rows(
     EvalMod's real and imaginary branches through a single ladder —
     ``len(order) - 1`` ciphertext multiplies total instead of per
     branch.
+
+    The ladder's rungs and the combine's terms run in stacked groups,
+    one per generation, level and member bound (see the module
+    docstring), bit-identical to building them one at a time.
     """
     rows = [[complex(c) for c in row] for row in coefficient_rows]
     if not rows or len(rows) != len(row_counts):
@@ -347,62 +389,110 @@ def evaluate_chebyshev_rows(
             evaluator.multiply_plain(ct, pt, plain_scale=float(q_top))
         )
     terms: Dict[int, Ciphertext] = {1: s1}
-    for k in order:
-        if k == 1:
-            continue
-        hi, lo = (k + 1) // 2, k // 2
-        a, b = terms[hi], terms[lo]
-        level = min(a.level, b.level)
-        if level < 1:
-            raise ParameterError(
-                f"chebyshev degree {order[-1]} exhausts the level budget"
-            )
-        a = _drop_to_level(evaluator, a, level)
-        b = _drop_to_level(evaluator, b, level)
-        prod = evaluator.multiply(a, b, relin_key)
-        if k % 2 == 0:
-            # S_2m = S_m^2 - 2: subtract the constant at the product scale.
-            pt = _encode_constant(encoder, -2.0, level, prod.scale)
-            sub = evaluator.add_plain(prod, pt)
-        else:
-            # S_2m+1 = S_m+1 * S_m - S_1.
-            s1_matched = _match_scale(evaluator, encoder, terms[1], level,
-                                      prod.scale)
-            sub = evaluator.sub(prod, s1_matched)
-        terms[k] = evaluator.rescale(sub)
+    for generation in _ladder_generations(order):
+        # All of a generation's inputs are older, so its products run as
+        # stacked groups: one per level and member bound.
+        by_level: Dict[int, List[int]] = {}
+        for k in generation:
+            level = min(terms[(k + 1) // 2].level, terms[k // 2].level)
+            if level < 1:
+                raise ParameterError(
+                    f"chebyshev degree {order[-1]} exhausts the level budget"
+                )
+            by_level.setdefault(level, []).append(k)
+        for level, ks in by_level.items():
+            for run in member_groups([terms[k // 2] for k in ks]):
+                group = [ks[i] for i in run]
+                terms.update(zip(group, _ladder_rungs(
+                    evaluator, encoder, terms, group, level, relin_key)))
 
     # -- combine: encode c_k/2 at a corrective scale so every term
     # rescales to exactly Delta (the power-basis trick), then align and
-    # sum; per-row coefficient plaintexts are tiled over the batch ------
+    # sum; per-row coefficient plaintexts are tiled over the batch.  The
+    # terms of each level share one multiply_plain and one rescale ----
     delta = evaluator.context.params.scale
-    parts: List[Ciphertext] = []
+    by_level = {}
     for k in order:
-        row_coeffs = [r[k] if k < len(r) else 0.0 for r in rows]
-        if all(c == 0 for c in row_coeffs):
-            continue
-        s_k = terms[k]
-        if s_k.level < 1:
-            raise ParameterError("chebyshev combine ran out of levels")
-        q_next = evaluator.context.q_basis.moduli[s_k.level]
-        plain_scale = delta * q_next / s_k.scale
-        pts = [
-            encoder.encode(
-                [c / 2.0] * encoder.num_slots,
-                level=s_k.level, scale=plain_scale,
-            )
-            for c in row_coeffs
-        ]
-        pt = _stack_plaintexts(pts, row_counts)
-        part = evaluator.rescale(
-            evaluator.multiply_plain(s_k, pt, plain_scale=plain_scale)
-        )
-        parts.append(Ciphertext(part.c0, part.c1, part.level, delta))
+        if any(k < len(r) and r[k] != 0 for r in rows):
+            s_k = terms[k]
+            if s_k.level < 1:
+                raise ParameterError("chebyshev combine ran out of levels")
+            by_level.setdefault(s_k.level, []).append(k)
+    parts: List[Ciphertext] = []
+    for level, ks in by_level.items():
+        q_next = evaluator.context.q_basis.moduli[level]
+        for run in member_groups([terms[k] for k in ks]):
+            items = [terms[ks[i]] for i in run]
+            scales = [delta * q_next / s_k.scale for s_k in items]
+            pts = [
+                _stack_plaintexts([
+                    _encode_constant(encoder, (r[ks[i]] if ks[i] < len(r)
+                                               else 0.0) / 2.0,
+                                     level, plain_scale)
+                    for r in rows
+                ], row_counts)
+                for i, plain_scale in zip(run, scales)
+            ]
+            part = evaluator.rescale(evaluator.multiply_plain(
+                concat_members(items), _item_plaintexts(pts, items),
+                plain_scale=scales[0],
+            ))
+            parts += split_members(part, items, [delta] * len(items))
     deepest = min(p.level for p in parts)
     total = None
     for part in parts:
         part = _drop_to_level(evaluator, part, deepest)
         total = part if total is None else evaluator.add(total, part)
     return stacked_c0(total)
+
+
+def _ladder_generations(order: Sequence[int]) -> List[List[int]]:
+    """The rungs ``k > 1`` of a ladder by generation
+    ``(k - 1).bit_length()``: ``S_k``'s halves ``S_ceil(k/2)`` and
+    ``S_floor(k/2)`` (and ``S_1``) all come from earlier generations."""
+    generations: Dict[int, List[int]] = {}
+    for k in order:
+        if k > 1:
+            generations.setdefault((k - 1).bit_length(), []).append(k)
+    return [generations[g] for g in sorted(generations)]
+
+
+def _ladder_rungs(evaluator: Evaluator, encoder: Encoder,
+                  terms: Dict[int, Ciphertext], ks: Sequence[int],
+                  level: int, relin_key: KeySwitchKey) -> List[Ciphertext]:
+    """``S_k`` for every ``k`` of ``ks`` (rungs whose halves meet at
+    ``level``) in stacked calls: one multiply, one ``add_plain`` for the
+    even rungs, one ``multiply_plain`` and ``sub`` for the odd ones, and
+    one rescale.  Each member's residues and scale are those of its own
+    rung built alone."""
+    a = [_drop_to_level(evaluator, terms[(k + 1) // 2], level) for k in ks]
+    b = [_drop_to_level(evaluator, terms[k // 2], level) for k in ks]
+    prod = evaluator.multiply(concat_members(a), concat_members(b), relin_key)
+    prods = split_members(prod, a, [x.scale * y.scale for x, y in zip(a, b)])
+    subs: List[Ciphertext] = list(prods)
+    even = [i for i, k in enumerate(ks) if k % 2 == 0]
+    odd = [i for i, k in enumerate(ks) if k % 2 == 1]
+    if even:
+        # S_2m = S_m^2 - 2: subtract the constant at the product scale.
+        items = [prods[i] for i in even]
+        pts = [_encode_constant(encoder, -2.0, level, p.scale) for p in items]
+        out = evaluator.add_plain(concat_members(items),
+                                  _item_plaintexts(pts, items))
+        for i, item in zip(even, split_members(
+                out, items, [p.scale for p in items])):
+            subs[i] = item
+    if odd:
+        # S_2m+1 = S_m+1 * S_m - S_1, S_1 matched to each product's scale.
+        items = [prods[i] for i in odd]
+        matched = _match_scales(evaluator, encoder, terms[1], level,
+                                [p.scale for p in items])
+        out = evaluator.sub(concat_members(items), concat_members(matched))
+        for i, item in zip(odd, split_members(
+                out, items, [p.scale for p in items])):
+            subs[i] = item
+    out = evaluator.rescale(concat_members(subs))
+    q_last = evaluator.context.q_basis.moduli[level]
+    return split_members(out, subs, [x.scale / q_last for x in subs])
 
 
 # -- level/scale alignment helpers ---------------------------------------------

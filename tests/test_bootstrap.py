@@ -200,6 +200,53 @@ class TestPipeline:
         bootstrapper.bootstrap(counting, stack_ciphertexts(cts), boot_keys)
         assert counting.snapshot() == bootstrapper.plan.op_counts().scaled(3)
 
+    def test_key_switch_and_rescale_calls_are_pinned(
+        self, boot_ctx, boot_world, bootstrapper, boot_keys, message
+    ):
+        """One bootstrap's evaluator calls, not ciphertexts: each ladder
+        generation's products and each BSGS rotation set share a call.
+        One rung, rotation or combine term per call made 58 key-switching
+        calls (41 multiply, 14 rotate, 2 hoisted, 1 conjugate) and 72
+        rescales."""
+        encoder, encryptor, _ = boot_world
+        ct = encryptor.encrypt(encoder.encode(message), level=0)
+        counting = CountingEvaluator(boot_ctx)
+        bootstrapper.bootstrap(counting, ct, boot_keys)
+        calls = counting.calls
+        key_switching = {
+            name: calls.get(name, 0) for name in (
+                "multiply", "rotate", "rotate_each", "hoisted_rotations",
+                "conjugate",
+            )
+        }
+        assert key_switching == {
+            "multiply": 12, "rotate": 0, "rotate_each": 2,
+            "hoisted_rotations": 2, "conjugate": 1,
+        }
+        assert sum(key_switching.values()) == 17
+        assert calls["rescale"] == 24
+
+    def test_second_bootstrap_encodes_nothing(
+        self, boot_ctx, boot_world, bootstrapper, boot_keys, message,
+        monkeypatch,
+    ):
+        """Every plaintext a bootstrap multiplies or adds is a function of
+        its circuit position, so a repeat bootstrap encodes none."""
+        encoder, encryptor, _ = boot_world
+        ct = encryptor.encrypt(encoder.encode(message), level=0)
+        evaluator = Evaluator(boot_ctx)
+        bootstrapper.bootstrap(evaluator, ct, boot_keys)
+        encodes = []
+        original = bootstrapper.encoder.encode
+
+        def counted(*args, **kwargs):
+            encodes.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrapper.encoder, "encode", counted)
+        bootstrapper.bootstrap(evaluator, ct, boot_keys)
+        assert len(encodes) == 0
+
     def test_structural_plan_equals_materialized_plan(self, bootstrapper):
         structural = BootstrapPlan.from_shape(
             bootstrapper.context.params.n // 2,

@@ -361,3 +361,51 @@ class TestBenchCompareRuns:
             "print(json.dumps({'argv': sys.argv[1:]}))\n"))
         line = one_run(root, "serve_hot", 101, side="parent", pair=1)
         assert line == {"argv": ["--workload", "serve_hot", "--seed", "101"]}
+
+    def test_a_run_s_answers_come_from_its_last_run_json(self, tmp_path):
+        from tools.bench_compare import answers, one_run
+
+        root = self._checkout(tmp_path / "change", (
+            "import json, pathlib, sys\n"
+            "out = pathlib.Path('bench/out')\n"
+            "out.mkdir(exist_ok=True)\n"
+            "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            "(out / 'last_run.json').write_text(json.dumps({'fhe_boot': {\n"
+            "    'max_error': repr(seed / 1e3), 'attempted': 3}}))\n"
+            "print('{}')\n"))
+        assert answers(root, "fhe_boot") == {}
+        one_run(root, "fhe_boot", 104, side="change", pair=4)
+        assert answers(root, "fhe_boot") == {"max_error": "0.104"}
+        assert answers(root, "sweep_cold") == {}
+
+
+class TestBenchCompareAnswers:
+    """tools/bench_compare.py — did both sides give the same answers?"""
+
+    @staticmethod
+    def _agree(parent, change, seeds=(101, 102, 103)):
+        from tools.bench_compare import answer_agreement
+
+        return answer_agreement(parent, change, list(seeds))
+
+    def test_equal_answers_on_every_seed(self):
+        runs = [{"max_error": "0.0021", "result_digest": "ab"}] * 3
+        assert self._agree(runs, list(runs)) == (
+            "same max_error, result_digest on all 3 seeds")
+
+    def test_the_seeds_that_differ_are_named(self):
+        parent = [{"max_error": "0.1"}, {"max_error": "0.2"},
+                  {"max_error": "0.3"}]
+        change = [{"max_error": "0.1"}, {"max_error": "0.25"},
+                  {"max_error": "0.35"}]
+        assert self._agree(parent, change) == (
+            "max_error differs on seeds 102, 103")
+        parent = [{"max_error": "0.1", "result_digest": "ab"}] * 3
+        change = [{"max_error": "0.1", "result_digest": "ab"},
+                  {"max_error": "0.1", "result_digest": "cd"},
+                  {"max_error": "0.1"}]
+        assert self._agree(parent, change) == (
+            "same max_error; result_digest differs on seeds 102, 103")
+
+    def test_a_workload_without_answers(self):
+        assert self._agree([{}] * 3, [{}] * 3) == "no answers reported"

@@ -38,10 +38,13 @@ path that leave no large ``free`` to move it (ROADMAP item 5(d)).
 
 For every (workload, end-to-end metric) it prints both medians, how much
 worse the change's is, the parent's quartile distance, the pairs the
-change won or tied, and a verdict (see :func:`judge`); then every run
-made.  Exits 1 if any verdict is ``worse``.  A run that exits non-zero
-stops the comparison, after the other side has rerun the same workload
-on the same seed once, so the message says whether the fault is the
+change won or tied, and a verdict (see :func:`judge`); then, per
+workload, whether both sides gave the same answers (``max_error`` and
+``result_digest`` from each run's ``bench/out/last_run.json``) on every
+seed or on which seeds they differed; then every run made.  Exits 1 if
+any verdict is ``worse``.  A run that exits non-zero stops the
+comparison, after the other side has rerun the same workload on the
+same seed once, so the message says whether the fault is the
 change's alone or the parent's too.
 
 This is where the wall-clock guards of the retired ``benchmarks/`` suite
@@ -183,6 +186,46 @@ def one_run(root: Path, workload: str, seed: int, *, side: str,
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+#: The fields of a run's ``bench/out/last_run.json`` entry that state its
+#: answer; both sides of a pair should agree on them.
+ANSWER_FIELDS = ("max_error", "result_digest")
+
+
+def answers(root: Path, workload: str) -> Dict[str, object]:
+    """``workload``'s :data:`ANSWER_FIELDS` from the ``last_run.json``
+    that the run just made in ``root`` (empty where it has none)."""
+    path = root / "bench" / "out" / "last_run.json"
+    try:
+        entry = json.loads(path.read_text("utf-8")).get(workload, {})
+    except (OSError, ValueError):
+        entry = {}
+    return {key: entry[key] for key in ANSWER_FIELDS if key in entry}
+
+
+def answer_agreement(parent: Sequence[Dict[str, object]],
+                     change: Sequence[Dict[str, object]],
+                     seeds: Sequence[int]) -> str:
+    """Whether both sides gave the same answers, pair by pair: ``same
+    max_error, result_digest on all N seeds``, or the seeds on which
+    each field differed (a field neither side reports is left out)."""
+    fields = [key for key in ANSWER_FIELDS
+              if any(key in run for run in (*parent, *change))]
+    if not fields:
+        return "no answers reported"
+    differing = {
+        key: [seed for p, c, seed in zip(parent, change, seeds)
+              if p.get(key) != c.get(key)]
+        for key in fields
+    }
+    if not any(differing.values()):
+        return f"same {', '.join(fields)} on all {len(seeds)} seeds"
+    return "; ".join(
+        f"{key} differs on seeds {', '.join(map(str, bad))}" if bad
+        else f"same {key}"
+        for key, bad in differing.items()
+    )
+
+
 def paired_run(roots: Dict[str, Path], workload: str, seed: int, *,
                side: str, pair: int) -> Dict[str, object]:
     """:func:`one_run` of ``side``; if it fails, the other side reruns
@@ -220,6 +263,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runs: Dict[str, Dict[str, List[Dict[str, object]]]] = {
         side: {name: [] for name in names} for side in ("parent", "change")
     }
+    #: answered[side][workload] = each run's answers, in pair order.
+    answered: Dict[str, Dict[str, List[Dict[str, object]]]] = {
+        side: {name: [] for name in names} for side in ("parent", "change")
+    }
     with tempfile.TemporaryDirectory(prefix="bench-compare-") as scratch:
         roots = {side: Path(scratch) / side for side in ("parent", "change")}
         for root in roots.values():
@@ -234,6 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     runs[side][name].append(
                         paired_run(roots, name, FIRST_SEED + k,
                                    side=side, pair=k + 1))
+                    answered[side][name].append(answers(roots[side], name))
                 print(f"{name}: pair {k + 1}/{args.pairs} done "
                       f"({order[0]} first, seed {FIRST_SEED + k})",
                       flush=True)
@@ -257,6 +305,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{row['worse_by'] * 100:8.2f}% {row['parent_iqr']:11.4f} "
                   f"{row['wins']:>4d}/{row['ties']}/{row['pairs']:<3d} "
                   f"{metric['bound']:6.2f}  {row['verdict']}")
+    print("\nanswers, parent against change:")
+    seeds = [FIRST_SEED + k for k in range(args.pairs)]
+    for name in names:
+        verdict = answer_agreement(answered["parent"][name],
+                                   answered["change"][name], seeds)
+        print(f"{name:<14s} {verdict}")
     print("\nevery run, in pair order:")
     for name in names:
         for side in ("parent", "change"):
