@@ -297,13 +297,7 @@ class Evaluator:
         only add noise for a no-op.  ``galois_key`` may be ``None`` in
         that case.
         """
-        steps %= self.context.params.n // 2
-        if steps == 0:
-            return x.copy()
-        if galois_key is None:
-            raise KeySwitchError(f"rotation by {steps} steps needs a Galois key")
-        g = rotation_galois_element(steps, self.context.params.n)
-        return self.apply_galois(x, g, galois_key)
+        return self._rotate_items([x], [steps], [galois_key])[0]
 
     def rotate_each(self, cts: Sequence[Ciphertext], steps: Sequence[int],
                     keys: Sequence[Optional[KeySwitchKey]]
@@ -311,12 +305,19 @@ class Evaluator:
         """``[rotate(ct, s, key) ...]`` over same-level ciphertexts with
         one key switch: an automorphism per item, one ModUp over the
         stacked ``c1``s, ApplyKey with each item's own key and one
-        ModDown.  Each result is bit-identical to its :meth:`rotate`;
-        items whose step normalizes to zero come back as copies.
+        ModDown.  Each result is bit-identical to its :meth:`rotate`.
         """
+        return self._rotate_items(cts, steps, keys)
+
+    def _rotate_items(self, cts: Sequence[Ciphertext], steps: Sequence[int],
+                      keys: Sequence[Optional[KeySwitchKey]]
+                      ) -> List[Ciphertext]:
+        """The body of :meth:`rotate` and :meth:`rotate_each`: items whose
+        step normalizes to zero come back as copies, the rest share one
+        :meth:`_galois_each`."""
         n = self.context.params.n
         out: List[Optional[Ciphertext]] = [None] * len(cts)
-        live, rotated, live_keys = [], [], []
+        live, elements, live_keys = [], [], []
         for i, (ct, step, key) in enumerate(zip(cts, steps, keys)):
             step %= n // 2
             if step == 0:
@@ -326,24 +327,13 @@ class Evaluator:
                 raise KeySwitchError(
                     f"rotation by {step} steps needs a Galois key"
                 )
-            g = rotation_galois_element(step, n)
-            a, b = automorphism_stacked([ct.c0, ct.c1], g)
             live.append(i)
-            rotated.append(Ciphertext(a, b, ct.level, ct.scale))
+            elements.append(rotation_galois_element(step, n))
             live_keys.append(key)
         if live:
-            # apply_evks gives each key an equal run of members.
-            if len({ct.c0.batch_size for ct in rotated}) != 1:
-                raise ParameterError(
-                    "rotate_each needs items of one batch size"
-                )
-            stacked = concat_members(rotated)
-            ks0, ks1 = key_switch_each(self.context, stacked.c1, live_keys,
-                                       stacked.level)
-            switched = Ciphertext(stacked.c0 + ks0, ks1, stacked.level,
-                                  stacked.scale)
-            for i, item in zip(live, split_members(
-                    switched, rotated, [ct.scale for ct in rotated])):
+            rotated = self._galois_each([cts[i] for i in live], elements,
+                                        live_keys)
+            for i, item in zip(live, rotated):
                 out[i] = item
         return out
 
@@ -365,9 +355,27 @@ class Evaluator:
     def apply_galois(self, x: Ciphertext, galois_element: int,
                      key: KeySwitchKey) -> Ciphertext:
         """Apply ``X -> X^g`` then key-switch the rotated ``c1`` back to ``s``."""
-        rot0, rot1 = automorphism_stacked([x.c0, x.c1], galois_element)
-        ks0, ks1 = key_switch(self.context, rot1, key, x.level)
-        return Ciphertext(rot0 + ks0, ks1, x.level, x.scale)
+        return self._galois_each([x], [galois_element], [key])[0]
+
+    def _galois_each(self, cts: Sequence[Ciphertext],
+                     elements: Sequence[int],
+                     keys: Sequence[KeySwitchKey]) -> List[Ciphertext]:
+        """:meth:`apply_galois` per item, same-level items sharing one key
+        switch (:func:`key_switch_each` gives each key an equal run of
+        members, so the items must share a batch size)."""
+        if len({ct.c0.batch_size for ct in cts}) != 1:
+            raise ParameterError("stacked Galois items need one batch size")
+        rotated = [
+            Ciphertext(*automorphism_stacked([ct.c0, ct.c1], g), ct.level,
+                       ct.scale)
+            for ct, g in zip(cts, elements)
+        ]
+        stacked = concat_members(rotated)
+        ks0, ks1 = key_switch_each(self.context, stacked.c1, keys,
+                                   stacked.level)
+        switched = Ciphertext(stacked.c0 + ks0, ks1, stacked.level,
+                              stacked.scale)
+        return split_members(switched, rotated, [ct.scale for ct in rotated])
 
     # -- helpers -------------------------------------------------------------------
 

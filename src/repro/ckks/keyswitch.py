@@ -78,10 +78,22 @@ def apply_evk(
 ) -> Tuple[RNSPoly, RNSPoly]:
     """ModUp P4 + P5: multiply each extended digit by its evk pair and sum.
 
-    The one-key case of :func:`apply_evks`: every member of the digit
-    stacks meets the same key.
+    The key's tables are read in place (see :meth:`KeySwitchKey.tables`).
     """
-    return apply_evks(context, extended_digits, [key], level)
+    extended_digits = list(extended_digits)
+    tables = key.tables(context, level)
+    count = len(tables[0])
+    if len(extended_digits) != count:
+        raise KeySwitchError(
+            f"{len(extended_digits)} digits but key provides {count} pairs"
+        )
+    basis = extended_digits[0].basis
+    digits = [digit.data for digit in extended_digits]
+    b_sum, a_sum = (
+        RNSPoly(basis, mul_sum_mod(digits, half, basis.q_column), Domain.EVAL)
+        for half in tables
+    )
+    return b_sum, a_sum
 
 
 def apply_evks(
@@ -90,45 +102,40 @@ def apply_evks(
     keys: Sequence[KeySwitchKey],
     level: int,
 ) -> Tuple[RNSPoly, RNSPoly]:
-    """ModUp P4 + P5 with a key per item, over one stack.
+    """:func:`apply_evk` with a key per item, over one stack.
 
     The digits' members fall into ``len(keys)`` equal consecutive runs
     (an item that is itself a ``B``-member stack flattens to ``B``
-    members), and run ``i`` is multiplied by ``keys[i]``, so each
-    member's sum is bit-identical to :func:`apply_evk` with its own key.
-    Each run reads its key's tables in place: stacking per-member copies
-    of them doubled this stage's transient memory (and page faults).
+    members), and run ``i`` goes through :func:`apply_evk` with
+    ``keys[i]``, so each member's sum is its solo one.  Each run reads
+    its key's tables in place: stacking per-member copies of them
+    doubled this stage's transient memory (and page faults).
     """
     extended_digits = list(extended_digits)
-    tables = [key.tables(context, level) for key in keys]
-    count = len(tables[0][0])
-    if len(extended_digits) != count:
-        raise KeySwitchError(
-            f"{len(extended_digits)} digits but key provides {count} pairs"
-        )
-    basis = extended_digits[0].basis
-    q_col = basis.q_column
-    digits = [digit.data for digit in extended_digits]
-    if len(tables) == 1:
-        b_sum, a_sum = (
-            RNSPoly(basis, mul_sum_mod(digits, half, q_col), Domain.EVAL)
-            for half in tables[0]
-        )
-        return b_sum, a_sum
+    if len(keys) == 1:
+        return apply_evk(context, extended_digits, keys[0], level)
     members = extended_digits[0].batch_size
-    if members % len(tables):
+    if members % len(keys):
         raise KeySwitchError(
-            f"{members} members do not split into {len(tables)} keys' runs"
+            f"{members} members do not split into {len(keys)} keys' runs"
         )
-    per_key = members // len(tables)
-    sums = []
-    for half in (0, 1):
-        acc = np.empty_like(digits[0])
-        for i, table in enumerate(tables):
-            run = slice(i * per_key, (i + 1) * per_key)
-            acc[run] = mul_sum_mod([d[run] for d in digits], table[half], q_col)
-        sums.append(RNSPoly(basis, acc, Domain.EVAL))
-    return sums[0], sums[1]
+    per_key = members // len(keys)
+    sums = [
+        apply_evk(
+            context,
+            [RNSPoly(d.basis, d.data[i * per_key:(i + 1) * per_key], d.domain)
+             for d in extended_digits],
+            key, level,
+        )
+        for i, key in enumerate(keys)
+    ]
+    basis = extended_digits[0].basis
+    b_sum, a_sum = (
+        RNSPoly(basis, np.concatenate([pair[half].data for pair in sums]),
+                Domain.EVAL)
+        for half in (0, 1)
+    )
+    return b_sum, a_sum
 
 
 def mod_down(context: CKKSContext, poly: RNSPoly, level: int) -> RNSPoly:
@@ -271,11 +278,10 @@ def key_switch(
     ``s_from -> s``), the outputs satisfy
     ``c0' + c1' * s ~= c * s_from (mod Q_l)`` up to key-switching noise.
     On a ``(B, L, N)`` stack every stage is one pass for all B members,
-    bit-identical to the stack of per-member results.
+    bit-identical to the stack of per-member results.  The one-key case
+    of :func:`key_switch_each`.
     """
-    digits = mod_up_all(context, poly, level)
-    acc0, acc1 = apply_evk(context, digits, key, level)
-    return mod_down_pair(context, acc0, acc1, level)
+    return key_switch_each(context, poly, [key], level)
 
 
 def key_switch_each(
@@ -284,7 +290,7 @@ def key_switch_each(
 ) -> Tuple[RNSPoly, RNSPoly]:
     """:func:`key_switch` of a stack whose consecutive member runs each
     have their own key (see :func:`apply_evks`): one ModUp, one ApplyKey
-    and one ModDown for the whole stack, each member's pair
+    per key and one ModDown for the whole stack, each member's pair
     bit-identical to its solo key switch."""
     digits = mod_up_all(context, poly, level)
     acc0, acc1 = apply_evks(context, digits, keys, level)

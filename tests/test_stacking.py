@@ -207,6 +207,26 @@ class TestApplyEvks:
             assert np.array_equal(b_sum.data[m], b_ref.data)
             assert np.array_equal(a_sum.data[m], a_ref.data)
 
+    def test_every_key_run_goes_through_apply_evk(self, evaluator, stacks,
+                                                  rotation_keys, monkeypatch):
+        # Wrappers of keyswitch.apply_evk (the benchmark tracer's) see
+        # each key's ApplyKey, stacked or not.
+        import repro.ckks.keyswitch as keyswitch
+
+        seen = []
+
+        def counted(context, digits, key, level):
+            seen.append(key)
+            return apply_evk(context, digits, key, level)
+
+        monkeypatch.setattr(keyswitch, "apply_evk", counted)
+        keys = [rotation_keys[1], rotation_keys[2], rotation_keys[5]]
+        evaluator.rotate_each([stacks[1]] * 3, [1, 2, 5], keys)
+        assert seen == keys
+        seen.clear()
+        evaluator.hoisted_rotations(stacks[1], dict(zip([1, 2, 5], keys)))
+        assert seen == keys
+
 
 class TestKeyTables:
     def test_top_level_restriction_is_a_view(self, context, relin_key):
